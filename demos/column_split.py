@@ -31,10 +31,13 @@ def main() -> None:
 
     colnet = build_colsplit_net(seed=1)
     net = compose(colnet)
-    w1 = net.layers[0].weight
+    blocks = net.layers[0].blocks
+    w1 = net.layers[0].weight  # dense view, built on read
     nonzero = np.count_nonzero(w1)
     print(f"\ncomposed stage 1: {w1.shape[0]}x{w1.shape[1]} weight, "
           f"{nonzero}/{w1.size} entries nonzero ({nonzero / w1.size:.1%})")
+    print(f"stored as {blocks.shape[0]} blocks of {blocks.shape[1]}x{blocks.shape[2]} "
+          f"({blocks.size} parameters)")
     print(f"aggregator: {net.layers[1].weight.shape[0]}x{net.layers[1].weight.shape[1]}")
 
     # The composed net wants inputs in column-major order; columnize performs

@@ -3,9 +3,12 @@
 A 28x28 image is split into its 28 pixel columns.  Each column feeds its own
 small dense network, the 28 outputs are concatenated and a final aggregator
 layer maps them to the 10 class scores.  The whole arrangement composes into
-an ordinary 2-layer network whose first weight matrix is block-diagonal, so
-both training algorithms apply unchanged; a mask keeps the off-block entries
-at exactly zero through every update.
+an ordinary 2-layer network whose first layer is a
+:class:`~twopass.core.BlockLayer`: the 28 column weights stacked as a
+``(28, co, 28)`` array.  Both training algorithms apply unchanged, and every
+product and update touches only the blocks, so the off-block entries of the
+equivalent 784-wide matrix are exactly zero by construction (they are never
+stored).
 
 Row-wise splitting is available behind a switch (column-wise is the default
 because it separates better in practice).
@@ -18,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Activation, Layer, LayerSpec, Network, forward, init_weights
+from .core import Activation, BlockLayer, Layer, LayerSpec, Network, forward, init_weights
 from .data import Dataset
 from .modulation import ProjectionMatrix
 from .trainer import EvalResult, MetricsHistory, TrainConfig, evaluate, train
@@ -87,28 +90,10 @@ class ColumnSplitNet:
         composed = Network.from_json(text)
         if composed.depth != 2 or composed.in_dim != SIDE * SIDE:
             raise ValueError("document does not describe a column-split model")
-        co = composed.layers[0].out_dim // SIDE
-        if co * SIDE != composed.layers[0].out_dim:
+        if composed.layers[0].out_dim % SIDE:
             raise ValueError("stage-1 output size is not a multiple of 28")
-        w1 = composed.layers[0].weight
-        block = np.zeros_like(w1, dtype=bool)
-        for j in range(SIDE):
-            block[j * co : (j + 1) * co, j * SIDE : (j + 1) * SIDE] = True
-        if np.any(w1[~block] != 0.0):
-            raise ValueError("stage-1 weights are not block-diagonal")
-        column_nets = tuple(
-            Network(
-                (
-                    Layer(
-                        weight=w1[j * co : (j + 1) * co, j * SIDE : (j + 1) * SIDE].copy(),
-                        activation=composed.layers[0].activation,
-                    ),
-                )
-            )
-            for j in range(SIDE)
-        )
         return cls(
-            column_nets=column_nets,
+            column_nets=_column_nets(BlockLayer.from_dense(composed.layers[0], SIDE)),
             aggregator=Network(composed.layers[1:]),
             mode=mode,
         )
@@ -182,45 +167,31 @@ def columnize(inputs: np.ndarray, mode: SplitMode = SplitMode.COLUMN) -> np.ndar
 
 
 def compose(net: ColumnSplitNet) -> Network:
-    """Fuse the column nets into one masked block-diagonal layer plus the aggregator.
+    """Stack the column nets into one block-diagonal layer, followed by the aggregator.
 
     The composed network takes the columnized 784-vector.  Forward through it
     matches stage-wise evaluation (split, per-column nets, concatenate,
     aggregator) exactly.
     """
-    co = net.column_out
-    w1 = np.zeros((SIDE * co, SIDE * SIDE))
-    mask = np.zeros_like(w1)
-    for j, colnet in enumerate(net.column_nets):
-        rows = slice(j * co, (j + 1) * co)
-        cols = slice(j * SIDE, (j + 1) * SIDE)
-        w1[rows, cols] = colnet.layers[0].weight
-        mask[rows, cols] = 1.0
-    stage1 = Layer(
-        weight=w1,
-        activation=net.column_nets[0].layers[0].activation,
-        mask=mask,
+    stage1 = BlockLayer(
+        np.stack([colnet.layers[0].weight for colnet in net.column_nets]),
+        net.column_nets[0].layers[0].activation,
     )
     return Network((stage1,) + net.aggregator.layers)
 
 
+def _column_nets(stage1: BlockLayer) -> tuple[Network, ...]:
+    """One single-layer column network per block of a composed stage 1."""
+    return tuple(
+        Network((Layer(weight=block.copy(), activation=stage1.activation),))
+        for block in stage1.blocks
+    )
+
+
 def _extract(template: ColumnSplitNet, trained: Network) -> ColumnSplitNet:
     """Slice a trained composed network back into column nets + aggregator."""
-    co = template.column_out
-    stage1 = trained.layers[0]
-    column_nets = tuple(
-        Network(
-            (
-                Layer(
-                    weight=stage1.weight[j * co : (j + 1) * co, j * SIDE : (j + 1) * SIDE].copy(),
-                    activation=stage1.activation,
-                ),
-            )
-        )
-        for j in range(SIDE)
-    )
     return ColumnSplitNet(
-        column_nets=column_nets,
+        column_nets=_column_nets(trained.layers[0]),
         aggregator=Network(trained.layers[1:]),
         mode=template.mode,
     )
@@ -248,7 +219,7 @@ def colsplit_train(
     cfg: TrainConfig,
     backend=None,
 ) -> tuple[ColumnSplitNet, MetricsHistory]:
-    """Train the composed network; the layer-1 mask keeps the block structure."""
+    """Train the composed network; its block-diagonal stage 1 keeps the column split."""
     composed = compose(net)
     trained, history = train(composed, _columnized(data, net.mode), proj, cfg, backend=backend)
     return _extract(net, trained), history

@@ -1,9 +1,15 @@
-"""Dense feed-forward networks: activations, weight init, and the forward pass.
+"""Feed-forward networks: activations, weight init, layers, and the forward pass.
 
 Arrays follow a column convention throughout the package: a single sample is a
 1-D vector of length ``d`` and a batch is a ``(d, B)`` matrix whose columns are
 samples, so ``W @ x`` covers both cases unchanged.  All public operations
-validate that their inputs and outputs are finite.
+validate that their inputs and outputs are finite; a violation raises
+:class:`NonFiniteError`.
+
+A layer is either dense (:class:`Layer`) or block-diagonal
+(:class:`BlockLayer`).  Both expose the four products a trainer needs
+(``matvec``, ``rmatvec``, ``avg_outer``, ``step``), so the trainers never
+touch the weight storage directly.
 """
 
 from __future__ import annotations
@@ -16,8 +22,10 @@ import numpy as np
 
 __all__ = [
     "Activation",
+    "NonFiniteError",
     "LayerSpec",
     "Layer",
+    "BlockLayer",
     "Network",
     "ForwardTrace",
     "activation_apply",
@@ -43,9 +51,13 @@ class Activation(str, Enum):
     SOFTMAX = "softmax"
 
 
+class NonFiniteError(ValueError):
+    """A value that must be finite is not: the signature of a diverging run."""
+
+
 def _require_finite(name: str, arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite values")
+        raise NonFiniteError(f"{name} contains non-finite values")
 
 
 def activation_apply(kind: Activation, z: np.ndarray) -> np.ndarray:
@@ -106,15 +118,12 @@ class LayerSpec:
 class Layer:
     """One dense layer: weight of shape (out_dim, in_dim), no bias.
 
-    ``mask`` optionally pins a sparsity pattern (1 = trainable, 0 = frozen
-    zero).  Construction rejects weights with nonzeros outside the mask, and
-    the trainer zeroes masked entries of every update, so masked positions
-    stay exactly 0 forever.
+    A layer whose weight is block-diagonal is a :class:`BlockLayer` instead,
+    which stores only its blocks; the two share the product methods below.
     """
 
     weight: np.ndarray
     activation: Activation
-    mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weight, dtype=float)
@@ -122,13 +131,6 @@ class Layer:
             raise ValueError(f"layer weight must be 2-D, got shape {w.shape}")
         _require_finite("layer weight", w)
         object.__setattr__(self, "weight", w)
-        if self.mask is not None:
-            m = np.asarray(self.mask, dtype=float)
-            if m.shape != w.shape:
-                raise ValueError(f"mask shape {m.shape} != weight shape {w.shape}")
-            if np.any(w[m == 0.0] != 0.0):
-                raise ValueError("weight has nonzero entries outside its mask")
-            object.__setattr__(self, "mask", m)
 
     @property
     def in_dim(self) -> int:
@@ -138,12 +140,109 @@ class Layer:
     def out_dim(self) -> int:
         return self.weight.shape[0]
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``W @ x`` for a (in_dim,) vector or an (in_dim, B) batch."""
+        return self.weight @ x
+
+    def rmatvec(self, delta: np.ndarray) -> np.ndarray:
+        """``W.T @ delta`` for a (out_dim,) vector or an (out_dim, B) batch."""
+        return self.weight.T @ delta
+
+    def avg_outer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Mean over the batch of per-sample outer products ``a_i b_i^T``."""
+        if a.ndim == 1:
+            return np.outer(a, b)
+        return (a @ b.T) / a.shape[1]
+
+    def step(self, dw: np.ndarray, learning_rate: float) -> "Layer":
+        """The layer with weight ``W - learning_rate * dw``."""
+        if dw.shape != self.weight.shape:
+            raise ValueError(f"update shape {dw.shape} != weight shape {self.weight.shape}")
+        return Layer(self.weight - learning_rate * dw, self.activation)
+
+
+@dataclass(frozen=True)
+class BlockLayer:
+    """A block-diagonal layer stored as its ``(k, o, i)`` stack of blocks.
+
+    Block ``j`` maps inputs ``j*i .. (j+1)*i`` to outputs ``j*o .. (j+1)*o``;
+    every other entry of the ``(k*o, k*i)`` weight is zero by construction,
+    since it is never stored.  Products and updates touch only the blocks
+    (``k*o*i`` entries rather than ``k*o*k*i``).  The dense 2-D ``weight``
+    is built on each read, for serialization and the photonic backend; the
+    trainers never read it.
+    """
+
+    blocks: np.ndarray
+    activation: Activation
+
+    def __post_init__(self) -> None:
+        b = np.asarray(self.blocks, dtype=float)
+        if b.ndim != 3:
+            raise ValueError(f"layer blocks must be 3-D (k, o, i), got shape {b.shape}")
+        _require_finite("layer weight", b)
+        object.__setattr__(self, "blocks", b)
+
+    @classmethod
+    def from_dense(cls, layer: Layer, k: int) -> "BlockLayer":
+        """Split a dense layer into ``k`` diagonal blocks; off-block entries must be 0."""
+        out_dim, in_dim = layer.weight.shape
+        o, i = out_dim // k, in_dim // k
+        if o * k != out_dim or i * k != in_dim:
+            raise ValueError(f"weight shape {layer.weight.shape} does not split into {k} blocks")
+        diag = np.arange(k)
+        blocks = layer.weight.reshape(k, o, k, i)[diag, :, diag, :]
+        block_layer = cls(blocks, layer.activation)
+        if not np.array_equal(block_layer.weight, layer.weight):
+            raise ValueError(f"weight is not block-diagonal: nonzero entries off its {k} blocks")
+        return block_layer
+
+    @property
+    def in_dim(self) -> int:
+        return self.blocks.shape[0] * self.blocks.shape[2]
+
+    @property
+    def out_dim(self) -> int:
+        return self.blocks.shape[0] * self.blocks.shape[1]
+
+    @property
+    def weight(self) -> np.ndarray:
+        """The dense (out_dim, in_dim) block-diagonal matrix, built on each read."""
+        k, o, i = self.blocks.shape
+        diag = np.arange(k)
+        dense = np.zeros((k, o, k, i))
+        dense[diag, :, diag, :] = self.blocks
+        return dense.reshape(k * o, k * i)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``W @ x`` for a (in_dim,) vector or an (in_dim, B) batch, block by block."""
+        k, o, i = self.blocks.shape
+        return np.matmul(self.blocks, x.reshape(k, i, -1)).reshape((k * o,) + x.shape[1:])
+
+    def rmatvec(self, delta: np.ndarray) -> np.ndarray:
+        """``W.T @ delta`` for a (out_dim,) vector or an (out_dim, B) batch."""
+        k, o, i = self.blocks.shape
+        out = np.matmul(self.blocks.transpose(0, 2, 1), delta.reshape(k, o, -1))
+        return out.reshape((k * i,) + delta.shape[1:])
+
+    def avg_outer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Batch-mean outer product ``a_i b_i^T``, computed only inside the blocks."""
+        k, o, i = self.blocks.shape
+        prod = np.matmul(a.reshape(k, o, -1), b.reshape(k, i, -1).transpose(0, 2, 1))
+        return prod / (1 if a.ndim == 1 else a.shape[1])
+
+    def step(self, dw: np.ndarray, learning_rate: float) -> "BlockLayer":
+        """The layer with blocks ``B - learning_rate * dw``; ``dw`` is block-shaped."""
+        if dw.shape != self.blocks.shape:
+            raise ValueError(f"update shape {dw.shape} != block shape {self.blocks.shape}")
+        return BlockLayer(self.blocks - learning_rate * dw, self.activation)
+
 
 @dataclass(frozen=True)
 class Network:
-    """Ordered dense layers; adjacent layers must be dimension compatible."""
+    """Ordered layers; adjacent layers must be dimension compatible."""
 
-    layers: tuple[Layer, ...]
+    layers: tuple[Layer | BlockLayer, ...]
 
     def __post_init__(self) -> None:
         layers = tuple(self.layers)
@@ -169,7 +268,7 @@ class Network:
         return self.layers[-1].out_dim
 
     def to_json(self) -> str:
-        """Serialize shapes, activation names, and row-major weights."""
+        """Serialize shapes, activation names, and row-major dense weights."""
         doc = {
             "layers": [
                 {
@@ -229,7 +328,7 @@ def forward(net: Network, x0: np.ndarray) -> ForwardTrace:
     zs, xs = [], []
     x = x0
     for layer in net.layers:
-        z = layer.weight @ x
+        z = layer.matvec(x)
         x = activation_apply(layer.activation, z)
         zs.append(z)
         xs.append(x)

@@ -30,7 +30,7 @@ from .colsplit import (
     compose,
     confusion_matrix,
 )
-from .core import Activation, LayerSpec, build_network
+from .core import Activation, LayerSpec, NonFiniteError, build_network
 from .data import Dataset, load_mnist, xor_dataset
 from .modulation import sample_projection
 from .photonic import MeshBackend
@@ -212,7 +212,7 @@ def _evaluate_trained(eval_fn, model, data, backend):
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return eval_fn(model, data, backend=backend)
-    except ValueError as exc:
+    except NonFiniteError as exc:
         raise DivergenceError(
             f"trained model produced non-finite values at evaluation: {exc}"
         ) from exc

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import NonFiniteError
+
 __all__ = [
     "ProjectionMatrix",
     "sample_projection",
@@ -70,7 +72,7 @@ def output_error(x_l: np.ndarray, target: np.ndarray) -> np.ndarray:
         raise ValueError(f"output shape {x_l.shape} != target shape {target.shape}")
     gamma = x_l - target
     if not np.isfinite(gamma).all():
-        raise ValueError("output error contains non-finite values")
+        raise NonFiniteError("output error contains non-finite values")
     return gamma
 
 

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ForwardTrace, Network, activation_apply
+from .core import ForwardTrace, Network, NonFiniteError, activation_apply
 
 __all__ = [
     "MZISetting",
@@ -312,7 +312,7 @@ def realize_weight(w: np.ndarray) -> PhotonicLayer:
     if w.ndim != 2:
         raise ValueError(f"weight must be 2-D, got shape {w.shape}")
     if not np.isfinite(w).all():
-        raise ValueError("weight contains non-finite values")
+        raise NonFiniteError("weight contains non-finite values")
     u, s, vh = np.linalg.svd(w)
     scale = float(s[0]) if s.size and s[0] > 0.0 else 1.0
     return PhotonicLayer(

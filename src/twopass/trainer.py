@@ -17,8 +17,8 @@ import numpy as np
 from .core import (
     Activation,
     ForwardTrace,
-    Layer,
     Network,
+    NonFiniteError,
     activation_derivative,
     forward,
     softmax_backward,
@@ -63,7 +63,7 @@ class Loss(str, Enum):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced non-finite values."""
+    """Training produced non-finite values (raised from a :class:`NonFiniteError`)."""
 
 
 @dataclass(frozen=True)
@@ -93,14 +93,18 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class UpdateSet:
-    """Per-layer weight updates, shapes matching the network's weights."""
+    """Per-layer weight updates, each shaped like its layer's stored parameters.
+
+    That is the (out_dim, in_dim) weight of a dense layer and the (k, o, i)
+    block stack of a :class:`~twopass.core.BlockLayer`.
+    """
 
     deltas: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
         for i, d in enumerate(self.deltas):
             if not np.isfinite(d).all():
-                raise ValueError(f"update for layer {i + 1} contains non-finite values")
+                raise NonFiniteError(f"update for layer {i + 1} contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -149,33 +153,29 @@ def _batch_width(arr: np.ndarray) -> int:
     return 1 if arr.ndim == 1 else arr.shape[1]
 
 
-def _avg_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mean over the batch of per-sample outer products a_i b_i^T."""
-    if a.ndim == 1:
-        return np.outer(a, b)
-    return (a @ b.T) / a.shape[1]
-
-
 def two_pass_updates(
-    clean: ForwardTrace, modulated: ForwardTrace, gamma: np.ndarray
+    net: Network, clean: ForwardTrace, modulated: ForwardTrace, gamma: np.ndarray
 ) -> UpdateSet:
     """Per-layer updates from the activation differences of the two passes.
 
     Layers 1..L-1 use (x_l - x_err,l) outer the modulated presynaptic
     activation (for layer 1 that presynaptic term is the modulated input
     itself); the last layer uses the output error gamma.  Batched traces
-    yield batch-averaged updates.
+    yield batch-averaged updates.  ``net`` is the network both passes ran
+    under; it only decides how each outer product is stored.
     """
     if clean.depth != modulated.depth:
         raise ValueError(f"trace depth mismatch: {clean.depth} != {modulated.depth}")
+    if clean.depth != net.depth:
+        raise ValueError(f"trace depth {clean.depth} != network depth {net.depth}")
     if _batch_width(clean.x0) != _batch_width(modulated.x0):
         raise ValueError("clean and modulated traces have different batch widths")
-    depth = clean.depth
+    depth = net.depth
     deltas = []
     for l in range(1, depth):
         diff = clean.xs[l - 1] - modulated.xs[l - 1]
-        deltas.append(_avg_outer(diff, modulated.activation(l - 1)))
-    deltas.append(_avg_outer(gamma, modulated.activation(depth - 1)))
+        deltas.append(net.layers[l - 1].avg_outer(diff, modulated.activation(l - 1)))
+    deltas.append(net.layers[-1].avg_outer(gamma, modulated.activation(depth - 1)))
     return UpdateSet(tuple(deltas))
 
 
@@ -196,24 +196,19 @@ def backprop_updates(net: Network, clean: ForwardTrace, gamma: np.ndarray) -> Up
             delta = softmax_backward(x, grad_x)
         else:
             delta = grad_x * activation_derivative(layer.activation, z, x)
-        deltas[l] = _avg_outer(delta, clean.activation(l))
+        deltas[l] = layer.avg_outer(delta, clean.activation(l))
         if l > 0:
-            grad_x = layer.weight.T @ delta
+            grad_x = layer.rmatvec(delta)
     return UpdateSet(tuple(deltas))
 
 
 def apply_updates(net: Network, updates: UpdateSet, learning_rate: float) -> Network:
-    """W_l(t+1) = W_l(t) - eta * dW_l; masked entries of dW are zeroed."""
+    """W_l(t+1) = W_l(t) - eta * dW_l, each layer in its own storage."""
     if len(updates.deltas) != net.depth:
         raise ValueError(f"{len(updates.deltas)} updates for {net.depth} layers")
-    layers = []
-    for layer, dw in zip(net.layers, updates.deltas):
-        if dw.shape != layer.weight.shape:
-            raise ValueError(f"update shape {dw.shape} != weight shape {layer.weight.shape}")
-        if layer.mask is not None:
-            dw = dw * layer.mask
-        layers.append(Layer(layer.weight - learning_rate * dw, layer.activation, layer.mask))
-    return Network(tuple(layers))
+    return Network(
+        tuple(layer.step(dw, learning_rate) for layer, dw in zip(net.layers, updates.deltas))
+    )
 
 
 def _validate_setup(net: Network, data: Dataset, proj: ProjectionMatrix, cfg: TrainConfig) -> None:
@@ -281,7 +276,7 @@ def train(
                     gamma = output_error(clean.output, tb)
                     mse = float(np.mean(gamma * gamma))
                     if not np.isfinite(mse):
-                        raise ValueError("non-finite loss")
+                        raise NonFiniteError("non-finite loss")
                     if cfg.algorithm is Algorithm.TWO_PASS:
                         x_err0 = modulate_input(xb, proj, gamma)
                         modulated = (
@@ -289,14 +284,14 @@ def train(
                             if backend is not None
                             else modulated_forward(net, x_err0)
                         )
-                        updates = two_pass_updates(clean, modulated, gamma)
+                        updates = two_pass_updates(net, clean, modulated, gamma)
                     else:
                         updates = backprop_updates(net, clean, gamma)
                     # Applying the update is validated here too: on the run's
                     # last batch there is no later forward pass to trip on an
                     # overflowed weight subtraction.
                     net = apply_updates(net, updates, lr)
-            except ValueError as exc:
+            except NonFiniteError as exc:
                 raise DivergenceError(
                     f"training diverged (non-finite values) at iteration {iteration}"
                 ) from exc
@@ -319,6 +314,8 @@ def evaluate(
     Samples are evaluated in dataset order, in fixed-size chunks.
     """
     n = data.inputs.shape[0]
+    if n == 0:
+        raise ValueError("dataset is empty")
     classification = data.targets.shape[1] >= 2
     sq_sum = 0.0
     count = 0

@@ -1,6 +1,7 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -42,3 +43,29 @@ def mnist_data(mnist_dir):
     from twopass import load_mnist
 
     return load_mnist(mnist_dir)
+
+
+@pytest.fixture(scope="session")
+def synthetic_mnist_dir(tmp_path_factory) -> Path:
+    """Seeded, class-structured 28x28 IDX files at MNIST's names and split sizes.
+
+    This is NOT MNIST.  Each of the 10 classes has a fixed random prototype
+    image, and a sample is its class prototype plus uniform pixel noise.  It
+    exists so the MNIST-shaped code paths (60000/10000 samples of 784 pixels)
+    run offline; results on it say nothing about MNIST accuracy.
+    """
+    from twopass import write_idx
+
+    out = tmp_path_factory.mktemp("synthetic_mnist")
+    rng = np.random.default_rng(2408)
+    prototypes = rng.random((10, 28, 28), dtype=np.float32)
+    for prefix, n in (("train", 60000), ("t10k", 10000)):
+        labels = rng.integers(0, 10, n).astype(np.uint8)
+        images = np.empty((n, 28, 28), dtype=np.uint8)
+        for start in range(0, n, 10000):
+            lab = labels[start : start + 10000]
+            noise = rng.random((lab.size, 28, 28), dtype=np.float32)
+            images[start : start + 10000] = 255.0 * (0.6 * prototypes[lab] + 0.4 * noise)
+        write_idx(out / f"{prefix}-images-idx3-ubyte", images)
+        write_idx(out / f"{prefix}-labels-idx1-ubyte", labels)
+    return out

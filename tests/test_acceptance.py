@@ -185,7 +185,7 @@ class TestZeroErrorFixedPoint:
             gamma = output_error(clean.output, clean.output)
             assert np.all(gamma == 0.0)
             modulated = modulated_forward(net, modulate_input(x0, proj, gamma))
-            updates = two_pass_updates(clean, modulated, gamma)
+            updates = two_pass_updates(net, clean, modulated, gamma)
             for dw in updates.deltas:
                 assert np.all(dw == 0.0)
             after = apply_updates(net, updates, 0.5)
@@ -298,6 +298,39 @@ class TestDeterminism:
     def test_shipped_xor_config_is_byte_identical(self, tmp_path):
         out_a, out_b = self.run_twice(str(CONFIG_DIR / "xor_twopass.json"), tmp_path)
         assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
+
+    @pytest.mark.slow
+    def test_colsplit_config_at_mnist_shape_is_byte_identical(
+        self, tmp_path, synthetic_mnist_dir, monkeypatch
+    ):
+        # Synthetic class-structured data, not MNIST: this runs the shipped
+        # column-split CLI path at full MNIST shape and checks determinism and
+        # the block structure of the trained stage 1, not accuracy.
+        import twopass.colsplit
+
+        stage1s = []
+        real_train = twopass.colsplit.train
+
+        def keep_stage1(*args, **kwargs):
+            trained, history = real_train(*args, **kwargs)
+            stage1s.append(trained.layers[0])
+            return trained, history
+
+        monkeypatch.setattr(twopass.colsplit, "train", keep_stage1)
+        out_a, out_b = self.run_twice(
+            str(CONFIG_DIR / "mnist_colsplit_twopass.json"),
+            tmp_path,
+            extra=("--epochs", "1", "--data-dir", str(synthetic_mnist_dir)),
+        )
+        assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
+        assert len((out_a / "metrics.csv").read_text().splitlines()) == 1 + 938
+        off_block = np.kron(np.eye(28), np.ones((28, 28))) == 0.0
+        assert len(stage1s) == 2
+        for stage1 in stage1s:
+            w1 = stage1.weight
+            assert w1.shape == (784, 784)
+            assert np.count_nonzero(w1[off_block]) == 0
+            assert np.count_nonzero(w1[~off_block]) > 0
 
     @pytest.mark.slow
     @pytest.mark.parametrize(

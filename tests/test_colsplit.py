@@ -3,6 +3,8 @@ import pytest
 
 from twopass import (
     Activation,
+    Algorithm,
+    BlockLayer,
     ColumnSplitNet,
     Dataset,
     Layer,
@@ -11,6 +13,9 @@ from twopass import (
     Network,
     SplitMode,
     TrainConfig,
+    UpdateSet,
+    apply_updates,
+    backprop_updates,
     build_colsplit_net,
     build_network,
     colsplit_evaluate,
@@ -19,11 +24,14 @@ from twopass import (
     compose,
     confusion_matrix,
     forward,
+    modulate_input,
     one_hot,
+    output_error,
     reassemble,
     sample_projection,
     split_columns,
     stagewise_forward,
+    two_pass_updates,
 )
 
 
@@ -36,6 +44,11 @@ def block_mask(column_out: int) -> np.ndarray:
 
 def random_image(seed: int) -> np.ndarray:
     return np.random.default_rng(seed).random((28, 28))
+
+
+def dense_twin(composed: Network) -> Network:
+    """The reference for a composed net: every layer a dense Layer on its 2-D weight."""
+    return Network(tuple(Layer(layer.weight, layer.activation) for layer in composed.layers))
 
 
 class TestSplitColumns:
@@ -112,12 +125,29 @@ class TestCompose:
         trace = forward(composed, v)
         np.testing.assert_array_equal(trace.xs[0], v)
 
-    def test_mask_matches_block_pattern(self):
+    def test_stage1_blocks_are_the_column_weights(self):
         net = build_colsplit_net(seed=1, column_out=3)
-        composed = compose(net)
-        mask = composed.layers[0].mask
-        expected = block_mask(3).astype(float)
-        np.testing.assert_array_equal(mask, expected)
+        stage1 = compose(net).layers[0]
+        assert isinstance(stage1, BlockLayer)
+        assert stage1.blocks.shape == (28, 3, 28)
+        w1 = stage1.weight
+        assert w1.shape == (84, 784)
+        assert np.all(w1[~block_mask(3)] == 0.0)
+        for j, colnet in enumerate(net.column_nets):
+            np.testing.assert_array_equal(stage1.blocks[j], colnet.layers[0].weight)
+            np.testing.assert_array_equal(
+                w1[3 * j : 3 * j + 3, 28 * j : 28 * j + 28], colnet.layers[0].weight
+            )
+
+    def test_blocked_forward_matches_dense_reference(self):
+        composed = compose(build_colsplit_net(seed=15, column_out=4))
+        reference = dense_twin(composed)
+        rng = np.random.default_rng(15)
+        for x in (rng.random(784), rng.random((784, 7)), rng.random((7, 784)).T):
+            got, want = forward(composed, x), forward(reference, x)
+            for a, b in zip(got.zs + got.xs, want.zs + want.xs):
+                assert a.shape == b.shape
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_forward_matches_stagewise_reference(self):
         for mode in (SplitMode.COLUMN, SplitMode.ROW):
@@ -268,6 +298,64 @@ class TestColsplitTraining:
         proj = sample_projection(784, 10, seed=9)
         trained, _ = colsplit_train(net, data, proj, cfg)
         assert np.all(compose(trained).layers[0].weight[~block_mask(2)] == 0.0)
+
+    @pytest.mark.parametrize("mode", list(SplitMode))
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_blocked_updates_match_dense_reference(self, mode, algorithm):
+        # Reference: the materialized dense stage 1 with the dense forward pass
+        # and full outer products, whose off-block part is dropped.
+        net = build_colsplit_net(seed=16, column_out=2, mode=mode)
+        data = small_dataset(16, n=12)
+        proj = sample_projection(784, 10, seed=16)
+        blocked = compose(net)
+        dense = dense_twin(blocked)
+        on_block = block_mask(2)
+        x_all, t_all = columnize(data.inputs, mode).T, data.targets.T
+        for start in range(0, 12, 4):
+            xb = np.ascontiguousarray(x_all[:, start : start + 4])
+            tb = t_all[:, start : start + 4]
+            deltas = []
+            for model in (blocked, dense):
+                clean = forward(model, xb)
+                gamma = output_error(clean.output, tb)
+                if algorithm is Algorithm.TWO_PASS:
+                    modulated = forward(model, modulate_input(xb, proj, gamma))
+                    deltas.append(two_pass_updates(model, clean, modulated, gamma).deltas)
+                else:
+                    deltas.append(backprop_updates(model, clean, gamma).deltas)
+            (b1, b2), (d1, d2) = deltas
+            d1 = np.where(on_block, d1, 0.0)
+            np.testing.assert_allclose(
+                BlockLayer(b1, Activation.RELU).weight, d1, rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(b2, d2, rtol=0, atol=1e-12)
+            blocked = apply_updates(blocked, UpdateSet((b1, b2)), 0.5)
+            dense = apply_updates(dense, UpdateSet((d1, d2)), 0.5)
+            for lb, ld in zip(blocked.layers, dense.layers):
+                np.testing.assert_allclose(lb.weight, ld.weight, rtol=0, atol=1e-12)
+
+    def test_trained_stagewise_matches_composed_forward(self):
+        for mode in (SplitMode.COLUMN, SplitMode.ROW):
+            net = build_colsplit_net(seed=17, column_out=3, mode=mode)
+            data = small_dataset(17, n=12)
+            cfg = TrainConfig(learning_rate=0.5, epochs=3, batch_size=4, seed=3)
+            trained, _ = colsplit_train(net, data, sample_projection(784, 10, seed=17), cfg)
+            composed = compose(trained)
+            assert np.any(composed.layers[0].weight != compose(net).layers[0].weight)
+            for i in range(4):
+                img = data.inputs[i].reshape(28, 28)
+                got = forward(composed, columnize(data.inputs[i : i + 1], mode)[0]).output
+                np.testing.assert_allclose(
+                    got, stagewise_forward(trained, img), rtol=0, atol=1e-12
+                )
+
+    def test_empty_dataset_rejected(self):
+        net = build_colsplit_net(seed=18, column_out=2)
+        empty = Dataset(
+            inputs=np.zeros((0, 784)), targets=np.zeros((0, 10)), labels=np.zeros(0, dtype=int)
+        )
+        with pytest.raises(ValueError, match="dataset is empty"):
+            colsplit_evaluate(net, empty)
 
     def test_evaluate_matches_stagewise_predictions(self):
         net = build_colsplit_net(seed=10, column_out=3)

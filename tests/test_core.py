@@ -5,6 +5,7 @@ import pytest
 
 from twopass import (
     Activation,
+    BlockLayer,
     Layer,
     LayerSpec,
     Network,
@@ -214,12 +215,25 @@ class TestNetworkTypes:
         with pytest.raises(ValueError):
             Layer(np.array([[np.nan]]), Activation.IDENTITY)
 
-    def test_layer_mask_shape_and_zero_enforcement(self):
-        with pytest.raises(ValueError):
-            Layer(np.eye(2), Activation.IDENTITY, mask=np.ones((3, 3)))
-        # weight nonzero where the mask is zero is inconsistent state
-        with pytest.raises(ValueError):
-            Layer(np.eye(2), Activation.IDENTITY, mask=np.zeros((2, 2)))
+    def test_block_layer_shape_and_zero_enforcement(self):
+        with pytest.raises(ValueError, match="3-D"):
+            BlockLayer(np.eye(2), Activation.IDENTITY)
+        with pytest.raises(ValueError, match="non-finite"):
+            BlockLayer(np.full((2, 1, 1), np.inf), Activation.IDENTITY)
+        # a dense weight with a nonzero entry off its blocks has no block form
+        with pytest.raises(ValueError, match="block-diagonal"):
+            BlockLayer.from_dense(Layer(np.ones((2, 2)), Activation.IDENTITY), 2)
+        with pytest.raises(ValueError, match="does not split"):
+            BlockLayer.from_dense(Layer(np.eye(3), Activation.IDENTITY), 2)
+        blocks = np.arange(1.0, 13.0).reshape(3, 2, 2)
+        dense = BlockLayer(blocks, Activation.RELU).weight
+        assert dense.shape == (6, 6)
+        for j in range(3):
+            np.testing.assert_array_equal(dense[2 * j : 2 * j + 2, 2 * j : 2 * j + 2], blocks[j])
+        assert np.count_nonzero(dense) == blocks.size
+        back = BlockLayer.from_dense(Layer(dense, Activation.RELU), 3)
+        np.testing.assert_array_equal(back.blocks, blocks)
+        assert (back.in_dim, back.out_dim, back.activation) == (6, 6, Activation.RELU)
 
     def test_network_rejects_incompatible_chain(self):
         l1 = Layer(np.zeros((3, 2)), Activation.RELU)

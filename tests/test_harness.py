@@ -190,6 +190,14 @@ class TestRunExperiment:
             _evaluate_trained(evaluate, net, data, None)
 
 
+    def test_evaluation_bug_is_not_reported_as_divergence(self):
+        def broken_evaluate(model, data, backend=None):
+            raise ValueError("evaluation shape bug")
+
+        with pytest.raises(ValueError, match="evaluation shape bug"):
+            _evaluate_trained(broken_evaluate, None, None, None)
+
+
 class TestEmitMetrics:
     def test_metrics_csv_exact_content(self, tmp_path):
         report = make_report(with_confusion=False)

@@ -401,12 +401,12 @@ class TestMeshBackend:
         clean_d = forward(net, x0)
         gamma_d = output_error(clean_d.output, target)
         mod_d = modulated_forward(net, modulate_input(x0, proj, gamma_d))
-        dense_updates = two_pass_updates(clean_d, mod_d, gamma_d)
+        dense_updates = two_pass_updates(net, clean_d, mod_d, gamma_d)
 
         clean_m = backend.forward(x0)
         gamma_m = output_error(clean_m.output, target)
         mod_m = backend.forward(modulate_input(x0, proj, gamma_m))
-        mesh_updates = two_pass_updates(clean_m, mod_m, gamma_m)
+        mesh_updates = two_pass_updates(net, clean_m, mod_m, gamma_m)
 
         for a, b in zip(dense_updates.deltas, mesh_updates.deltas):
             np.testing.assert_allclose(b, a, atol=1e-9)

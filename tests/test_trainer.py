@@ -4,6 +4,7 @@ import pytest
 from twopass import (
     Activation,
     Algorithm,
+    BlockLayer,
     Dataset,
     DivergenceError,
     Layer,
@@ -25,6 +26,22 @@ from twopass import (
     two_pass_updates,
 )
 from twopass.trainer import MetricRecord, MetricsHistory
+
+
+def block_net(seed):
+    """5 -> 12 sigmoid, a 3-block 12 -> 6 ReLU BlockLayer, 6 -> 2 softmax."""
+    rng = np.random.default_rng(seed)
+    return Network(
+        (
+            Layer(rng.normal(size=(12, 5)), Activation.SIGMOID),
+            BlockLayer(rng.normal(size=(3, 2, 4)), Activation.RELU),
+            Layer(rng.normal(size=(2, 6)), Activation.SOFTMAX),
+        )
+    )
+
+
+# Where the 3-block 12 -> 6 layer's dense weight may be nonzero.
+ON_BLOCK = BlockLayer(np.ones((3, 2, 4)), Activation.IDENTITY).weight == 1.0
 
 
 def hand_net():
@@ -87,7 +104,7 @@ class TestTwoPassUpdates:
         )
         x0 = np.array([0.3, 0.6, 0.9])
         clean = forward(net, x0)
-        updates = two_pass_updates(clean, clean, np.zeros(2))
+        updates = two_pass_updates(net, clean, clean, np.zeros(2))
         for dw in updates.deltas:
             assert np.all(dw == 0.0)
 
@@ -101,7 +118,7 @@ class TestTwoPassUpdates:
         clean = forward(net, x0)
         gamma = output_error(clean.output, target)
         modulated = modulated_forward(net, x0 + f @ gamma)
-        updates = two_pass_updates(clean, modulated, gamma)
+        updates = two_pass_updates(net, clean, modulated, gamma)
         np.testing.assert_array_equal(gamma, np.array([-1.125, 0.625]))
         np.testing.assert_array_equal(
             updates.deltas[0],
@@ -130,7 +147,7 @@ class TestTwoPassUpdates:
             clean = forward(net, x0)
             gamma = output_error(clean.output, rng.random(3))
             modulated = modulated_forward(net, modulate_input(x0, proj, gamma))
-            for dw in two_pass_updates(clean, modulated, gamma).deltas:
+            for dw in two_pass_updates(net, clean, modulated, gamma).deltas:
                 assert np.linalg.matrix_rank(dw, tol=1e-10) <= 1
 
     def test_batch_averaged_update_has_rank_at_most_batch_size(self):
@@ -143,7 +160,7 @@ class TestTwoPassUpdates:
         clean = forward(net, xb)
         gamma = output_error(clean.output, rng.random((4, 2)))
         modulated = modulated_forward(net, modulate_input(xb, proj, gamma))
-        for dw in two_pass_updates(clean, modulated, gamma).deltas:
+        for dw in two_pass_updates(net, clean, modulated, gamma).deltas:
             assert np.linalg.matrix_rank(dw, tol=1e-10) <= 2
 
     def test_batch_update_is_mean_of_per_sample_updates(self):
@@ -157,13 +174,13 @@ class TestTwoPassUpdates:
         clean = forward(net, xb)
         gamma = output_error(clean.output, tb)
         modulated = modulated_forward(net, modulate_input(xb, proj, gamma))
-        batch = two_pass_updates(clean, modulated, gamma)
+        batch = two_pass_updates(net, clean, modulated, gamma)
         per_sample = []
         for j in range(3):
             c = forward(net, xb[:, j])
             g = output_error(c.output, tb[:, j])
             m = modulated_forward(net, modulate_input(xb[:, j], proj, g))
-            per_sample.append(two_pass_updates(c, m, g))
+            per_sample.append(two_pass_updates(net, c, m, g))
         for l in range(net.depth):
             mean = sum(u.deltas[l] for u in per_sample) / 3.0
             np.testing.assert_allclose(batch.deltas[l], mean, rtol=1e-12, atol=1e-15)
@@ -186,7 +203,7 @@ class TestTwoPassUpdates:
         gamma = output_error(clean.output, rng.random(2))
         x_err0 = modulate_input(x0, proj, gamma)
         modulated = modulated_forward(net, x_err0)
-        updates = two_pass_updates(clean, modulated, gamma)
+        updates = two_pass_updates(net, clean, modulated, gamma)
         np.testing.assert_array_equal(
             updates.deltas[0], np.outer(clean.xs[0] - modulated.xs[0], x_err0)
         )
@@ -199,14 +216,14 @@ class TestTwoPassUpdates:
         net2, net1 = hand_net(), Network((Layer(np.eye(2), Activation.IDENTITY),))
         x0 = np.array([1.0, 2.0])
         with pytest.raises(ValueError):
-            two_pass_updates(forward(net2, x0), forward(net1, x0), np.zeros(2))
+            two_pass_updates(net2, forward(net2, x0), forward(net1, x0), np.zeros(2))
 
     def test_batch_width_mismatch_rejected(self):
         net = hand_net()
         clean = forward(net, np.random.default_rng(0).random((2, 3)))
         modulated = forward(net, np.random.default_rng(0).random((2, 4)))
         with pytest.raises(ValueError):
-            two_pass_updates(clean, modulated, np.zeros((2, 3)))
+            two_pass_updates(net, clean, modulated, np.zeros((2, 3)))
 
 
 class TestApplyUpdates:
@@ -236,13 +253,60 @@ class TestApplyUpdates:
         with pytest.raises(ValueError):
             apply_updates(net, UpdateSet((np.zeros((2, 2)),)), 0.1)
 
-    def test_masked_entries_never_move(self):
-        mask = np.array([[1.0, 0.0], [0.0, 1.0]])
-        net = Network((Layer(np.eye(2), Activation.IDENTITY, mask=mask),))
-        out = apply_updates(net, UpdateSet((np.full((2, 2), 7.0),)), 1.0)
+    def test_block_layer_off_block_entries_never_move(self):
+        net = Network((BlockLayer(np.ones((2, 1, 1)), Activation.IDENTITY),))
+        out = apply_updates(net, UpdateSet((np.full((2, 1, 1), 7.0),)), 1.0)
         np.testing.assert_array_equal(
             out.layers[0].weight, np.array([[-6.0, 0.0], [0.0, -6.0]])
         )
+        # an update shaped like the dense weight has no block form
+        with pytest.raises(ValueError, match="block shape"):
+            apply_updates(net, UpdateSet((np.full((2, 2), 7.0),)), 1.0)
+
+
+class TestBlockLayer:
+    def test_products_match_the_dense_weight(self):
+        rng = np.random.default_rng(30)
+        layer = BlockLayer(rng.normal(size=(3, 2, 4)), Activation.RELU)
+        dense = Layer(layer.weight, layer.activation)
+        for x, d in ((rng.random(12), rng.random(6)), (rng.random((12, 5)), rng.random((6, 5)))):
+            np.testing.assert_allclose(layer.matvec(x), dense.matvec(x), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(layer.rmatvec(d), dense.rmatvec(d), rtol=0, atol=1e-12)
+            outer = BlockLayer(layer.avg_outer(d, x), layer.activation).weight
+            np.testing.assert_allclose(
+                outer, np.where(ON_BLOCK, dense.avg_outer(d, x), 0.0), rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_training_steps_match_dense_reference(self, algorithm):
+        # Reference: the materialized dense weight, the dense forward pass and
+        # full outer products, with each update's off-block part dropped.
+        blocked = block_net(31)
+        dense = Network(
+            tuple(Layer(layer.weight, layer.activation) for layer in blocked.layers)
+        )
+        rng = np.random.default_rng(31)
+        proj = sample_projection(5, 2, seed=31)
+        for _ in range(3):
+            xb = rng.random((5, 4))
+            tb = np.eye(2)[:, rng.integers(0, 2, 4)]
+            deltas = []
+            for model in (blocked, dense):
+                clean = forward(model, xb)
+                gamma = output_error(clean.output, tb)
+                if algorithm is Algorithm.TWO_PASS:
+                    modulated = forward(model, modulate_input(xb, proj, gamma))
+                    deltas.append(two_pass_updates(model, clean, modulated, gamma).deltas)
+                else:
+                    deltas.append(backprop_updates(model, clean, gamma).deltas)
+            (b0, b1, b2), (d0, d1, d2) = deltas
+            assert b1.shape == (3, 2, 4)
+            blocked = apply_updates(blocked, UpdateSet((b0, b1, b2)), 0.5)
+            dense = apply_updates(dense, UpdateSet((d0, np.where(ON_BLOCK, d1, 0.0), d2)), 0.5)
+            for lb, ld in zip(blocked.layers, dense.layers):
+                np.testing.assert_allclose(lb.weight, ld.weight, rtol=0, atol=1e-12)
+        assert isinstance(blocked.layers[1], BlockLayer)
+        assert np.all(blocked.layers[1].weight[~ON_BLOCK] == 0.0)
 
 
 class TestBackpropUpdates:
@@ -359,7 +423,7 @@ class TestTrain:
             clean = forward(ref, xb)
             gamma = output_error(clean.output, tb)
             modulated = modulated_forward(ref, modulate_input(xb, proj, gamma))
-            ref = apply_updates(ref, two_pass_updates(clean, modulated, gamma), 0.1)
+            ref = apply_updates(ref, two_pass_updates(ref, clean, modulated, gamma), 0.1)
         for la, lb in zip(trained.layers, ref.layers):
             np.testing.assert_array_equal(la.weight, lb.weight)
 
@@ -401,6 +465,20 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=1e4, epochs=1, batch_size=1, seed=0)
         with pytest.raises(DivergenceError, match="at iteration 1"):
             train(net, data, proj, cfg)
+
+    def test_backend_value_error_is_not_divergence(self):
+        # Only non-finite values mean divergence; a shape bug in a backend
+        # must surface as itself, not as exit-code-3 "training diverged".
+        class ShapeBugBackend:
+            def refresh(self, net):
+                pass
+
+            def forward(self, x0):
+                raise ValueError("backend shape bug")
+
+        net, data, proj = self.make_problem(seed=4)
+        with pytest.raises(ValueError, match="backend shape bug"):
+            train(net, data, proj, TrainConfig(), backend=ShapeBugBackend())
 
     def test_backprop_algorithm_trains_too(self):
         net, data, proj = self.make_problem(seed=13)
@@ -468,6 +546,14 @@ class TestEvaluate:
         assert a.mse == pytest.approx(b.mse, rel=1e-12)
         assert a.accuracy == b.accuracy
         np.testing.assert_array_equal(a.predictions, b.predictions)
+
+    def test_empty_dataset_rejected(self):
+        net = Network((Layer(np.eye(2), Activation.IDENTITY),))
+        empty = Dataset(
+            inputs=np.zeros((0, 2)), targets=np.zeros((0, 2)), labels=np.zeros(0, dtype=int)
+        )
+        with pytest.raises(ValueError, match="dataset is empty"):
+            evaluate(net, empty)
 
     def test_regression_targets_give_no_accuracy(self):
         net = Network((Layer(np.eye(2)[:1], Activation.IDENTITY),))
