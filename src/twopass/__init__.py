@@ -8,147 +8,23 @@ standard backpropagation baseline, an MZI-mesh photonic backend, and a
 column-split convolution-equivalent architecture round out the library.
 """
 
-from .core import (
-    Activation,
-    BlockLayer,
-    ForwardTrace,
-    Layer,
-    LayerSpec,
-    Network,
-    NonFiniteError,
-    activation_apply,
-    activation_derivative,
-    build_network,
-    forward,
-    init_weights,
-    softmax_backward,
-)
-from .modulation import ProjectionMatrix, modulate_input, output_error, sample_projection
-from .trainer import (
-    Algorithm,
-    DivergenceError,
-    EvalResult,
-    Loss,
-    MetricRecord,
-    MetricsHistory,
-    TrainConfig,
-    UpdateSet,
-    apply_updates,
-    backprop_updates,
-    evaluate,
-    modulated_forward,
-    train,
-    two_pass_updates,
-)
-from .data import Dataset, load_idx, load_mnist, normalize, one_hot, write_idx, xor_dataset
-from .photonic import (
-    MeshBackend,
-    MeshProgram,
-    MZISetting,
-    PhotonicLayer,
-    apply_phase_noise,
-    clements_decompose,
-    detect_intensity,
-    mesh_forward,
-    mzi_transfer,
-    realize_weight,
-    transfer_matrix,
-    unitarity_residual,
-)
-from .colsplit import (
-    ColumnSplitNet,
-    SplitMode,
-    build_colsplit_net,
-    colsplit_evaluate,
-    colsplit_train,
-    columnize,
-    compose,
-    confusion_matrix,
-    reassemble,
-    split_columns,
-    stagewise_forward,
-)
-from .harness import (
-    Backend,
-    DataError,
-    ExperimentConfig,
-    RunReport,
-    Task,
-    emit_metrics,
-    main,
-    run_experiment,
-)
+from . import colsplit, core, data, harness, modulation, photonic, trainer
+from .colsplit import *
+from .core import *
+from .data import *
+from .harness import *
+from .modulation import *
+from .photonic import *
+from .trainer import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Activation",
-    "Algorithm",
-    "Backend",
-    "BlockLayer",
-    "ColumnSplitNet",
-    "DataError",
-    "Dataset",
-    "DivergenceError",
-    "EvalResult",
-    "ExperimentConfig",
-    "ForwardTrace",
-    "Layer",
-    "LayerSpec",
-    "Loss",
-    "MeshBackend",
-    "MeshProgram",
-    "MetricRecord",
-    "MetricsHistory",
-    "MZISetting",
-    "Network",
-    "NonFiniteError",
-    "PhotonicLayer",
-    "ProjectionMatrix",
-    "RunReport",
-    "SplitMode",
-    "Task",
-    "TrainConfig",
-    "UpdateSet",
-    "activation_apply",
-    "activation_derivative",
-    "apply_phase_noise",
-    "apply_updates",
-    "backprop_updates",
-    "build_colsplit_net",
-    "build_network",
-    "clements_decompose",
-    "colsplit_evaluate",
-    "colsplit_train",
-    "columnize",
-    "compose",
-    "confusion_matrix",
-    "detect_intensity",
-    "emit_metrics",
-    "evaluate",
-    "forward",
-    "init_weights",
-    "load_idx",
-    "load_mnist",
-    "main",
-    "mesh_forward",
-    "modulate_input",
-    "modulated_forward",
-    "mzi_transfer",
-    "normalize",
-    "one_hot",
-    "output_error",
-    "realize_weight",
-    "reassemble",
-    "run_experiment",
-    "sample_projection",
-    "softmax_backward",
-    "split_columns",
-    "stagewise_forward",
-    "train",
-    "transfer_matrix",
-    "two_pass_updates",
-    "unitarity_residual",
-    "write_idx",
-    "xor_dataset",
-]
+__all__ = (
+    core.__all__
+    + modulation.__all__
+    + trainer.__all__
+    + data.__all__
+    + photonic.__all__
+    + colsplit.__all__
+    + harness.__all__
+)

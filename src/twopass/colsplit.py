@@ -37,6 +37,7 @@ __all__ = [
     "colsplit_train",
     "colsplit_evaluate",
     "confusion_matrix",
+    "stagewise_forward",
 ]
 
 SIDE = 28
@@ -79,6 +80,14 @@ class ColumnSplitNet:
     @property
     def column_out(self) -> int:
         return self.column_nets[0].out_dim
+
+    @property
+    def in_dim(self) -> int:
+        return SIDE * SIDE
+
+    @property
+    def out_dim(self) -> int:
+        return self.aggregator.out_dim
 
     def to_json(self) -> str:
         """Serialize the composed model (layer shapes, activation names, weights)."""

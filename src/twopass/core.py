@@ -33,6 +33,7 @@ __all__ = [
     "forward",
     "init_weights",
     "build_network",
+    "softmax_backward",
 ]
 
 

@@ -28,11 +28,9 @@ import numpy as np
 from .core import ForwardTrace, Network, NonFiniteError, activation_apply
 
 __all__ = [
-    "MZISetting",
     "MeshProgram",
     "PhotonicLayer",
     "MeshBackend",
-    "mzi_transfer",
     "mesh_forward",
     "transfer_matrix",
     "unitarity_residual",
@@ -45,39 +43,30 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class MZISetting:
-    """Phases of one MZI coupling modes (mode, mode + 1)."""
+def _mzi(top, bot, theta: float, phi: float, sign: int = 1):
+    """One MZI acting on the mode pair (top, bot); returns the new pair.
 
-    mode: int
-    theta: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        if self.mode < 0:
-            raise ValueError(f"mode index must be >= 0, got {self.mode}")
-        for name, value in (("theta", self.theta), ("phi", self.phi)):
-            if not 0.0 <= value < TWO_PI:
-                raise ValueError(f"{name} must lie in [0, 2pi), got {value}")
-
-
-def mzi_transfer(setting: MZISetting) -> np.ndarray:
-    """2x2 unitary transfer matrix of one MZI."""
-    half = 0.5 * setting.theta
+    ``sign=1`` applies T(theta, phi).  ``sign=-1`` conjugates every factor,
+    which applied to a pair of columns is right-multiplication by T^H.  The
+    conjugate factors are computed directly rather than with ``np.conj``:
+    the two differ in the sign of a zero real part at theta = 0, and the
+    Clements nulling angles depend on it.
+    """
+    half = 0.5 * theta
     s, c = np.sin(half), np.cos(half)
-    pref = 1j * np.exp(0.5j * setting.theta)
-    ephi = np.exp(1j * setting.phi)
-    return pref * np.array([[ephi * s, c], [ephi * c, -s]])
+    pref = sign * 1j * np.exp(sign * 0.5j * theta)
+    ephi = np.exp(sign * 1j * phi)
+    return pref * (ephi * s * top + c * bot), pref * (ephi * c * top - s * bot)
 
 
 @dataclass(frozen=True)
 class MeshProgram:
     """Ordered MZI settings plus a final output phase screen.
 
-    Stored as parallel arrays; ``settings`` exposes them as MZISetting values.
-    Phases are wrapped into [0, 2pi) at construction.  Application order is
-    list order: the first setting acts on the input field first, the phase
-    screen last.
+    Stored as parallel arrays: MZI k couples modes (modes[k], modes[k] + 1)
+    with phases thetas[k], phis[k].  Phases are wrapped into [0, 2pi) at
+    construction.  Application order is list order: the first setting acts
+    on the input field first, the phase screen last.
     """
 
     n: int
@@ -103,13 +92,6 @@ class MeshProgram:
             raise ValueError("MZI mode indices out of range")
         for name, arr in (("modes", modes), ("thetas", thetas), ("phis", phis), ("out_phases", out)):
             object.__setattr__(self, name, arr)
-
-    @property
-    def settings(self) -> tuple[MZISetting, ...]:
-        return tuple(
-            MZISetting(int(m), float(t), float(p))
-            for m, t, p in zip(self.modes, self.thetas, self.phis)
-        )
 
     def to_json(self) -> str:
         doc = {
@@ -142,14 +124,7 @@ def mesh_forward(prog: MeshProgram, field: np.ndarray) -> np.ndarray:
         raise ValueError(f"field length {field.shape[0]} != mesh dimension {prog.n}")
     v = field.copy()
     for m, theta, phi in zip(prog.modes, prog.thetas, prog.phis):
-        half = 0.5 * theta
-        s, c = np.sin(half), np.cos(half)
-        pref = 1j * np.exp(0.5j * theta)
-        ephi = np.exp(1j * phi)
-        top = v[m].copy()
-        bot = v[m + 1]
-        v[m] = pref * (ephi * s * top + c * bot)
-        v[m + 1] = pref * (ephi * c * top - s * bot)
+        v[m], v[m + 1] = _mzi(v[m], v[m + 1], theta, phi)
     shape = (prog.n,) + (1,) * (v.ndim - 1)
     return v * np.exp(1j * prog.out_phases).reshape(shape)
 
@@ -163,30 +138,6 @@ def unitarity_residual(prog: MeshProgram) -> float:
     """Frobenius norm of T^H T - I for the mesh's transfer matrix T."""
     t = transfer_matrix(prog)
     return float(np.linalg.norm(t.conj().T @ t - np.eye(prog.n)))
-
-
-def _apply_right_dagger(work: np.ndarray, m: int, theta: float, phi: float) -> None:
-    """In place: work <- work @ T(theta, phi)^H acting on columns (m, m+1)."""
-    half = 0.5 * theta
-    s, c = np.sin(half), np.cos(half)
-    pref = -1j * np.exp(-0.5j * theta)
-    emphi = np.exp(-1j * phi)
-    col = work[:, m].copy()
-    col1 = work[:, m + 1]
-    work[:, m] = pref * (emphi * s * col + c * col1)
-    work[:, m + 1] = pref * (emphi * c * col - s * col1)
-
-
-def _apply_left(work: np.ndarray, m: int, theta: float, phi: float) -> None:
-    """In place: work <- T(theta, phi) @ work acting on rows (m, m+1)."""
-    half = 0.5 * theta
-    s, c = np.sin(half), np.cos(half)
-    pref = 1j * np.exp(0.5j * theta)
-    ephi = np.exp(1j * phi)
-    row = work[m, :].copy()
-    row1 = work[m + 1, :]
-    work[m, :] = pref * (ephi * s * row + c * row1)
-    work[m + 1, :] = pref * (ephi * c * row - s * row1)
 
 
 def clements_decompose(u: np.ndarray) -> MeshProgram:
@@ -217,7 +168,8 @@ def clements_decompose(u: np.ndarray) -> MeshProgram:
                 a, b = work[r, m], work[r, m + 1]
                 theta = 2.0 * np.arctan2(abs(b), abs(a))
                 phi = -np.angle(-b * np.conj(a))
-                _apply_right_dagger(work, m, theta, phi)
+                # work <- work @ T^H on columns (m, m+1)
+                work[:, m], work[:, m + 1] = _mzi(work[:, m], work[:, m + 1], theta, phi, -1)
                 rights.append((m, theta, phi))
         else:
             for j in range(1, i + 1):
@@ -227,7 +179,8 @@ def clements_decompose(u: np.ndarray) -> MeshProgram:
                 a, b = work[r - 1, col], work[r, col]
                 theta = 2.0 * np.arctan2(abs(a), abs(b))
                 phi = np.angle(b * np.conj(a))
-                _apply_left(work, m, theta, phi)
+                # work <- T @ work on rows (m, m+1)
+                work[m], work[m + 1] = _mzi(work[m], work[m + 1], theta, phi)
                 lefts.append((m, theta, phi))
 
     # work is now diagonal; commute it through the left factors.

@@ -28,14 +28,12 @@ from .modulation import ProjectionMatrix, modulate_input, output_error
 
 __all__ = [
     "Algorithm",
-    "Loss",
     "TrainConfig",
     "UpdateSet",
     "MetricRecord",
     "MetricsHistory",
     "EvalResult",
     "DivergenceError",
-    "modulated_forward",
     "two_pass_updates",
     "backprop_updates",
     "apply_updates",
@@ -49,19 +47,6 @@ class Algorithm(str, Enum):
     BACKPROP = "backprop"
 
 
-class Loss(str, Enum):
-    """MSE on raw outputs, or MSE behind a softmax output layer.
-
-    Both report mse = mean(gamma**2) and use gamma = x_L - target; the
-    backprop baseline differentiates 0.5*sum(gamma**2) through whatever the
-    output activation is, so the softmax variant only adds the requirement
-    that the last layer actually is softmax.
-    """
-
-    MSE = "mse"
-    SOFTMAX_MSE = "softmax_mse"
-
-
 class DivergenceError(RuntimeError):
     """Training produced non-finite values (raised from a :class:`NonFiniteError`)."""
 
@@ -73,7 +58,6 @@ class TrainConfig:
     batch_size: int = 64
     seed: int = 0
     algorithm: Algorithm = Algorithm.TWO_PASS
-    loss: Loss = Loss.MSE
     lr_decay: float = 0.1
     lr_decay_at: float = 2.0 / 3.0
     shuffle: bool = True
@@ -140,15 +124,6 @@ class EvalResult:
     predictions: np.ndarray
 
 
-def modulated_forward(net: Network, x_err0: np.ndarray) -> ForwardTrace:
-    """Second pass over the modulated input, under the same frozen weights.
-
-    Identical to :func:`forward`; the name marks the contract that the caller
-    must not apply any updates between the clean and modulated passes.
-    """
-    return forward(net, x_err0)
-
-
 def _batch_width(arr: np.ndarray) -> int:
     return 1 if arr.ndim == 1 else arr.shape[1]
 
@@ -211,7 +186,7 @@ def apply_updates(net: Network, updates: UpdateSet, learning_rate: float) -> Net
     )
 
 
-def _validate_setup(net: Network, data: Dataset, proj: ProjectionMatrix, cfg: TrainConfig) -> None:
+def _validate_setup(net: Network, data: Dataset, proj: ProjectionMatrix) -> None:
     if data.inputs.shape[0] == 0:
         raise ValueError("dataset is empty")
     if data.inputs.shape[1] != net.in_dim:
@@ -223,8 +198,6 @@ def _validate_setup(net: Network, data: Dataset, proj: ProjectionMatrix, cfg: Tr
             f"projection shape {proj.input_dim}x{proj.output_dim} does not match "
             f"network {net.in_dim}->{net.out_dim}"
         )
-    if cfg.loss is Loss.SOFTMAX_MSE and net.layers[-1].activation is not Activation.SOFTMAX:
-        raise ValueError("softmax_mse loss requires a softmax output layer")
 
 
 def train(
@@ -242,7 +215,7 @@ def train(
     ``forward(x) -> ForwardTrace`` and ``refresh(net)`` and is used in place
     of the dense forward pass (weights are re-realized after every update).
     """
-    _validate_setup(net, data, proj, cfg)
+    _validate_setup(net, data, proj)
     if backend is not None:
         backend.refresh(net)
 
@@ -278,11 +251,13 @@ def train(
                     if not np.isfinite(mse):
                         raise NonFiniteError("non-finite loss")
                     if cfg.algorithm is Algorithm.TWO_PASS:
+                        # Second pass under the same frozen weights: no
+                        # update is applied until both passes are done.
                         x_err0 = modulate_input(xb, proj, gamma)
                         modulated = (
                             backend.forward(x_err0)
                             if backend is not None
-                            else modulated_forward(net, x_err0)
+                            else forward(net, x_err0)
                         )
                         updates = two_pass_updates(net, clean, modulated, gamma)
                     else:

@@ -17,7 +17,6 @@ from twopass import (
     DivergenceError,
     ExperimentConfig,
     LayerSpec,
-    Loss,
     MeshBackend,
     apply_updates,
     backprop_updates,
@@ -31,7 +30,6 @@ from twopass import (
     forward,
     main,
     modulate_input,
-    modulated_forward,
     output_error,
     run_experiment,
     sample_projection,
@@ -95,9 +93,7 @@ def mlp_results(mnist_data):
             seed=net_seed,
         )
         proj = sample_projection(784, 10, seed=proj_seed, scale=cfg.projection_scale)
-        trained, _ = train(
-            net, train_data, proj, cfg.train_config(Loss.SOFTMAX_MSE, shuffle_seed)
-        )
+        trained, _ = train(net, train_data, proj, cfg.train_config(shuffle_seed))
         out[cfg.algorithm] = (trained, evaluate(trained, test_data))
     return out
 
@@ -114,9 +110,7 @@ def colsplit_results(mnist_data):
             seed=net_seed, column_out=cfg.hidden or 28, mode=cfg.split
         )
         proj = sample_projection(784, 10, seed=proj_seed, scale=cfg.projection_scale)
-        trained, _ = colsplit_train(
-            colnet, train_data, proj, cfg.train_config(Loss.SOFTMAX_MSE, shuffle_seed)
-        )
+        trained, _ = colsplit_train(colnet, train_data, proj, cfg.train_config(shuffle_seed))
         out[cfg.algorithm] = (trained, colsplit_evaluate(trained, test_data))
     return out
 
@@ -184,7 +178,7 @@ class TestZeroErrorFixedPoint:
             clean = forward(net, x0)
             gamma = output_error(clean.output, clean.output)
             assert np.all(gamma == 0.0)
-            modulated = modulated_forward(net, modulate_input(x0, proj, gamma))
+            modulated = forward(net, modulate_input(x0, proj, gamma))
             updates = two_pass_updates(net, clean, modulated, gamma)
             for dw in updates.deltas:
                 assert np.all(dw == 0.0)

@@ -9,7 +9,6 @@ from twopass import (
     Dataset,
     Layer,
     LayerSpec,
-    Loss,
     Network,
     SplitMode,
     TrainConfig,
@@ -269,7 +268,6 @@ class TestColsplitTraining:
             batch_size=6,
             seed=0,
             shuffle=False,
-            loss=Loss.SOFTMAX_MSE,
         )
         proj = sample_projection(784, 10, seed=7)
         trained, history = colsplit_train(net, perfect, proj, cfg)

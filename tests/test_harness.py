@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -11,18 +12,19 @@ from twopass import (
     DivergenceError,
     ExperimentConfig,
     Layer,
-    Loss,
     MetricRecord,
     MetricsHistory,
     Network,
     RunReport,
     SplitMode,
     Task,
+    TrainConfig,
     emit_metrics,
     evaluate,
     main,
     run_experiment,
 )
+from twopass import colsplit, harness, trainer
 from twopass.harness import _evaluate_trained, resolve_data_dir
 
 from conftest import REPO_ROOT
@@ -87,13 +89,12 @@ class TestExperimentConfig:
 
     def test_train_config_mapping(self):
         cfg = xor_config(learning_rate=0.25, epochs=9, batch_size=2, algorithm="backprop")
-        tc = cfg.train_config(Loss.MSE, shuffle_seed=77)
+        tc = cfg.train_config(shuffle_seed=77)
         assert tc.learning_rate == 0.25
         assert tc.epochs == 9
         assert tc.batch_size == 2
         assert tc.seed == 77
         assert tc.algorithm is Algorithm.BACKPROP
-        assert tc.loss is Loss.MSE
         assert tc.lr_decay == cfg.lr_decay
         assert tc.lr_decay_at == cfg.lr_decay_at
         assert tc.shuffle is cfg.shuffle
@@ -118,16 +119,31 @@ def make_report(with_confusion: bool) -> RunReport:
     )
 
 
+def assert_report_document(doc: dict, report: RunReport) -> None:
+    """The report.json fields hold exactly the report's values."""
+    assert ExperimentConfig.from_dict(doc["config"]) == report.config
+    assert doc["seed"] == report.seed
+    assert doc["final_mse"] == report.final_mse
+    assert doc["final_accuracy"] == report.final_accuracy
+    assert doc["wall_time_s"] == report.wall_time_s
+    assert doc["history"] == [
+        {"iteration": r.iteration, "mse": r.mse, "accuracy": r.accuracy}
+        for r in report.history.records
+    ]
+    expected = None if report.confusion is None else [list(row) for row in report.confusion]
+    assert doc["confusion"] == expected
+
+
 class TestRunReport:
     def test_json_round_trip_without_confusion(self):
         report = make_report(with_confusion=False)
-        assert RunReport.from_json(report.to_json()) == report
+        assert_report_document(json.loads(report.to_json()), report)
 
     def test_json_round_trip_with_confusion(self):
         report = make_report(with_confusion=True)
-        back = RunReport.from_json(report.to_json())
-        assert back == report
-        assert back.confusion[3][3] == 3
+        doc = json.loads(report.to_json())
+        assert_report_document(doc, report)
+        assert doc["confusion"][3][3] == 3
 
     def test_json_document_shape(self):
         doc = json.loads(make_report(with_confusion=True).to_json())
@@ -198,6 +214,56 @@ class TestRunExperiment:
             _evaluate_trained(broken_evaluate, None, None, None)
 
 
+def spy_on(monkeypatch, module, name: str) -> list[dict]:
+    """Replace ``module.name`` with a pass-through; returns its bound arguments per call."""
+    fn = getattr(module, name)
+    signature = inspect.signature(fn)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestBenchmarkHookPoints:
+    """perfbench/workload.py and perfbench/spans.py replace these module
+    attributes at run time and bind ``data`` and ``cfg`` by name, so
+    run_experiment must look them up when it calls them and keep those names.
+    """
+
+    def test_run_experiment_calls_every_hook_point(self, monkeypatch, synthetic_mnist_dir):
+        hooks = [
+            (harness, "train"),
+            (harness, "colsplit_train"),
+            (harness, "evaluate"),
+            (harness, "colsplit_evaluate"),
+            (colsplit, "train"),
+            (trainer, "output_error"),
+        ]
+        calls = {
+            f"{m.__name__.rsplit('.', 1)[1]}.{name}": spy_on(monkeypatch, m, name)
+            for m, name in hooks
+        }
+        run_experiment(xor_config())
+        run_experiment(
+            ExperimentConfig(
+                task=Task.MNIST_COLSPLIT, hidden=2, data_dir=str(synthetic_mnist_dir)
+            )
+        )
+        for name, seen in calls.items():
+            assert seen, f"{name} was never called"
+        for name in ("harness.train", "harness.colsplit_train", "colsplit.train"):
+            for args in calls[name]:
+                assert isinstance(args["data"], Dataset)
+                assert isinstance(args["cfg"], TrainConfig)
+        for name in ("harness.evaluate", "harness.colsplit_evaluate"):
+            for args in calls[name]:
+                assert isinstance(args["data"], Dataset)
+
+
 class TestEmitMetrics:
     def test_metrics_csv_exact_content(self, tmp_path):
         report = make_report(with_confusion=False)
@@ -211,7 +277,7 @@ class TestEmitMetrics:
         emit_metrics(report, tmp_path)
         text = (tmp_path / "report.json").read_text()
         assert text.endswith("\n")
-        assert RunReport.from_json(text) == report
+        assert_report_document(json.loads(text), report)
 
     def test_confusion_csv_content(self, tmp_path):
         report = make_report(with_confusion=True)
@@ -282,10 +348,10 @@ class TestMain:
         )
         out = tmp_path / "out"
         assert main([cfg, "--epochs", "1", "--seed", "5", "--out-dir", str(out)]) == 0
-        report = RunReport.from_json((out / "report.json").read_text())
-        assert report.config.epochs == 1
-        assert report.config.seed == 5
-        assert len(report.history) == 4
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["config"]["epochs"] == 1
+        assert doc["config"]["seed"] == 5
+        assert len(doc["history"]) == 4
 
     def test_bad_flag_value_returns_config_error(self, capsys):
         assert main(["--task", "tic_tac_toe"]) == 1
@@ -309,6 +375,18 @@ class TestMain:
         path.write_text("[1, 2]")
         assert main([str(path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [("--epochs", "0"), ("--lr", "-1"), ("--batch", "0")])
+    @pytest.mark.parametrize("task", ["xor", "mnist_mlp"])
+    def test_bad_training_value_returns_config_error(self, task, flags, tmp_path, capsys):
+        # Rejected while the config is parsed, before any data is looked
+        # for: the empty data directory would otherwise give exit 2.
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        argv = ["--task", task, *flags, "--data-dir", str(empty), "--out-dir", str(tmp_path)]
+        assert main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
 
     def test_missing_mnist_returns_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty"

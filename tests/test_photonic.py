@@ -7,7 +7,6 @@ from twopass import (
     LayerSpec,
     MeshBackend,
     MeshProgram,
-    MZISetting,
     Network,
     PhotonicLayer,
     TrainConfig,
@@ -19,7 +18,6 @@ from twopass import (
     detect_intensity,
     forward,
     mesh_forward,
-    mzi_transfer,
     realize_weight,
     sample_projection,
     train,
@@ -31,7 +29,6 @@ from twopass import (
 from twopass.core import activation_apply
 from twopass.data import Dataset
 from twopass.modulation import modulate_input, output_error
-from twopass.trainer import modulated_forward
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
@@ -45,35 +42,48 @@ def random_program(n: int, seed: int) -> MeshProgram:
     return clements_decompose(random_unitary(n, seed))
 
 
+def mzi_reference(theta: float, phi: float) -> np.ndarray:
+    """The 2x2 MZI transfer written out from the photonic module's docstring."""
+    s, c = np.sin(0.5 * theta), np.cos(0.5 * theta)
+    ephi = np.exp(1j * phi)
+    return 1j * np.exp(0.5j * theta) * np.array([[ephi * s, c], [ephi * c, -s]])
+
+
+def single_mzi(theta: float, phi: float) -> np.ndarray:
+    """Transfer matrix of a 2-mode mesh holding one MZI and no output phase."""
+    prog = MeshProgram(
+        n=2,
+        modes=np.array([0]),
+        thetas=np.array([theta]),
+        phis=np.array([phi]),
+        out_phases=np.zeros(2),
+    )
+    return transfer_matrix(prog)
+
+
 class TestMZISetting:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            MZISetting(-1, 0.1, 0.1)
-        with pytest.raises(ValueError, match="theta"):
-            MZISetting(0, 2.0 * np.pi, 0.1)
-        with pytest.raises(ValueError, match="phi"):
-            MZISetting(0, 0.1, -0.1)
+    """One MZI setting, realized as the only element of a 2-mode mesh."""
 
     def test_transfer_is_unitary(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            t = mzi_transfer(MZISetting(0, rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)))
+            t = single_mzi(rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
             np.testing.assert_allclose(t.conj().T @ t, np.eye(2), atol=1e-14)
 
     def test_theta_pi_is_bar_state(self):
-        t = mzi_transfer(MZISetting(0, np.pi, 0.8))
+        t = single_mzi(np.pi, 0.8)
         assert abs(t[0, 1]) < 1e-15 and abs(t[1, 0]) < 1e-15
         np.testing.assert_allclose(abs(t[0, 0]), 1.0, rtol=1e-14)
         np.testing.assert_allclose(abs(t[1, 1]), 1.0, rtol=1e-14)
 
     def test_theta_zero_is_full_cross(self):
-        t = mzi_transfer(MZISetting(0, 0.0, 0.8))
+        t = single_mzi(0.0, 0.8)
         assert t[0, 0] == 0.0 and t[1, 1] == 0.0
         np.testing.assert_allclose(abs(t[0, 1]), 1.0, rtol=1e-14)
         np.testing.assert_allclose(abs(t[1, 0]), 1.0, rtol=1e-14)
 
     def test_balanced_point_splits_power_equally(self):
-        t = mzi_transfer(MZISetting(0, np.pi / 2.0, 0.0))
+        t = single_mzi(np.pi / 2.0, 0.0)
         out = t @ np.array([1.0, 0.0])
         np.testing.assert_allclose(np.abs(out) ** 2, [0.5, 0.5], rtol=1e-12)
 
@@ -121,13 +131,6 @@ class TestMeshProgram:
         np.testing.assert_allclose(prog.phis, [np.pi], rtol=1e-12)
         np.testing.assert_allclose(prog.out_phases, [0.0, 2.0 * np.pi - 0.25], atol=1e-15)
 
-    def test_settings_view(self):
-        prog = random_program(3, seed=0)
-        settings = prog.settings
-        assert len(settings) == 3
-        for s, m, t, p in zip(settings, prog.modes, prog.thetas, prog.phis):
-            assert s == MZISetting(int(m), float(t), float(p))
-
     def test_json_round_trip_is_exact(self):
         prog = random_program(5, seed=1)
         back = MeshProgram.from_json(prog.to_json())
@@ -151,10 +154,9 @@ class TestMeshForward:
         # left-multiply in list order, phase screen last.
         prog = random_program(4, seed=5)
         expected = np.eye(4, dtype=complex)
-        for setting in prog.settings:
+        for m, theta, phi in zip(prog.modes, prog.thetas, prog.phis):
             e = np.eye(4, dtype=complex)
-            m = setting.mode
-            e[m : m + 2, m : m + 2] = mzi_transfer(setting)
+            e[m : m + 2, m : m + 2] = mzi_reference(theta, phi)
             expected = e @ expected
         expected = np.diag(np.exp(1j * prog.out_phases)) @ expected
         np.testing.assert_allclose(transfer_matrix(prog), expected, atol=1e-13)
@@ -192,6 +194,18 @@ class TestClementsDecompose:
     def test_identity_reconstructs(self):
         prog = clements_decompose(np.eye(4))
         np.testing.assert_allclose(transfer_matrix(prog), np.eye(4), atol=1e-12)
+
+    def test_identity_program_phases_are_pinned(self):
+        # Nulling the identity meets theta = 0 with exact zeros, where the
+        # sign of a zero real part decides an np.angle by pi.  Conjugate MZI
+        # factors taken with np.conj instead of computed directly still give
+        # a valid program, but a different one (phis[2] = pi, out_phases[0]
+        # = 0), and with it different photonic training artifacts.
+        prog = clements_decompose(np.eye(4))
+        np.testing.assert_array_equal(prog.modes, [0, 2, 1, 0, 2, 1])
+        np.testing.assert_allclose(prog.thetas, np.pi * np.array([0, 0, 1, 0, 0, 1]), atol=1e-12)
+        np.testing.assert_allclose(prog.phis, np.pi * np.array([1, 0, 0, 0, 0, 1]), atol=1e-12)
+        np.testing.assert_allclose(prog.out_phases, np.full(4, np.pi), atol=1e-12)
 
     def test_one_by_one_is_pure_phase(self):
         prog = clements_decompose(np.array([[np.exp(0.7j)]]))
@@ -400,7 +414,7 @@ class TestMeshBackend:
 
         clean_d = forward(net, x0)
         gamma_d = output_error(clean_d.output, target)
-        mod_d = modulated_forward(net, modulate_input(x0, proj, gamma_d))
+        mod_d = forward(net, modulate_input(x0, proj, gamma_d))
         dense_updates = two_pass_updates(net, clean_d, mod_d, gamma_d)
 
         clean_m = backend.forward(x0)

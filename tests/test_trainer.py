@@ -9,7 +9,6 @@ from twopass import (
     DivergenceError,
     Layer,
     LayerSpec,
-    Loss,
     Network,
     TrainConfig,
     UpdateSet,
@@ -19,7 +18,6 @@ from twopass import (
     evaluate,
     forward,
     modulate_input,
-    modulated_forward,
     output_error,
     sample_projection,
     train,
@@ -55,20 +53,22 @@ def hand_net():
 
 
 class TestModulatedForward:
+    """The second pass is ``forward`` on the modulated input, weights unchanged."""
+
     def test_unmodulated_input_reproduces_clean_trace(self):
         net = build_network(
             (LayerSpec(3, 4, Activation.SIGMOID), LayerSpec(4, 2, Activation.IDENTITY)), seed=2
         )
         x0 = np.array([0.2, 0.5, 0.8])
         clean = forward(net, x0)
-        second = modulated_forward(net, x0)
+        second = forward(net, x0)
         for a, b in zip(clean.xs + clean.zs, second.xs + second.zs):
             np.testing.assert_array_equal(a, b)
 
     def test_identity_layer_passes_modulated_input_through(self):
         net = Network((Layer(np.eye(3), Activation.IDENTITY),))
         x_err0 = np.array([0.4, -0.1, 2.0])
-        np.testing.assert_array_equal(modulated_forward(net, x_err0).xs[0], x_err0)
+        np.testing.assert_array_equal(forward(net, x_err0).xs[0], x_err0)
 
     def test_seeded_2_2_2_perturbed_input_matches_oracle(self):
         # Frozen from the straight-line oracle: same net as the forward
@@ -76,7 +76,7 @@ class TestModulatedForward:
         net = build_network(
             (LayerSpec(2, 2, Activation.RELU), LayerSpec(2, 2, Activation.IDENTITY)), seed=42
         )
-        trace = modulated_forward(net, np.array([1.05, -0.02]))
+        trace = forward(net, np.array([1.05, -0.02]))
         np.testing.assert_allclose(
             trace.zs[0],
             np.array([1.18183937334594336, -0.02700382270748265]),
@@ -94,7 +94,7 @@ class TestModulatedForward:
     def test_dimension_mismatch_rejected(self):
         net = hand_net()
         with pytest.raises(ValueError):
-            modulated_forward(net, np.zeros(3))
+            forward(net, np.zeros(3))
 
 
 class TestTwoPassUpdates:
@@ -117,7 +117,7 @@ class TestTwoPassUpdates:
         f = np.array([[0.25, -0.5], [0.125, 0.0625]])
         clean = forward(net, x0)
         gamma = output_error(clean.output, target)
-        modulated = modulated_forward(net, x0 + f @ gamma)
+        modulated = forward(net, x0 + f @ gamma)
         updates = two_pass_updates(net, clean, modulated, gamma)
         np.testing.assert_array_equal(gamma, np.array([-1.125, 0.625]))
         np.testing.assert_array_equal(
@@ -146,7 +146,7 @@ class TestTwoPassUpdates:
             x0 = rng.random(5)
             clean = forward(net, x0)
             gamma = output_error(clean.output, rng.random(3))
-            modulated = modulated_forward(net, modulate_input(x0, proj, gamma))
+            modulated = forward(net, modulate_input(x0, proj, gamma))
             for dw in two_pass_updates(net, clean, modulated, gamma).deltas:
                 assert np.linalg.matrix_rank(dw, tol=1e-10) <= 1
 
@@ -159,7 +159,7 @@ class TestTwoPassUpdates:
         xb = rng.random((6, 2))
         clean = forward(net, xb)
         gamma = output_error(clean.output, rng.random((4, 2)))
-        modulated = modulated_forward(net, modulate_input(xb, proj, gamma))
+        modulated = forward(net, modulate_input(xb, proj, gamma))
         for dw in two_pass_updates(net, clean, modulated, gamma).deltas:
             assert np.linalg.matrix_rank(dw, tol=1e-10) <= 2
 
@@ -173,13 +173,13 @@ class TestTwoPassUpdates:
         tb = rng.random((3, 3))
         clean = forward(net, xb)
         gamma = output_error(clean.output, tb)
-        modulated = modulated_forward(net, modulate_input(xb, proj, gamma))
+        modulated = forward(net, modulate_input(xb, proj, gamma))
         batch = two_pass_updates(net, clean, modulated, gamma)
         per_sample = []
         for j in range(3):
             c = forward(net, xb[:, j])
             g = output_error(c.output, tb[:, j])
-            m = modulated_forward(net, modulate_input(xb[:, j], proj, g))
+            m = forward(net, modulate_input(xb[:, j], proj, g))
             per_sample.append(two_pass_updates(net, c, m, g))
         for l in range(net.depth):
             mean = sum(u.deltas[l] for u in per_sample) / 3.0
@@ -202,7 +202,7 @@ class TestTwoPassUpdates:
         clean = forward(net, x0)
         gamma = output_error(clean.output, rng.random(2))
         x_err0 = modulate_input(x0, proj, gamma)
-        modulated = modulated_forward(net, x_err0)
+        modulated = forward(net, x_err0)
         updates = two_pass_updates(net, clean, modulated, gamma)
         np.testing.assert_array_equal(
             updates.deltas[0], np.outer(clean.xs[0] - modulated.xs[0], x_err0)
@@ -422,7 +422,7 @@ class TestTrain:
             tb = t_all[:, idx]
             clean = forward(ref, xb)
             gamma = output_error(clean.output, tb)
-            modulated = modulated_forward(ref, modulate_input(xb, proj, gamma))
+            modulated = forward(ref, modulate_input(xb, proj, gamma))
             ref = apply_updates(ref, two_pass_updates(ref, clean, modulated, gamma), 0.1)
         for la, lb in zip(trained.layers, ref.layers):
             np.testing.assert_array_equal(la.weight, lb.weight)
@@ -512,10 +512,6 @@ class TestTrain:
         cfg = TrainConfig()
         with pytest.raises(ValueError):
             train(net, data, bad_proj, cfg)
-        softmax_cfg = TrainConfig(loss=Loss.SOFTMAX_MSE)
-        with pytest.raises(ValueError):
-            # last layer is identity, not softmax
-            train(net, data, proj, softmax_cfg)
 
 
 class TestEvaluate:
