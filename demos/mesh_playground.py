@@ -2,10 +2,11 @@
 
 A rectangular mesh of 2x2 interferometers can realize any N x N unitary
 (Clements layout), and two meshes around a diagonal attenuation row realize
-any real matrix via its SVD.  This script decomposes a random unitary,
-verifies the reconstruction, round-trips the program through JSON, and then
-realizes a rectangular weight matrix and compares the optical output against
-plain matrix multiplication.
+any real matrix via its SVD; for a rectangular matrix those two meshes only
+need to realize the modes the attenuation row connects.  This script
+decomposes a random unitary, verifies the reconstruction, round-trips the
+program through JSON, and then realizes a rectangular weight matrix and
+compares the optical output against plain matrix multiplication.
 """
 
 import numpy as np
@@ -55,6 +56,10 @@ def main() -> None:
     layer = realize_weight(w)
     print(f"\nrealizing a 4x{N} weight: gain {layer.scale:.4f}, "
           f"attenuations {np.round(layer.sigma, 4)}")
+    m = w.shape[0]
+    print(f"mzis:  {len(layer.mesh_v.thetas)} (V^H, {m} of {N} rows) + "
+          f"{len(layer.mesh_u.thetas)} (U), against {N * (N - 1) // 2} + "
+          f"{m * (m - 1) // 2} for full meshes")
     x = rng.normal(size=N)
     optical = layer.forward(x.astype(complex)).real
     print(f"|mesh(x) - W x|        {np.abs(optical - w @ x).max():.3e}  (max over ports)")

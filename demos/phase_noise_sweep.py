@@ -5,7 +5,9 @@ and thermal drift show up as Gaussian noise on each phase.  This script
 trains the XOR network, realizes every layer as U Sigma V^H meshes, perturbs
 all phases at increasing noise levels, and reports the loss of the perturbed
 chip.  Phase noise keeps each mesh exactly unitary; only the implemented
-matrix moves.
+matrix moves.  A layer's meshes hold only the MZIs that its used modes need
+(29 + 1 for the 16x2 layer, 15 for the 1x16 one), so the noise perturbs
+those and not the phases of two full 16-mode meshes.
 """
 
 import numpy as np

@@ -7,10 +7,15 @@ A single MZI couples adjacent modes (i, i+1) with the 2x2 transfer
 
 so theta = pi is the bar state and theta = 0 full cross coupling.  A
 rectangular mesh of N(N-1)/2 such settings followed by one output phase per
-mode realizes any N x N unitary; an arbitrary real weight matrix becomes two
-meshes around a diagonal attenuation column via its SVD, with the largest
-singular value pulled out as a scalar gain so the attenuations stay passive
-(in [0, 1]).
+mode realizes any N x N unitary (Clements et al., Optica 2016).
+
+An arbitrary real m x n weight matrix becomes two meshes around a diagonal
+attenuation column via its thin SVD, with the largest singular value pulled
+out as a scalar gain so the attenuations stay passive (in [0, 1]).  Only the
+k = min(m, n) modes between the meshes carry signal, so each mesh realizes
+just the isometry it is read through, by triangular nulling (Reck et al., PRL
+1994): sum_{r<k} (n-1-r) MZIs on the input side and sum_{r<k} (m-1-r) on the
+output side, instead of two full meshes of n(n-1)/2 and m(m-1)/2.
 
 Everything here works at transfer-matrix fidelity: phase settings stand in
 for the physical permittivities, and nonlinearities between meshes are
@@ -19,7 +24,9 @@ applied as ideal real functions on the detected field.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,9 +71,10 @@ class MeshProgram:
     """Ordered MZI settings plus a final output phase screen.
 
     Stored as parallel arrays: MZI k couples modes (modes[k], modes[k] + 1)
-    with phases thetas[k], phis[k].  Phases are wrapped into [0, 2pi) at
-    construction.  Application order is list order: the first setting acts
-    on the input field first, the phase screen last.
+    with phases thetas[k], phis[k].  Any number of MZIs is a valid mesh: a
+    full Clements mesh has n(n-1)/2, a realized isometry fewer.  Phases are
+    wrapped into [0, 2pi) at construction.  Application order is list order:
+    the first setting acts on the input field first, the phase screen last.
     """
 
     n: int
@@ -80,11 +88,10 @@ class MeshProgram:
         thetas = np.mod(np.asarray(self.thetas, dtype=float), TWO_PI)
         phis = np.mod(np.asarray(self.phis, dtype=float), TWO_PI)
         out = np.mod(np.asarray(self.out_phases, dtype=float), TWO_PI)
-        expected = self.n * (self.n - 1) // 2
-        if not (len(modes) == len(thetas) == len(phis) == expected):
+        if not len(modes) == len(thetas) == len(phis):
             raise ValueError(
-                f"mesh of dimension {self.n} needs exactly {expected} MZIs, "
-                f"got {len(modes)}"
+                f"modes, thetas and phis must have equal length, "
+                f"got {len(modes)}, {len(thetas)}, {len(phis)}"
             )
         if out.shape != (self.n,):
             raise ValueError(f"output phase screen must have length {self.n}")
@@ -193,14 +200,75 @@ def clements_decompose(u: np.ndarray) -> MeshProgram:
         d[m + 1] = -b * np.exp(-1j * theta)
         converted.append((m, theta, phi_new))
 
-    ops = rights + converted
+    return _program(n, rights + converted, np.angle(d))
+
+
+def _program(n: int, ops: list[tuple[int, float, float]], out_phases) -> MeshProgram:
+    """MeshProgram from a list of (mode, theta, phi) MZIs in application order."""
     return MeshProgram(
         n=n,
         modes=np.array([op[0] for op in ops], dtype=int),
         thetas=np.array([op[1] for op in ops]),
         phis=np.array([op[2] for op in ops]),
-        out_phases=np.angle(d),
+        out_phases=out_phases,
     )
+
+
+def _null_rows(a: np.ndarray) -> tuple[list[tuple[int, float, float]], np.ndarray]:
+    """Triangular nulling of a k x n matrix with orthonormal rows.
+
+    Row by row, each entry right of the diagonal is nulled into its left
+    neighbour by right-multiplying columns (m, m+1) with an inverse MZI,
+    leaving a @ T_1^H ... T_L^H = [diag(d) 0], i.e. a = [diag(d) 0] T_L ... T_1.
+    Returns the MZIs T_1 .. T_L as (mode, theta, phi) and the unit-modulus d.
+    Row r costs n-1-r MZIs.
+    """
+    k, n = a.shape
+    residual = float(np.linalg.norm(a @ a.conj().T - np.eye(k)))
+    if residual > 1e-8:
+        raise ValueError(f"rows are not orthonormal: ||A A^H - I||_F = {residual:.3e}")
+    work = a.astype(complex)
+    ops: list[tuple[int, float, float]] = []
+    for r in range(k):
+        for m in range(n - 2, r - 1, -1):
+            x, y = complex(work[r, m]), complex(work[r, m + 1])
+            theta = 2.0 * math.atan2(abs(x), abs(y))
+            phi = cmath.phase(x * y.conjugate())
+            # work <- work @ T^H on columns (m, m+1); nulls work[r, m+1]
+            work[:, m], work[:, m + 1] = _mzi(work[:, m], work[:, m + 1], theta, phi, -1)
+            ops.append((m, theta, phi))
+    return ops, np.diag(work[:, :k]).copy()
+
+
+def _input_isometry(vh: np.ndarray) -> MeshProgram:
+    """Mesh whose first k output rows equal the k x n orthonormal rows vh."""
+    k, n = vh.shape
+    ops, d = _null_rows(vh)
+    out = np.zeros(n)
+    out[:k] = np.angle(d)
+    return _program(n, ops, out)
+
+
+def _output_isometry(u: np.ndarray) -> MeshProgram:
+    """Mesh whose first k input columns equal the m x k orthonormal columns u.
+
+    Nulling u^T gives u = T_1^T ... T_L^T [diag(d); 0]: the phases d on the
+    input, then the transposed MZIs in reverse order.  T(theta, phi)^T is
+    T(theta, 0) followed by phase phi on its top output, and an input phase
+    pair (a, b) passes through T(theta, 0) as T(theta, a - b) with the common
+    phase b left on both outputs, so every phase is pushed to the output
+    screen.  Inputs k..m-1 carry no signal and get phase 0.
+    """
+    m, k = u.shape
+    ops, d = _null_rows(u.T)
+    phases = np.zeros(m)
+    phases[:k] = np.angle(d)
+    pushed: list[tuple[int, float, float]] = []
+    for mode, theta, phi in reversed(ops):
+        b = phases[mode + 1]
+        pushed.append((mode, theta, phases[mode] - b))
+        phases[mode] = np.mod(phi + b, TWO_PI)
+    return _program(m, pushed, phases)
 
 
 def detect_intensity(field: np.ndarray) -> np.ndarray:
@@ -246,32 +314,31 @@ class PhotonicLayer:
 
     @cached_property
     def realized_matrix(self) -> np.ndarray:
-        """Dense out_dim x in_dim matrix implemented by the layer."""
-        tv = transfer_matrix(self.mesh_v)
-        tu = transfer_matrix(self.mesh_u)
-        k = self.sigma.shape[0]
-        embed = np.zeros((self.out_dim, self.in_dim), dtype=complex)
-        embed[np.arange(k), np.arange(k)] = self.sigma
-        return self.scale * (tu @ embed @ tv)
+        """Dense out_dim x in_dim matrix implemented by the layer: its forward of I."""
+        return self.forward(np.eye(self.in_dim))
 
 
 def realize_weight(w: np.ndarray) -> PhotonicLayer:
-    """Realize a real matrix photonically via its SVD, W = scale * U Sigma V^H.
+    """Realize a real matrix photonically via its thin SVD, W = scale * U Sigma V^H.
 
     ``scale`` is the largest singular value so the attenuation column stays in
-    [0, 1] (for the all-zero matrix the scale is set to 1).
+    [0, 1] (for the all-zero matrix the scale is set to 1).  Only the
+    k = min(m, n) modes between the meshes carry signal, so ``mesh_v`` is
+    programmed so that its first k rows are V^H and ``mesh_u`` so that its
+    first k columns are U; the other ports are left to whatever completion
+    the nulling gives.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise ValueError(f"weight must be 2-D, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise NonFiniteError("weight contains non-finite values")
-    u, s, vh = np.linalg.svd(w)
+    u, s, vh = np.linalg.svd(w, full_matrices=False)
     scale = float(s[0]) if s.size and s[0] > 0.0 else 1.0
     return PhotonicLayer(
-        mesh_v=clements_decompose(vh),
+        mesh_v=_input_isometry(vh),
         sigma=s / scale,
-        mesh_u=clements_decompose(u),
+        mesh_u=_output_isometry(u),
         scale=scale,
     )
 
@@ -297,8 +364,8 @@ def apply_phase_noise(prog: MeshProgram, sigma_phase: float, seed: int) -> MeshP
 class MeshBackend:
     """Evaluates a dense network through its photonic realization.
 
-    Each layer's weight is realized as a PhotonicLayer; forwards run through
-    the realized transfer matrices (numerically the mesh's exact action), the
+    Each layer's weight is realized as a PhotonicLayer; forwards multiply by
+    its realized matrix (the meshes' propagation of the identity), the
     detected field is its real part, and activations are applied as ideal
     real functions.  ``refresh`` re-realizes after a weight update.
     """

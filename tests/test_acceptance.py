@@ -282,6 +282,23 @@ class TestClementsRoundTrip:
         assert worst < 1e-8, f"worst reconstruction error {worst:.3e}"
 
 
+class TestPhotonicXorEquivalence:
+    def test_full_length_photonic_run_matches_dense(self, tmp_path):
+        # All 240 epochs of the shipped config, every forward pass through
+        # the realized meshes, against the same run on dense weights.
+        config = str(CONFIG_DIR / "xor_twopass.json")
+        reports = {}
+        for backend in ("dense", "photonic"):
+            out = tmp_path / backend
+            assert main([config, "--backend", backend, "--out-dir", str(out)]) == 0
+            reports[backend] = json.loads((out / "report.json").read_text())
+        assert reports["photonic"]["config"]["backend"] == "photonic"
+        assert len(reports["photonic"]["history"]) == 960
+        assert reports["photonic"]["final_mse"] == pytest.approx(
+            reports["dense"]["final_mse"], rel=1e-9, abs=0.0
+        )
+
+
 class TestDeterminism:
     def run_twice(self, config_path: str, tmp_path, extra=()):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

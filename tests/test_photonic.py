@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from twopass import (
     Activation,
@@ -89,15 +92,41 @@ class TestMZISetting:
 
 
 class TestMeshProgram:
-    def test_mzi_count_enforced(self):
-        with pytest.raises(ValueError, match="needs exactly 3"):
-            MeshProgram(
-                n=3,
-                modes=np.array([0, 1]),
-                thetas=np.zeros(2),
-                phis=np.zeros(2),
-                out_phases=np.zeros(3),
-            )
+    def test_mzi_array_lengths_must_match(self):
+        for modes, thetas, phis in (
+            ([0, 1], [0.0], [0.0, 0.0]),
+            ([0], [0.0, 1.0], [0.0]),
+            ([0, 1], [0.0, 1.0], [0.0]),
+            ([], [0.0], []),
+        ):
+            with pytest.raises(ValueError, match="equal length"):
+                MeshProgram(
+                    n=3,
+                    modes=np.array(modes, dtype=int),
+                    thetas=np.array(thetas),
+                    phis=np.array(phis),
+                    out_phases=np.zeros(3),
+                )
+
+    def test_empty_and_partial_meshes_are_valid(self):
+        # A mesh need not hold all n(n-1)/2 MZIs of a full Clements layout.
+        empty = MeshProgram(
+            n=3, modes=np.array([], dtype=int), thetas=[], phis=[], out_phases=[0.5, 0.0, 1.0]
+        )
+        np.testing.assert_allclose(
+            transfer_matrix(empty), np.diag(np.exp(1j * np.array([0.5, 0.0, 1.0]))), rtol=1e-15
+        )
+        partial = MeshProgram(
+            n=4,
+            modes=np.array([2, 0]),
+            thetas=np.array([0.3, 1.1]),
+            phis=np.array([2.0, 0.4]),
+            out_phases=np.zeros(4),
+        )
+        assert len(partial.modes) == 2
+        assert unitarity_residual(partial) < 1e-14
+        back = MeshProgram.from_json(partial.to_json())
+        np.testing.assert_array_equal(back.thetas, partial.thetas)
 
     def test_mode_range_enforced(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -239,6 +268,49 @@ class TestClementsDecompose:
             clements_decompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def low_rank_weights(draw) -> np.ndarray:
+    """Seeded real m x n matrices of any rank 0..min(m, n), at scales 1e-3..1e3."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rank = draw(st.integers(0, min(m, n)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return scale * (rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n)))
+
+
+# Small integer entries give exact zeros, repeated singular values and
+# signed permutations, where the nulling angles hit their edge cases.
+integer_weights = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.integers(-2, 2).map(float))
+)
+
+
+class TestRealizationProperties:
+    @PROPERTY_SETTINGS
+    @given(st.one_of(low_rank_weights(), integer_weights))
+    def test_realize_weight_reproduces_w_on_thin_meshes(self, w):
+        m, n = w.shape
+        k = min(m, n)
+        layer = realize_weight(w)
+        tol = 1e-12 * max(1.0, layer.scale)
+        assert np.abs(layer.realized_matrix - w).max() <= tol
+        assert unitarity_residual(layer.mesh_v) < 1e-10
+        assert unitarity_residual(layer.mesh_u) < 1e-10
+        expected = sum(n - 1 - r for r in range(k)) + sum(m - 1 - r for r in range(k))
+        assert len(layer.mesh_v.modes) + len(layer.mesh_u.modes) == expected
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_clements_round_trip(self, n, seed):
+        u = random_unitary(n, seed)
+        prog = clements_decompose(u)
+        assert len(prog.modes) == n * (n - 1) // 2
+        np.testing.assert_allclose(transfer_matrix(prog), u, rtol=0, atol=1e-12)
+
+
 class TestDetectIntensity:
     def test_complex_magnitude_squared(self):
         out = detect_intensity(np.array([3.0 + 4.0j, 1.0j]))
@@ -290,6 +362,26 @@ class TestRealizeWeight:
         np.testing.assert_allclose(layer.forward(x).real, w @ x, atol=1e-10)
         batch = rng.normal(size=(6, 5))
         np.testing.assert_allclose(layer.forward(batch).real, w @ batch, atol=1e-10)
+
+    def test_meshes_hold_only_the_used_modes(self):
+        # 16x2 and 1x16 are the XOR layers: 29 + 1 and 0 + 15 MZIs, against
+        # 120 + 1 and 0 + 120 for full meshes.
+        rng = np.random.default_rng(24)
+        for shape, (n_v, n_u) in (((16, 2), (1, 29)), ((1, 16), (15, 0)), ((3, 3), (3, 3))):
+            w = rng.normal(size=shape)
+            layer = realize_weight(w)
+            assert (len(layer.mesh_v.modes), len(layer.mesh_u.modes)) == (n_v, n_u)
+            assert (layer.mesh_v.n, layer.mesh_u.n) == (shape[1], shape[0])
+            np.testing.assert_allclose(layer.realized_matrix, w, rtol=0, atol=1e-13)
+
+    def test_mnist_aggregator_shape(self):
+        # The 10x784 output layer: 7,785 + 45 MZIs instead of two full
+        # meshes of 306,936 + 45.
+        w = np.random.default_rng(25).normal(scale=0.05, size=(10, 784))
+        layer = realize_weight(w)
+        assert len(layer.mesh_v.modes) + len(layer.mesh_u.modes) == 7830
+        assert np.abs(layer.realized_matrix - w).max() < 1e-12 * max(1.0, layer.scale)
+        assert unitarity_residual(layer.mesh_u) < 1e-10
 
     def test_non_finite_weight_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
