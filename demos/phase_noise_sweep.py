@@ -3,21 +3,22 @@
 Every weight matrix lives on the chip as MZI phase settings, so fabrication
 and thermal drift show up as Gaussian noise on each phase.  This script
 trains the XOR network, realizes every layer as U Sigma V^H meshes, perturbs
-all phases at increasing noise levels, and reports the loss of the perturbed
-chip.  Phase noise keeps each mesh exactly unitary; only the implemented
-matrix moves.  A layer's meshes hold only the MZIs that its used modes need
-(29 + 1 for the 16x2 layer, 15 for the 1x16 one), so the noise perturbs
-those and not the phases of two full 16-mode meshes.
+all phases at increasing noise levels, and evaluates the network the
+perturbed chip implements.  Phase noise keeps each mesh exactly unitary; only
+the implemented matrix moves.  A layer's meshes hold only the MZIs that its
+used modes need (29 + 1 for the 16x2 layer, 15 for the 1x16 one), so the
+noise perturbs those and not the phases of two full 16-mode meshes.
 """
 
 import numpy as np
 
 from twopass import (
     Activation,
+    Layer,
     LayerSpec,
+    Network,
     PhotonicLayer,
     TrainConfig,
-    activation_apply,
     apply_phase_noise,
     build_network,
     evaluate,
@@ -31,9 +32,9 @@ SIGMAS = (0.0, 0.001, 0.003, 0.01, 0.03, 0.1, 0.3)
 TRIALS = 20
 
 
-def noisy_layers(net, sigma: float, seed: int) -> list[tuple[np.ndarray, Activation]]:
-    """Realize each weight, jitter every phase, return dense equivalents."""
-    out = []
+def noisy_network(net: Network, sigma: float, seed: int) -> Network:
+    """Realize each weight, jitter every phase, return the network the chip implements."""
+    layers = []
     for i, layer in enumerate(net.layers):
         ideal = realize_weight(layer.weight)
         noisy = PhotonicLayer(
@@ -42,16 +43,8 @@ def noisy_layers(net, sigma: float, seed: int) -> list[tuple[np.ndarray, Activat
             mesh_u=apply_phase_noise(ideal.mesh_u, sigma, seed=seed * 1000 + 2 * i + 1),
             scale=ideal.scale,
         )
-        out.append((noisy.realized_matrix, layer.activation))
-    return out
-
-
-def chip_mse(layers, data) -> float:
-    x = data.inputs.T
-    for mat, act in layers:
-        x = activation_apply(act, (mat @ x).real)
-    gamma = x - data.targets.T
-    return float(np.mean(gamma * gamma))
+        layers.append(Layer(noisy.realized_matrix.real, layer.activation))
+    return Network(tuple(layers))
 
 
 def main() -> None:
@@ -68,7 +61,7 @@ def main() -> None:
     print(f"\n{'sigma_phase':>12}  {'mean mse':>10}  {'worst mse':>10}   ({TRIALS} draws)")
 
     for sigma in SIGMAS:
-        mses = [chip_mse(noisy_layers(net, sigma, seed=t), data) for t in range(TRIALS)]
+        mses = [evaluate(noisy_network(net, sigma, seed=t), data).mse for t in range(TRIALS)]
         print(f"{sigma:12.4f}  {np.mean(mses):10.6f}  {np.max(mses):10.6f}")
 
 

@@ -226,16 +226,16 @@ def colsplit_train(
     data: Dataset,
     proj: ProjectionMatrix,
     cfg: TrainConfig,
-    backend=None,
+    realize=None,
 ) -> tuple[ColumnSplitNet, MetricsHistory]:
     """Train the composed network; its block-diagonal stage 1 keeps the column split."""
     composed = compose(net)
-    trained, history = train(composed, _columnized(data, net.mode), proj, cfg, backend=backend)
+    trained, history = train(composed, _columnized(data, net.mode), proj, cfg, realize=realize)
     return _extract(net, trained), history
 
 
-def colsplit_evaluate(net: ColumnSplitNet, data: Dataset, backend=None) -> EvalResult:
-    return evaluate(compose(net), _columnized(data, net.mode), backend=backend)
+def colsplit_evaluate(net: ColumnSplitNet, data: Dataset, realize=None) -> EvalResult:
+    return evaluate(compose(net), _columnized(data, net.mode), realize=realize)
 
 
 def confusion_matrix(predictions: np.ndarray, truth: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 One invocation runs one experiment: build the task's network and data, train
 with the selected algorithm and backend, evaluate, and write metrics.csv,
 report.json, and (for classification tasks) confusion.csv into the output
-directory.  Identical config and seed give byte-identical metrics.csv.
+directory.  Identical config and seed give byte-identical metrics.csv at a
+fixed BLAS thread count (the MNIST MLP's bits depend on it).
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 training divergence.
 """
@@ -28,13 +29,12 @@ from .colsplit import (
     build_colsplit_net,
     colsplit_evaluate,
     colsplit_train,
-    compose,
     confusion_matrix,
 )
 from .core import Activation, LayerSpec, Network, NonFiniteError, build_network
 from .data import Dataset, load_mnist, xor_dataset
 from .modulation import sample_projection
-from .photonic import MeshBackend
+from .photonic import realize_network
 from .trainer import (
     Algorithm,
     DivergenceError,
@@ -185,13 +185,13 @@ def _load_task_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         raise DataError(str(exc)) from exc
 
 
-def _evaluate_trained(eval_fn, model, data, backend):
+def _evaluate_trained(eval_fn, model, data, realize):
     # Training can end on weights that are finite but so large the forward
     # pass only overflows here, on the held-out set.  That is divergence of
     # the run, not an evaluation bug, and is reported as such.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return eval_fn(model, data, backend=backend)
+            return eval_fn(model, data, realize=realize)
     except NonFiniteError as exc:
         raise DivergenceError(
             f"trained model produced non-finite values at evaluation: {exc}"
@@ -232,16 +232,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     proj = sample_projection(model.in_dim, model.out_dim, seed=proj_seed, scale=cfg.projection_scale)
     tc = cfg.train_config(shuffle_seed)
 
+    realize = realize_network if cfg.backend is Backend.PHOTONIC else None
     # train/evaluate are looked up here, at call time, so that wrappers
     # installed on this module's attributes (profilers, tests) see the calls.
     if cfg.task is Task.MNIST_COLSPLIT:
-        backend = MeshBackend(compose(model)) if cfg.backend is Backend.PHOTONIC else None
-        model, history = colsplit_train(model, train_data, proj, tc, backend=backend)
-        result = _evaluate_trained(colsplit_evaluate, model, test_data, backend)
+        model, history = colsplit_train(model, train_data, proj, tc, realize=realize)
+        result = _evaluate_trained(colsplit_evaluate, model, test_data, realize)
     else:
-        backend = MeshBackend(model) if cfg.backend is Backend.PHOTONIC else None
-        model, history = train(model, train_data, proj, tc, backend=backend)
-        result = _evaluate_trained(evaluate, model, test_data, backend)
+        model, history = train(model, train_data, proj, tc, realize=realize)
+        result = _evaluate_trained(evaluate, model, test_data, realize)
 
     confusion = None
     if result.accuracy is not None:

@@ -17,6 +17,11 @@ just the isometry it is read through, by triangular nulling (Reck et al., PRL
 1994): sum_{r<k} (n-1-r) MZIs on the input side and sum_{r<k} (m-1-r) on the
 output side, instead of two full meshes of n(n-1)/2 and m(m-1)/2.
 
+The photonic backend is :func:`realize_network`: it maps a network to the
+network its meshes implement, each weight replaced by the real part of its
+layer's realized matrix.  The trainer realizes once per step and runs both
+passes through the result with the ordinary dense forward pass.
+
 Everything here works at transfer-matrix fidelity: phase settings stand in
 for the physical permittivities, and nonlinearities between meshes are
 applied as ideal real functions on the detected field.
@@ -32,17 +37,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ForwardTrace, Network, NonFiniteError, activation_apply
+from .core import Layer, Network, NonFiniteError
 
 __all__ = [
     "MeshProgram",
     "PhotonicLayer",
-    "MeshBackend",
     "mesh_forward",
     "transfer_matrix",
     "unitarity_residual",
     "clements_decompose",
     "realize_weight",
+    "realize_network",
     "detect_intensity",
     "apply_phase_noise",
 ]
@@ -84,10 +89,19 @@ class MeshProgram:
     out_phases: np.ndarray
 
     def __post_init__(self) -> None:
-        modes = np.asarray(self.modes, dtype=int)
-        thetas = np.mod(np.asarray(self.thetas, dtype=float), TWO_PI)
-        phis = np.mod(np.asarray(self.phis, dtype=float), TWO_PI)
-        out = np.mod(np.asarray(self.out_phases, dtype=float), TWO_PI)
+        modes = np.asarray(self.modes)
+        if modes.dtype.kind not in "iu":
+            with np.errstate(invalid="ignore"):
+                int_modes = modes.astype(int)
+            if not np.array_equal(int_modes, modes):
+                raise ValueError("MZI mode indices must be integers")
+            modes = int_modes
+        thetas, phis, out = (
+            np.asarray(a, dtype=float) for a in (self.thetas, self.phis, self.out_phases)
+        )
+        if not np.isfinite(np.concatenate((thetas, phis, out), axis=None)).all():
+            raise ValueError("phases must be finite")
+        thetas, phis, out = (np.mod(a, TWO_PI) for a in (thetas, phis, out))
         if not len(modes) == len(thetas) == len(phis):
             raise ValueError(
                 f"modes, thetas and phis must have equal length, "
@@ -117,7 +131,7 @@ class MeshProgram:
         mzis = doc["mzis"]
         return cls(
             n=doc["n"],
-            modes=np.array([m["i"] for m in mzis], dtype=int),
+            modes=np.array([m["i"] for m in mzis]),
             thetas=np.array([m["theta"] for m in mzis]),
             phis=np.array([m["phi"] for m in mzis]),
             out_phases=np.array(doc["out_phases"]),
@@ -343,6 +357,21 @@ def realize_weight(w: np.ndarray) -> PhotonicLayer:
     )
 
 
+def realize_network(net: Network) -> Network:
+    """The network the meshes implement: the photonic backend, handed to the trainer.
+
+    Each weight becomes the real part of its :func:`realize_weight` matrix
+    (ideal detection); activations are unchanged, and a block layer comes
+    back as a dense layer.
+    """
+    return Network(
+        tuple(
+            Layer(realize_weight(layer.weight).realized_matrix.real, layer.activation)
+            for layer in net.layers
+        )
+    )
+
+
 def apply_phase_noise(prog: MeshProgram, sigma_phase: float, seed: int) -> MeshProgram:
     """Perturb every phase (thetas, phis, output screen) with i.i.d. Gaussian noise.
 
@@ -359,36 +388,3 @@ def apply_phase_noise(prog: MeshProgram, sigma_phase: float, seed: int) -> MeshP
         phis=prog.phis + rng.normal(0.0, sigma_phase, k),
         out_phases=prog.out_phases + rng.normal(0.0, sigma_phase, prog.n),
     )
-
-
-class MeshBackend:
-    """Evaluates a dense network through its photonic realization.
-
-    Each layer's weight is realized as a PhotonicLayer; forwards multiply by
-    its realized matrix (the meshes' propagation of the identity), the
-    detected field is its real part, and activations are applied as ideal
-    real functions.  ``refresh`` re-realizes after a weight update.
-    """
-
-    def __init__(self, net: Network):
-        self.refresh(net)
-
-    def refresh(self, net: Network) -> None:
-        self.layers = [realize_weight(layer.weight) for layer in net.layers]
-        self.activations = [layer.activation for layer in net.layers]
-        self._matrices = [pl.realized_matrix for pl in self.layers]
-
-    def forward(self, x0: np.ndarray) -> ForwardTrace:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape[0] != self._matrices[0].shape[1]:
-            raise ValueError(
-                f"input length {x0.shape[0]} != realized in_dim {self._matrices[0].shape[1]}"
-            )
-        zs, xs = [], []
-        x = x0
-        for mat, act in zip(self._matrices, self.activations):
-            z = (mat @ x).real
-            x = activation_apply(act, z)
-            zs.append(z)
-            xs.append(x)
-        return ForwardTrace(x0=x0, zs=tuple(zs), xs=tuple(xs))

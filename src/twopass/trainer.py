@@ -205,19 +205,19 @@ def train(
     data: Dataset,
     proj: ProjectionMatrix,
     cfg: TrainConfig,
-    backend=None,
+    realize=None,
 ) -> tuple[Network, MetricsHistory]:
     """Train ``net`` on ``data``; returns the trained network and metrics.
 
     Deterministic for a fixed config: shuffling uses cfg.seed, batches are
     processed in a fixed order, and each update is applied only after both
-    passes of its batch complete.  ``backend``, when given, must provide
-    ``forward(x) -> ForwardTrace`` and ``refresh(net)`` and is used in place
-    of the dense forward pass (weights are re-realized after every update).
+    passes of its batch complete.  ``realize``, when given, is a
+    ``Network -> Network`` function mapping the current weights to the
+    network that actually runs (for instance
+    :func:`~twopass.photonic.realize_network`); it is applied once per step,
+    both passes run through its result, and the update is applied to ``net``.
     """
     _validate_setup(net, data, proj)
-    if backend is not None:
-        backend.refresh(net)
 
     x_all = data.inputs.T
     t_all = data.targets.T
@@ -245,7 +245,8 @@ def train(
             # reported, so the intermediate overflow warnings are just noise.
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    clean = backend.forward(xb) if backend is not None else forward(net, xb)
+                    run = net if realize is None else realize(net)
+                    clean = forward(run, xb)
                     gamma = output_error(clean.output, tb)
                     mse = float(np.mean(gamma * gamma))
                     if not np.isfinite(mse):
@@ -254,11 +255,7 @@ def train(
                         # Second pass under the same frozen weights: no
                         # update is applied until both passes are done.
                         x_err0 = modulate_input(xb, proj, gamma)
-                        modulated = (
-                            backend.forward(x_err0)
-                            if backend is not None
-                            else forward(net, x_err0)
-                        )
+                        modulated = forward(run, x_err0)
                         updates = two_pass_updates(net, clean, modulated, gamma)
                     else:
                         updates = backprop_updates(net, clean, gamma)
@@ -275,22 +272,22 @@ def train(
                 if classification
                 else None
             )
-            if backend is not None:
-                backend.refresh(net)
             records.append(MetricRecord(iteration, mse, accuracy))
     return net, MetricsHistory(tuple(records))
 
 
 def evaluate(
-    net: Network, data: Dataset, backend=None, batch_size: int = 2000
+    net: Network, data: Dataset, realize=None, batch_size: int = 2000
 ) -> EvalResult:
     """Mean squared error, accuracy (classification only), and predictions.
 
-    Samples are evaluated in dataset order, in fixed-size chunks.
+    Samples are evaluated in dataset order, in fixed-size chunks, through
+    ``realize(net)`` when ``realize`` is given.
     """
     n = data.inputs.shape[0]
     if n == 0:
         raise ValueError("dataset is empty")
+    run = net if realize is None else realize(net)
     classification = data.targets.shape[1] >= 2
     sq_sum = 0.0
     count = 0
@@ -298,7 +295,7 @@ def evaluate(
     for start in range(0, n, batch_size):
         xb = data.inputs[start : start + batch_size].T
         tb = data.targets[start : start + batch_size].T
-        trace = backend.forward(xb) if backend is not None else forward(net, xb)
+        trace = forward(run, xb)
         gamma = output_error(trace.output, tb)
         sq_sum += float(np.sum(gamma * gamma))
         count += gamma.size

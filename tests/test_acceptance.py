@@ -17,7 +17,7 @@ from twopass import (
     DivergenceError,
     ExperimentConfig,
     LayerSpec,
-    MeshBackend,
+    TrainConfig,
     apply_updates,
     backprop_updates,
     build_colsplit_net,
@@ -28,9 +28,12 @@ from twopass import (
     confusion_matrix,
     evaluate,
     forward,
+    load_mnist,
     main,
     modulate_input,
     output_error,
+    realize_network,
+    realize_weight,
     run_experiment,
     sample_projection,
     train,
@@ -244,28 +247,53 @@ class TestProjectionStatistics:
         assert abs(var - 1.9132e-5) / 1.9132e-5 < 0.05, f"sample variance {var:.4e}"
 
 
+def realize_and_compare(trained, test_data):
+    """Dense against realized evaluation of one trained MLP, plus per-layer mesh checks."""
+    for layer in trained.layers:
+        photonic_layer = realize_weight(layer.weight)
+        assert unitarity_residual(photonic_layer.mesh_u) < 1e-10
+        assert unitarity_residual(photonic_layer.mesh_v) < 1e-10
+    return evaluate(trained, test_data), evaluate(trained, test_data, realize=realize_network)
+
+
 @pytest.mark.slow
 class TestPhotonicEquivalence:
     def test_trained_model_realizes_on_meshes(self, mlp_results, mnist_data):
         _, test_data = mnist_data
         trained, dense_result = mlp_results[Algorithm.TWO_PASS]
-        backend = MeshBackend(trained)
+        _, mesh_result = realize_and_compare(trained, test_data)
 
-        for photonic_layer in backend.layers:
-            assert unitarity_residual(photonic_layer.mesh_u) < 1e-10
-            assert unitarity_residual(photonic_layer.mesh_v) < 1e-10
-
+        realized = realize_network(trained)
         worst = 0.0
         for start in range(0, len(test_data), 2000):
             xb = test_data.inputs[start : start + 2000].T
             dense_out = forward(trained, xb).output
-            mesh_out = backend.forward(xb).output
+            mesh_out = forward(realized, xb).output
             worst = max(worst, float(np.abs(dense_out - mesh_out).max()))
         assert worst < 1e-5, f"worst per-sample output difference {worst:.3e}"
 
-        mesh_result = evaluate(trained, test_data, backend=backend)
         diff = abs(mesh_result.accuracy - dense_result.accuracy)
         assert diff <= 0.001, f"accuracy moved by {diff * 100:.3f} percentage points"
+
+
+class TestPhotonicMnistShapeEquivalence:
+    def test_trained_784_16_10_mlp_realizes_on_meshes(self, synthetic_mnist_dir):
+        # Synthetic MNIST-shaped data (not MNIST): a dense-trained 784-16-10
+        # MLP evaluated on all 10,000 test samples, dense and through its
+        # realized meshes (12,408 + 120 MZIs on the first layer).
+        train_data, test_data = load_mnist(synthetic_mnist_dir)
+        net = build_network(
+            (LayerSpec(784, 16, Activation.RELU), LayerSpec(16, 10, Activation.SOFTMAX)),
+            seed=0,
+        )
+        proj = sample_projection(784, 10, seed=1)
+        cfg = TrainConfig(learning_rate=0.01, epochs=1, batch_size=64, seed=2)
+        trained, _ = train(net, train_data, proj, cfg)
+
+        dense, mesh = realize_and_compare(trained, test_data)
+        assert len(mesh.predictions) == 10000
+        np.testing.assert_array_equal(mesh.predictions, dense.predictions)
+        assert abs(mesh.mse - dense.mse) <= 1e-9
 
 
 class TestClementsRoundTrip:

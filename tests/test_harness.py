@@ -207,7 +207,7 @@ class TestRunExperiment:
 
 
     def test_evaluation_bug_is_not_reported_as_divergence(self):
-        def broken_evaluate(model, data, backend=None):
+        def broken_evaluate(model, data, realize=None):
             raise ValueError("evaluation shape bug")
 
         with pytest.raises(ValueError, match="evaluation shape bug"):

@@ -8,7 +8,6 @@ from twopass import (
     Activation,
     Layer,
     LayerSpec,
-    MeshBackend,
     MeshProgram,
     Network,
     PhotonicLayer,
@@ -21,6 +20,7 @@ from twopass import (
     detect_intensity,
     forward,
     mesh_forward,
+    realize_network,
     realize_weight,
     sample_projection,
     train,
@@ -147,6 +147,40 @@ class TestMeshProgram:
                 phis=np.zeros(1),
                 out_phases=np.zeros(3),
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["thetas", "phis", "out_phases"])
+    def test_non_finite_phases_rejected(self, field, bad):
+        args = dict(
+            n=2, modes=np.array([0]), thetas=np.zeros(1), phis=np.zeros(1), out_phases=np.zeros(2)
+        )
+        args[field][0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MeshProgram(**args)
+
+    def test_fractional_mode_index_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            MeshProgram(
+                n=3,
+                modes=np.array([0.0, 1.7]),
+                thetas=np.zeros(2),
+                phis=np.zeros(2),
+                out_phases=np.zeros(3),
+            )
+
+    def test_from_json_rejects_fractional_mode_and_non_finite_phase(self):
+        import json
+
+        def doc(mzi):
+            return json.dumps({"n": 3, "mzis": [mzi], "out_phases": [0.0, 0.0, 0.0]})
+
+        with pytest.raises(ValueError, match="integers"):
+            MeshProgram.from_json(doc({"i": 1.7, "theta": 0.0, "phi": 0.0}))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                MeshProgram.from_json(doc({"i": 1, "theta": bad, "phi": 0.0}))
+        prog = MeshProgram.from_json(doc({"i": 1.0, "theta": 0.5, "phi": 0.0}))
+        assert prog.modes.tolist() == [1]
 
     def test_phases_wrap_into_principal_range(self):
         prog = MeshProgram(
@@ -433,8 +467,15 @@ class TestApplyPhaseNoise:
         with pytest.raises(ValueError, match=">= 0"):
             apply_phase_noise(random_program(2, seed=17), -0.1, seed=0)
 
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError):
+            apply_phase_noise(random_program(2, seed=17), sigma, seed=0)
+
 
 class TestMeshBackend:
+    """The photonic backend: forward passes through ``realize_network(net)``."""
+
     def make_net(self, seed=0):
         return build_network(
             (LayerSpec(3, 5, Activation.RELU), LayerSpec(5, 2, Activation.IDENTITY)),
@@ -443,38 +484,36 @@ class TestMeshBackend:
 
     def test_forward_matches_dense_network(self):
         net = self.make_net(seed=18)
-        backend = MeshBackend(net)
+        realized = realize_network(net)
+        assert [l.activation for l in realized.layers] == [l.activation for l in net.layers]
         rng = np.random.default_rng(18)
         x = rng.random(3)
         dense = forward(net, x)
-        mesh = backend.forward(x)
+        mesh = forward(realized, x)
         for a, b in zip(dense.zs + dense.xs, mesh.zs + mesh.xs):
             np.testing.assert_allclose(b, a, atol=1e-10)
 
     def test_batched_forward_matches_dense(self):
         net = self.make_net(seed=19)
-        backend = MeshBackend(net)
         xb = np.random.default_rng(19).random((3, 7))
         np.testing.assert_allclose(
-            backend.forward(xb).output, forward(net, xb).output, atol=1e-10
+            forward(realize_network(net), xb).output, forward(net, xb).output, atol=1e-10
         )
 
-    def test_refresh_tracks_weight_updates(self):
+    def test_realization_tracks_weight_updates(self):
         net = self.make_net(seed=20)
-        backend = MeshBackend(net)
         x = np.random.default_rng(20).random(3)
         rng = np.random.default_rng(21)
         updates = UpdateSet(tuple(rng.normal(size=l.weight.shape) for l in net.layers))
         new_net = apply_updates(net, updates, 0.1)
-        backend.refresh(new_net)
         np.testing.assert_allclose(
-            backend.forward(x).output, forward(new_net, x).output, atol=1e-10
+            forward(realize_network(new_net), x).output, forward(new_net, x).output, atol=1e-10
         )
 
     def test_wrong_input_length_rejected(self):
-        backend = MeshBackend(self.make_net(seed=22))
+        realized = realize_network(self.make_net(seed=22))
         with pytest.raises(ValueError, match="input length"):
-            backend.forward(np.zeros(4))
+            forward(realized, np.zeros(4))
 
     def test_training_through_mesh_matches_dense_training(self):
         data = xor_dataset()
@@ -488,9 +527,7 @@ class TestMeshBackend:
             )
 
         dense_net, dense_hist = train(fresh_net(), data, proj, cfg)
-        mesh_net, mesh_hist = train(
-            fresh_net(), data, proj, cfg, backend=MeshBackend(fresh_net())
-        )
+        mesh_net, mesh_hist = train(fresh_net(), data, proj, cfg, realize=realize_network)
         for a, b in zip(dense_net.layers, mesh_net.layers):
             np.testing.assert_allclose(b.weight, a.weight, atol=1e-8)
         for ra, rb in zip(dense_hist.records, mesh_hist.records):
@@ -498,7 +535,7 @@ class TestMeshBackend:
 
     def test_two_pass_update_through_mesh_matches_dense(self):
         net = self.make_net(seed=23)
-        backend = MeshBackend(net)
+        realized = realize_network(net)
         rng = np.random.default_rng(23)
         x0 = rng.random(3)
         target = rng.random(2)
@@ -509,9 +546,9 @@ class TestMeshBackend:
         mod_d = forward(net, modulate_input(x0, proj, gamma_d))
         dense_updates = two_pass_updates(net, clean_d, mod_d, gamma_d)
 
-        clean_m = backend.forward(x0)
+        clean_m = forward(realized, x0)
         gamma_m = output_error(clean_m.output, target)
-        mod_m = backend.forward(modulate_input(x0, proj, gamma_m))
+        mod_m = forward(realized, modulate_input(x0, proj, gamma_m))
         mesh_updates = two_pass_updates(net, clean_m, mod_m, gamma_m)
 
         for a, b in zip(dense_updates.deltas, mesh_updates.deltas):

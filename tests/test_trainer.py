@@ -469,16 +469,22 @@ class TestTrain:
     def test_backend_value_error_is_not_divergence(self):
         # Only non-finite values mean divergence; a shape bug in a backend
         # must surface as itself, not as exit-code-3 "training diverged".
-        class ShapeBugBackend:
-            def refresh(self, net):
-                pass
-
-            def forward(self, x0):
-                raise ValueError("backend shape bug")
-
         net, data, proj = self.make_problem(seed=4)
-        with pytest.raises(ValueError, match="backend shape bug"):
-            train(net, data, proj, TrainConfig(), backend=ShapeBugBackend())
+        wrong_in_dim = build_network((LayerSpec(net.in_dim + 1, 2, Activation.IDENTITY),), seed=0)
+
+        with pytest.raises(ValueError, match="input length"):
+            train(net, data, proj, TrainConfig(), realize=lambda _net: wrong_in_dim)
+
+    def test_non_finite_realization_is_divergence(self):
+        # Realization runs inside the step, so a weight that realizes to
+        # non-finite values is reported like every other non-finite stage.
+        net, data, proj = self.make_problem(seed=5)
+
+        def overflowing_realize(n):
+            return Network(tuple(Layer(l.weight * np.inf, l.activation) for l in n.layers))
+
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="at iteration 1"):
+            train(net, data, proj, TrainConfig(), realize=overflowing_realize)
 
     def test_backprop_algorithm_trains_too(self):
         net, data, proj = self.make_problem(seed=13)
