@@ -170,8 +170,8 @@ class BlockLayer:
     every other entry of the ``(k*o, k*i)`` weight is zero by construction,
     since it is never stored.  Products and updates touch only the blocks
     (``k*o*i`` entries rather than ``k*o*k*i``).  The dense 2-D ``weight``
-    is built on each read, for serialization and the photonic backend; the
-    trainers never read it.
+    is built on each read, for serialization; the trainers and the photonic
+    backend never read it.
     """
 
     blocks: np.ndarray

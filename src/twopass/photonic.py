@@ -19,8 +19,15 @@ output side, instead of two full meshes of n(n-1)/2 and m(m-1)/2.
 
 The photonic backend is :func:`realize_network`: it maps a network to the
 network its meshes implement, each weight replaced by the real part of its
-layer's realized matrix.  The trainer realizes once per step and runs both
-passes through the result with the ordinary dense forward pass.
+layer's realized matrix, and each block of a block layer realized on its own
+meshes.  The trainer realizes once per step and runs both passes through the
+result with the ordinary dense forward pass.
+
+Re-programming is what a photonic step costs, so each MZI is programmed with
+one scalar phase computation (the row being nulled is carried as Python
+scalars) and one update of the rows below it, and propagated by one 2x2
+transfer built once per program.  Every path derives its MZI from the same
+factors (:func:`_mzi_factors`).
 
 Everything here works at transfer-matrix fidelity: phase settings stand in
 for the physical permittivities, and nonlinearities between meshes are
@@ -37,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Layer, Network, NonFiniteError
+from .core import BlockLayer, Layer, Network, NonFiniteError
 
 __all__ = [
     "MeshProgram",
@@ -55,19 +62,27 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 
-def _mzi(top, bot, theta: float, phi: float, sign: int = 1):
-    """One MZI acting on the mode pair (top, bot); returns the new pair.
+def _mzi_factors(theta: float, phi: float, sign: int = 1) -> tuple[complex, complex, float, float]:
+    """The four factors (i e^{i theta/2}, e^{i phi}, sin, cos) of one MZI's transfer.
 
-    ``sign=1`` applies T(theta, phi).  ``sign=-1`` conjugates every factor,
-    which applied to a pair of columns is right-multiplication by T^H.  The
-    conjugate factors are computed directly rather than with ``np.conj``:
+    ``sign=1`` gives the factors of T(theta, phi); ``sign=-1`` conjugates
+    each, which applied to a pair of columns is right-multiplication by T^H.
+    The conjugate factors are computed directly rather than by conjugation:
     the two differ in the sign of a zero real part at theta = 0, and the
     Clements nulling angles depend on it.
     """
     half = 0.5 * theta
-    s, c = np.sin(half), np.cos(half)
-    pref = sign * 1j * np.exp(sign * 0.5j * theta)
-    ephi = np.exp(sign * 1j * phi)
+    pref = sign * 1j * cmath.exp(sign * 0.5j * theta)
+    return pref, cmath.exp(sign * 1j * phi), math.sin(half), math.cos(half)
+
+
+def _apply(f: tuple[complex, complex, float, float], top, bot):
+    """The mode pair (top, bot) after the MZI with factors ``f``; scalars or arrays.
+
+    The product order is fixed: exact zeros keep their signs, which the
+    nulling angles of later MZIs can depend on.
+    """
+    pref, ephi, s, c = f
     return pref * (ephi * s * top + c * bot), pref * (ephi * c * top - s * bot)
 
 
@@ -141,11 +156,20 @@ class MeshProgram:
 def mesh_forward(prog: MeshProgram, field: np.ndarray) -> np.ndarray:
     """Propagate a complex field (length n, or (n, B) batch) through the mesh."""
     field = np.asarray(field, dtype=complex)
+    if field.ndim not in (1, 2):
+        raise ValueError(f"field must be 1-D or 2-D, got shape {field.shape}")
     if field.shape[0] != prog.n:
         raise ValueError(f"field length {field.shape[0]} != mesh dimension {prog.n}")
+    # Every MZI's 2x2 transfer, built once: its factors applied, as arrays
+    # over the mesh, to the identity field of one mode pair.
+    factors = np.array(
+        [_mzi_factors(t, p) for t, p in zip(prog.thetas.tolist(), prog.phis.tolist())],
+        dtype=complex,
+    ).reshape(-1, 4, 1)
+    transfers = np.stack(_apply(factors.transpose(1, 0, 2), *np.eye(2)), axis=1)
     v = field.copy()
-    for m, theta, phi in zip(prog.modes, prog.thetas, prog.phis):
-        v[m], v[m + 1] = _mzi(v[m], v[m + 1], theta, phi)
+    for m, t in zip(prog.modes.tolist(), transfers):
+        v[m : m + 2] = np.dot(t, v[m : m + 2])
     shape = (prog.n,) + (1,) * (v.ndim - 1)
     return v * np.exp(1j * prog.out_phases).reshape(shape)
 
@@ -190,7 +214,8 @@ def clements_decompose(u: np.ndarray) -> MeshProgram:
                 theta = 2.0 * np.arctan2(abs(b), abs(a))
                 phi = -np.angle(-b * np.conj(a))
                 # work <- work @ T^H on columns (m, m+1)
-                work[:, m], work[:, m + 1] = _mzi(work[:, m], work[:, m + 1], theta, phi, -1)
+                f = _mzi_factors(theta, phi, -1)
+                work[:, m], work[:, m + 1] = _apply(f, work[:, m], work[:, m + 1])
                 rights.append((m, theta, phi))
         else:
             for j in range(1, i + 1):
@@ -201,7 +226,7 @@ def clements_decompose(u: np.ndarray) -> MeshProgram:
                 theta = 2.0 * np.arctan2(abs(a), abs(b))
                 phi = np.angle(b * np.conj(a))
                 # work <- T @ work on rows (m, m+1)
-                work[m], work[m + 1] = _mzi(work[m], work[m + 1], theta, phi)
+                work[m], work[m + 1] = _apply(_mzi_factors(theta, phi), work[m], work[m + 1])
                 lefts.append((m, theta, phi))
 
     # work is now diagonal; commute it through the left factors.
@@ -214,53 +239,64 @@ def clements_decompose(u: np.ndarray) -> MeshProgram:
         d[m + 1] = -b * np.exp(-1j * theta)
         converted.append((m, theta, phi_new))
 
-    return _program(n, rights + converted, np.angle(d))
-
-
-def _program(n: int, ops: list[tuple[int, float, float]], out_phases) -> MeshProgram:
-    """MeshProgram from a list of (mode, theta, phi) MZIs in application order."""
+    ops = rights + converted
     return MeshProgram(
         n=n,
         modes=np.array([op[0] for op in ops], dtype=int),
         thetas=np.array([op[1] for op in ops]),
         phis=np.array([op[2] for op in ops]),
-        out_phases=out_phases,
+        out_phases=np.angle(d),
     )
 
 
-def _null_rows(a: np.ndarray) -> tuple[list[tuple[int, float, float]], np.ndarray]:
+def _null_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[complex]]:
     """Triangular nulling of a k x n matrix with orthonormal rows.
 
     Row by row, each entry right of the diagonal is nulled into its left
     neighbour by right-multiplying columns (m, m+1) with an inverse MZI,
     leaving a @ T_1^H ... T_L^H = [diag(d) 0], i.e. a = [diag(d) 0] T_L ... T_1.
-    Returns the MZIs T_1 .. T_L as (mode, theta, phi) and the unit-modulus d.
-    Row r costs n-1-r MZIs.
+    Returns the modes, thetas and phis of T_1 .. T_L and the unit-modulus d.
+    Row r costs n-1-r MZIs.  The row being nulled is carried as Python
+    scalars and only the rows below it are updated as arrays: the rows above
+    are already nulled, and their diagonal entries are left of every later
+    MZI.
     """
     k, n = a.shape
     residual = float(np.linalg.norm(a @ a.conj().T - np.eye(k)))
     if residual > 1e-8:
         raise ValueError(f"rows are not orthonormal: ||A A^H - I||_F = {residual:.3e}")
     work = a.astype(complex)
-    ops: list[tuple[int, float, float]] = []
+    count = k * (n - 1) - k * (k - 1) // 2
+    modes = np.empty(count, dtype=int)
+    thetas = np.empty(count)
+    phis = np.empty(count)
+    d = []
+    i = 0
     for r in range(k):
+        row = work[r].tolist()
+        below = work[r + 1 :]
         for m in range(n - 2, r - 1, -1):
-            x, y = complex(work[r, m]), complex(work[r, m + 1])
+            x, y = row[m], row[m + 1]
             theta = 2.0 * math.atan2(abs(x), abs(y))
             phi = cmath.phase(x * y.conjugate())
             # work <- work @ T^H on columns (m, m+1); nulls work[r, m+1]
-            work[:, m], work[:, m + 1] = _mzi(work[:, m], work[:, m + 1], theta, phi, -1)
-            ops.append((m, theta, phi))
-    return ops, np.diag(work[:, :k]).copy()
+            f = _mzi_factors(theta, phi, -1)
+            row[m], row[m + 1] = _apply(f, x, y)
+            if r + 1 < k:
+                below[:, m], below[:, m + 1] = _apply(f, below[:, m], below[:, m + 1])
+            modes[i], thetas[i], phis[i] = m, theta, phi
+            i += 1
+        d.append(row[r])
+    return modes, thetas, phis, d
 
 
 def _input_isometry(vh: np.ndarray) -> MeshProgram:
     """Mesh whose first k output rows equal the k x n orthonormal rows vh."""
     k, n = vh.shape
-    ops, d = _null_rows(vh)
+    modes, thetas, phis, d = _null_rows(vh)
     out = np.zeros(n)
     out[:k] = np.angle(d)
-    return _program(n, ops, out)
+    return MeshProgram(n, modes, thetas, phis, out)
 
 
 def _output_isometry(u: np.ndarray) -> MeshProgram:
@@ -274,15 +310,15 @@ def _output_isometry(u: np.ndarray) -> MeshProgram:
     screen.  Inputs k..m-1 carry no signal and get phase 0.
     """
     m, k = u.shape
-    ops, d = _null_rows(u.T)
-    phases = np.zeros(m)
-    phases[:k] = np.angle(d)
-    pushed: list[tuple[int, float, float]] = []
-    for mode, theta, phi in reversed(ops):
+    modes, thetas, phis, d = _null_rows(u.T)
+    modes, thetas = modes[::-1], thetas[::-1]
+    phases = [cmath.phase(z) for z in d] + [0.0] * (m - k)
+    pushed = []
+    for mode, phi in zip(modes.tolist(), phis[::-1].tolist()):
         b = phases[mode + 1]
-        pushed.append((mode, theta, phases[mode] - b))
-        phases[mode] = np.mod(phi + b, TWO_PI)
-    return _program(m, pushed, phases)
+        pushed.append(phases[mode] - b)
+        phases[mode] = (phi + b) % TWO_PI
+    return MeshProgram(m, modes, thetas, pushed, phases)
 
 
 def detect_intensity(field: np.ndarray) -> np.ndarray:
@@ -357,16 +393,24 @@ def realize_weight(w: np.ndarray) -> PhotonicLayer:
     )
 
 
+def _realized(w: np.ndarray) -> np.ndarray:
+    """The real part of ``w``'s realized matrix (ideal detection)."""
+    return realize_weight(w).realized_matrix.real
+
+
 def realize_network(net: Network) -> Network:
     """The network the meshes implement: the photonic backend, handed to the trainer.
 
     Each weight becomes the real part of its :func:`realize_weight` matrix
-    (ideal detection); activations are unchanged, and a block layer comes
-    back as a dense layer.
+    (ideal detection) and activations are unchanged.  A block layer comes
+    back as a block layer with each block realized on its own mesh pair, so
+    its off-block entries stay exactly zero.
     """
     return Network(
         tuple(
-            Layer(realize_weight(layer.weight).realized_matrix.real, layer.activation)
+            BlockLayer(np.stack([_realized(b) for b in layer.blocks]), layer.activation)
+            if isinstance(layer, BlockLayer)
+            else Layer(_realized(layer.weight), layer.activation)
             for layer in net.layers
         )
     )

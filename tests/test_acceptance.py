@@ -14,6 +14,8 @@ import pytest
 from twopass import (
     Activation,
     Algorithm,
+    BlockLayer,
+    Dataset,
     DivergenceError,
     ExperimentConfig,
     LayerSpec,
@@ -25,6 +27,7 @@ from twopass import (
     clements_decompose,
     colsplit_evaluate,
     colsplit_train,
+    compose,
     confusion_matrix,
     evaluate,
     forward,
@@ -294,6 +297,31 @@ class TestPhotonicMnistShapeEquivalence:
         assert len(mesh.predictions) == 10000
         np.testing.assert_array_equal(mesh.predictions, dense.predictions)
         assert abs(mesh.mse - dense.mse) <= 1e-9
+
+    def test_colsplit_training_through_meshes_matches_dense(self, synthetic_mnist_dir):
+        # Synthetic MNIST-shaped data (not MNIST): four two-pass steps of the
+        # column-split network, every forward pass through 28 realized 28x28
+        # stage-1 meshes and the 10x784 aggregator, against dense training.
+        train_data, _ = load_mnist(synthetic_mnist_dir)
+        data = Dataset(train_data.inputs[:256], train_data.targets[:256], train_data.labels[:256])
+        proj = sample_projection(784, 10, seed=4)
+        cfg = TrainConfig(learning_rate=0.01, epochs=1, batch_size=64, seed=5)
+        runs = {
+            realize: colsplit_train(build_colsplit_net(seed=3), data, proj, cfg, realize=realize)
+            for realize in (None, realize_network)
+        }
+        (dense_net, dense_hist), (mesh_net, mesh_hist) = runs[None], runs[realize_network]
+        assert len(mesh_hist.records) == 4
+        for a, b in zip(dense_hist.records, mesh_hist.records):
+            assert abs(b.mse - a.mse) <= 1e-9
+        composed = compose(mesh_net)
+        np.testing.assert_allclose(
+            composed.layers[0].blocks, compose(dense_net).layers[0].blocks, rtol=0, atol=1e-9
+        )
+        off_block = np.kron(np.eye(28), np.ones((28, 28))) == 0
+        for stage1 in (composed.layers[0], realize_network(composed).layers[0]):
+            assert isinstance(stage1, BlockLayer)
+            assert np.all(stage1.weight[off_block] == 0.0)
 
 
 class TestClementsRoundTrip:

@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from twopass import (
     Activation,
+    BlockLayer,
     Layer,
     LayerSpec,
     MeshProgram,
@@ -32,6 +36,7 @@ from twopass import (
 from twopass.core import activation_apply
 from twopass.data import Dataset
 from twopass.modulation import modulate_input, output_error
+from twopass.photonic import _null_rows
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
@@ -249,6 +254,12 @@ class TestMeshForward:
         with pytest.raises(ValueError, match="field length"):
             mesh_forward(prog, np.zeros(4))
 
+    def test_field_must_be_1d_or_2d(self):
+        prog = random_program(3, seed=9)
+        for field in (np.array(1.0), np.zeros((3, 2, 2))):
+            with pytest.raises(ValueError, match="1-D or 2-D"):
+                mesh_forward(prog, field)
+
     def test_unitarity_residual_near_zero(self):
         assert unitarity_residual(random_program(7, seed=10)) < 1e-12
 
@@ -308,7 +319,7 @@ PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, 
 @st.composite
 def low_rank_weights(draw) -> np.ndarray:
     """Seeded real m x n matrices of any rank 0..min(m, n), at scales 1e-3..1e3."""
-    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    m, n = draw(st.integers(1, 16)), draw(st.integers(1, 16))
     rank = draw(st.integers(0, min(m, n)))
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -317,7 +328,7 @@ def low_rank_weights(draw) -> np.ndarray:
 
 # Small integer entries give exact zeros, repeated singular values and
 # signed permutations, where the nulling angles hit their edge cases.
-integer_weights = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+integer_weights = st.tuples(st.integers(1, 16), st.integers(1, 16)).flatmap(
     lambda shape: arrays(np.float64, shape, elements=st.integers(-2, 2).map(float))
 )
 
@@ -343,6 +354,83 @@ class TestRealizationProperties:
         prog = clements_decompose(u)
         assert len(prog.modes) == n * (n - 1) // 2
         np.testing.assert_allclose(transfer_matrix(prog), u, rtol=0, atol=1e-12)
+
+
+def reference_mzi(top, bot, theta: float, phi: float, sign: int = 1):
+    """One MZI on the mode pair (top, bot), its factors computed with numpy."""
+    half = 0.5 * theta
+    s, c = np.sin(half), np.cos(half)
+    pref = sign * 1j * np.exp(sign * 0.5j * theta)
+    ephi = np.exp(sign * 1j * phi)
+    return pref * (ephi * s * top + c * bot), pref * (ephi * c * top - s * bot)
+
+
+def reference_null_rows(a: np.ndarray):
+    """Sequential triangular nulling: every row is updated as an array at every MZI."""
+    k, n = a.shape
+    work = a.astype(complex)
+    ops = []
+    for r in range(k):
+        for m in range(n - 2, r - 1, -1):
+            x, y = complex(work[r, m]), complex(work[r, m + 1])
+            theta = 2.0 * math.atan2(abs(x), abs(y))
+            phi = cmath.phase(x * y.conjugate())
+            work[:, m], work[:, m + 1] = reference_mzi(work[:, m], work[:, m + 1], theta, phi, -1)
+            ops.append((m, theta, phi))
+    return ops, np.diag(work[:, :k]).copy()
+
+
+def assert_nulling_matches_reference(a: np.ndarray):
+    ops, d_ref = reference_null_rows(a)
+    modes, thetas, phis, d = _null_rows(a)
+    np.testing.assert_array_equal(modes, [op[0] for op in ops])
+    for got, want in ((thetas, [op[1] for op in ops]), (phis, [op[2] for op in ops])):
+        wrapped = np.angle(np.exp(1j * (np.asarray(got) - np.asarray(want))))
+        assert np.abs(wrapped).max(initial=0.0) <= 1e-12
+    np.testing.assert_allclose(d, d_ref, rtol=0, atol=1e-12)
+
+
+class TestNullingMatchesSequentialReference:
+    """The scalar-row nulling kernel gives the same MZIs as the array-per-MZI reference.
+
+    Compared where every nulling angle is set by the isometry: dense seeded
+    isometries, and integer ones whose updates are exact.  Where an entry
+    that is zero in exact arithmetic meets rounding residue, its phi is the
+    phase of that residue, and numpy's array loops round complex products
+    differently from Python scalars (fused multiply-add), so there the two
+    kernels may pick different, equally valid, programs.
+    """
+
+    def test_seeded_random_isometries(self):
+        rng = np.random.default_rng(30)
+        for k, n in ((1, 1), (1, 2), (1, 16), (2, 16), (3, 7), (5, 5), (10, 28), (16, 20)):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            assert_nulling_matches_reference(np.linalg.qr(a)[0][:k])
+            u = np.linalg.svd(rng.normal(size=(n, k)), full_matrices=False)[0]
+            assert_nulling_matches_reference(u.T)
+            vh = np.linalg.svd(rng.normal(size=(k, n)), full_matrices=False)[2]
+            assert_nulling_matches_reference(vh)
+
+    def test_signed_permutations(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 5, 9, 16):
+            for _ in range(4):
+                p = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=(n, 1))
+                for k in range(1, n + 1):
+                    assert_nulling_matches_reference(p[:k])
+
+    def test_integer_weight_isometries(self):
+        # Zero matrices, signed permutations and a diagonal with zeros and
+        # repeated values, through the SVD that realize_weight takes.
+        rng = np.random.default_rng(32)
+        weights = [np.zeros((3, 4)), np.zeros((16, 2)), np.diag([2.0, 0.0, -2.0, 1.0, 0.0])]
+        for n in (2, 5, 16):
+            p = np.eye(n)[rng.permutation(n)] * rng.choice([-2.0, -1.0, 1.0, 2.0], size=(n, 1))
+            weights += [p, p[:1], p[:, :2]]
+        for w in weights:
+            u, _, vh = np.linalg.svd(w, full_matrices=False)
+            assert_nulling_matches_reference(vh)
+            assert_nulling_matches_reference(u.T)
 
 
 class TestDetectIntensity:
@@ -509,6 +597,19 @@ class TestMeshBackend:
         np.testing.assert_allclose(
             forward(realize_network(new_net), x).output, forward(new_net, x).output, atol=1e-10
         )
+
+    def test_block_layer_realizes_block_by_block(self):
+        rng = np.random.default_rng(26)
+        blocks = BlockLayer(rng.normal(size=(3, 2, 4)), Activation.RELU)
+        net = Network((blocks, Layer(rng.normal(size=(1, 6)), Activation.IDENTITY)))
+        realized = realize_network(net)
+        stage1 = realized.layers[0]
+        assert isinstance(stage1, BlockLayer) and stage1.activation is Activation.RELU
+        for got, block in zip(stage1.blocks, blocks.blocks):
+            np.testing.assert_array_equal(got, realize_weight(block).realized_matrix.real)
+        dense = realize_weight(blocks.weight).realized_matrix.real
+        np.testing.assert_allclose(stage1.weight, dense, rtol=0, atol=1e-12)
+        assert isinstance(realized.layers[1], Layer)
 
     def test_wrong_input_length_rejected(self):
         realized = realize_network(self.make_net(seed=22))
