@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -40,6 +41,7 @@ from .trainer import (
     DivergenceError,
     MetricsHistory,
     TrainConfig,
+    _check_int,
     evaluate,
     train,
 )
@@ -103,13 +105,16 @@ class ExperimentConfig:
         object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
         object.__setattr__(self, "backend", Backend(self.backend))
         object.__setattr__(self, "split", SplitMode(self.split))
-        if self.projection_scale <= 0.0:
-            raise ValueError("projection_scale must be positive")
-        if self.hidden is not None and self.hidden < 1:
-            raise ValueError("hidden must be >= 1")
-        # TrainConfig's own checks, so that a bad epoch count, rate or batch
-        # size is a config error before any data is loaded.
-        self.train_config(shuffle_seed=0)
+        if not 0.0 < self.projection_scale < math.inf:
+            raise ValueError(
+                f"projection_scale must be positive and finite, got {self.projection_scale!r}"
+            )
+        if self.hidden is not None:
+            _check_int("hidden", self.hidden, 1)
+        # TrainConfig's own checks, so that a bad epoch count, rate, batch
+        # size or seed is a config error before any data is loaded.  The run
+        # seed stands in for the shuffle seed derived from it.
+        self.train_config(shuffle_seed=self.seed)
 
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)

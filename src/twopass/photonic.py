@@ -1,21 +1,22 @@
-"""MZI-mesh simulation: unitary decomposition, SVD weight realization, detection.
+"""MZI-mesh simulation: triangular mesh programming, SVD weight realization.
 
 A single MZI couples adjacent modes (i, i+1) with the 2x2 transfer
 
     T(theta, phi) = i e^{i theta/2} [[e^{i phi} sin(theta/2), cos(theta/2)],
                                      [e^{i phi} cos(theta/2), -sin(theta/2)]]
 
-so theta = pi is the bar state and theta = 0 full cross coupling.  A
-rectangular mesh of N(N-1)/2 such settings followed by one output phase per
-mode realizes any N x N unitary (Clements et al., Optica 2016).
+so theta = pi is the bar state and theta = 0 full cross coupling.  Every mesh
+is programmed by one kernel, triangular nulling (Reck et al., PRL 1994): a
+k x n matrix with orthonormal rows takes sum_{r<k} (n-1-r) MZIs plus one
+output phase per mode, so an N x N unitary takes a full mesh of N(N-1)/2.
 
 An arbitrary real m x n weight matrix becomes two meshes around a diagonal
 attenuation column via its thin SVD, with the largest singular value pulled
 out as a scalar gain so the attenuations stay passive (in [0, 1]).  Only the
 k = min(m, n) modes between the meshes carry signal, so each mesh realizes
-just the isometry it is read through, by triangular nulling (Reck et al., PRL
-1994): sum_{r<k} (n-1-r) MZIs on the input side and sum_{r<k} (m-1-r) on the
-output side, instead of two full meshes of n(n-1)/2 and m(m-1)/2.
+just the isometry it is read through: sum_{r<k} (n-1-r) MZIs on the input
+side and sum_{r<k} (m-1-r) on the output side, instead of two full meshes of
+n(n-1)/2 and m(m-1)/2.
 
 The photonic backend is :func:`realize_network`: it maps a network to the
 network its meshes implement, each weight replaced by the real part of its
@@ -52,10 +53,8 @@ __all__ = [
     "mesh_forward",
     "transfer_matrix",
     "unitarity_residual",
-    "clements_decompose",
     "realize_weight",
     "realize_network",
-    "detect_intensity",
     "apply_phase_noise",
 ]
 
@@ -69,7 +68,7 @@ def _mzi_factors(theta: float, phi: float, sign: int = 1) -> tuple[complex, comp
     each, which applied to a pair of columns is right-multiplication by T^H.
     The conjugate factors are computed directly rather than by conjugation:
     the two differ in the sign of a zero real part at theta = 0, and the
-    Clements nulling angles depend on it.
+    nulling angles of later MZIs depend on it.
     """
     half = 0.5 * theta
     pref = sign * 1j * cmath.exp(sign * 0.5j * theta)
@@ -91,10 +90,11 @@ class MeshProgram:
     """Ordered MZI settings plus a final output phase screen.
 
     Stored as parallel arrays: MZI k couples modes (modes[k], modes[k] + 1)
-    with phases thetas[k], phis[k].  Any number of MZIs is a valid mesh: a
-    full Clements mesh has n(n-1)/2, a realized isometry fewer.  Phases are
-    wrapped into [0, 2pi) at construction.  Application order is list order:
-    the first setting acts on the input field first, the phase screen last.
+    with phases thetas[k], phis[k].  Any number of MZIs is a valid mesh: the
+    full mesh of an n x n unitary has n(n-1)/2, a realized isometry fewer.
+    Phases are wrapped into [0, 2pi) at construction.  Application order is
+    list order: the first setting acts on the input field first, the phase
+    screen last.
     """
 
     n: int
@@ -185,70 +185,6 @@ def unitarity_residual(prog: MeshProgram) -> float:
     return float(np.linalg.norm(t.conj().T @ t - np.eye(prog.n)))
 
 
-def clements_decompose(u: np.ndarray) -> MeshProgram:
-    """Factor a unitary into a rectangular mesh program.
-
-    Sweeps the anti-diagonals, nulling below-diagonal elements alternately by
-    right multiplications with inverse MZIs (odd sweeps, acting on columns)
-    and left multiplications (even sweeps, acting on rows), then pushes the
-    remaining diagonal through the left factors so every MZI ends up on the
-    input side of the phase screen.
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    n = u.shape[0]
-    residual = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
-    if residual > 1e-8:
-        raise ValueError(f"input is not unitary: ||U^H U - I||_F = {residual:.3e}")
-
-    work = u.copy()
-    rights: list[tuple[int, float, float]] = []
-    lefts: list[tuple[int, float, float]] = []
-    for i in range(1, n):
-        if i % 2 == 1:
-            for j in range(i):
-                r = n - 1 - j
-                m = i - 1 - j
-                a, b = work[r, m], work[r, m + 1]
-                theta = 2.0 * np.arctan2(abs(b), abs(a))
-                phi = -np.angle(-b * np.conj(a))
-                # work <- work @ T^H on columns (m, m+1)
-                f = _mzi_factors(theta, phi, -1)
-                work[:, m], work[:, m + 1] = _apply(f, work[:, m], work[:, m + 1])
-                rights.append((m, theta, phi))
-        else:
-            for j in range(1, i + 1):
-                r = n + j - i - 1
-                col = j - 1
-                m = r - 1
-                a, b = work[r - 1, col], work[r, col]
-                theta = 2.0 * np.arctan2(abs(a), abs(b))
-                phi = np.angle(b * np.conj(a))
-                # work <- T @ work on rows (m, m+1)
-                work[m], work[m + 1] = _apply(_mzi_factors(theta, phi), work[m], work[m + 1])
-                lefts.append((m, theta, phi))
-
-    # work is now diagonal; commute it through the left factors.
-    d = np.diag(work).astype(complex).copy()
-    converted: list[tuple[int, float, float]] = []
-    for m, theta, phi in reversed(lefts):
-        a, b = d[m], d[m + 1]
-        phi_new = float(np.angle(a * np.conj(b)))
-        d[m] = -b * np.exp(-1j * (theta + phi))
-        d[m + 1] = -b * np.exp(-1j * theta)
-        converted.append((m, theta, phi_new))
-
-    ops = rights + converted
-    return MeshProgram(
-        n=n,
-        modes=np.array([op[0] for op in ops], dtype=int),
-        thetas=np.array([op[1] for op in ops]),
-        phis=np.array([op[2] for op in ops]),
-        out_phases=np.angle(d),
-    )
-
-
 def _null_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[complex]]:
     """Triangular nulling of a k x n matrix with orthonormal rows.
 
@@ -319,12 +255,6 @@ def _output_isometry(u: np.ndarray) -> MeshProgram:
         pushed.append(phases[mode] - b)
         phases[mode] = (phi + b) % TWO_PI
     return MeshProgram(m, modes, thetas, pushed, phases)
-
-
-def detect_intensity(field: np.ndarray) -> np.ndarray:
-    """Photodetector reading per port: |z|^2 (the square activation on real fields)."""
-    field = np.asarray(field)
-    return (field * field.conj()).real
 
 
 @dataclass(frozen=True)

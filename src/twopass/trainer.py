@@ -9,6 +9,8 @@ passes complete.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -51,6 +53,12 @@ class DivergenceError(RuntimeError):
     """Training produced non-finite values (raised from a :class:`NonFiniteError`)."""
 
 
+def _check_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.01
@@ -63,12 +71,13 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate!r}"
+            )
+        _check_int("epochs", self.epochs, 1)
+        _check_int("batch_size", self.batch_size, 1)
+        _check_int("seed", self.seed, 0)
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must be in (0, 1]")
         if not 0.0 < self.lr_decay_at <= 1.0:

@@ -24,7 +24,6 @@ from twopass import (
     backprop_updates,
     build_colsplit_net,
     build_network,
-    clements_decompose,
     colsplit_evaluate,
     colsplit_train,
     compose,
@@ -44,6 +43,7 @@ from twopass import (
     two_pass_updates,
     unitarity_residual,
 )
+from twopass.photonic import _input_isometry
 
 from conftest import REPO_ROOT
 
@@ -324,15 +324,16 @@ class TestPhotonicMnistShapeEquivalence:
             assert np.all(stage1.weight[off_block] == 0.0)
 
 
-class TestClementsRoundTrip:
+class TestUnitaryRoundTrip:
     def test_hundred_random_unitaries_reconstruct(self):
+        # Each unitary is programmed as a full triangular mesh by nulling.
         worst = 0.0
         for i in range(100):
             n = 2 + (i % 15)
             rng = np.random.default_rng(1000 + i)
             a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             q, _ = np.linalg.qr(a)
-            prog = clements_decompose(q)
+            prog = _input_isometry(q)
             err = float(np.linalg.norm(transfer_matrix(prog) - q))
             worst = max(worst, err)
         assert worst < 1e-8, f"worst reconstruction error {worst:.3e}"
@@ -371,8 +372,9 @@ class TestDeterminism:
         self, tmp_path, synthetic_mnist_dir, monkeypatch
     ):
         # Synthetic class-structured data, not MNIST: this runs the shipped
-        # column-split CLI path at full MNIST shape and checks determinism and
-        # the block structure of the trained stage 1, not accuracy.
+        # column-split CLI path at full MNIST shape and checks determinism,
+        # the block structure of the trained stage 1 and the synthetic
+        # confusion matrix, not MNIST accuracy.
         import twopass.colsplit
 
         stage1s = []
@@ -389,8 +391,16 @@ class TestDeterminism:
             tmp_path,
             extra=("--epochs", "1", "--data-dir", str(synthetic_mnist_dir)),
         )
-        assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
+        for artifact in ("metrics.csv", "confusion.csv"):
+            assert (out_a / artifact).read_bytes() == (out_b / artifact).read_bytes()
         assert len((out_a / "metrics.csv").read_text().splitlines()) == 1 + 938
+        confusion = np.loadtxt(out_a / "confusion.csv", delimiter=",", dtype=int)
+        assert confusion.shape == (10, 10) and confusion.sum() == 10000
+        for i, row in enumerate(confusion):
+            off_diagonal = int(row.sum() - row[i])
+            assert row[i] > off_diagonal, (
+                f"synthetic class {i}: {row[i]} correct vs {off_diagonal} confused"
+            )
         off_block = np.kron(np.eye(28), np.ones((28, 28))) == 0.0
         assert len(stage1s) == 2
         for stage1 in stage1s:

@@ -376,17 +376,49 @@ class TestMain:
         assert main([str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [("--epochs", "0"), ("--lr", "-1"), ("--batch", "0")])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--epochs", "0"),
+            ("--lr", "-1"),
+            ("--batch", "0"),
+            ("--lr", "nan"),
+            ("--lr", "inf"),
+            ("--seed", "-1"),
+        ],
+    )
     @pytest.mark.parametrize("task", ["xor", "mnist_mlp"])
     def test_bad_training_value_returns_config_error(self, task, flags, tmp_path, capsys):
         # Rejected while the config is parsed, before any data is looked
-        # for: the empty data directory would otherwise give exit 2.
+        # for: the empty data directory would otherwise give exit 2, and a
+        # non-finite rate on XOR exit 3.
         empty = tmp_path / "empty"
         empty.mkdir()
         argv = ["--task", task, *flags, "--data-dir", str(empty), "--out-dir", str(tmp_path)]
         assert main(argv) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"projection_scale": float("inf")},
+            {"epochs": 1.5},
+            {"batch_size": 2.5},
+            {"hidden": 2.5},
+            {"seed": 1.5},
+        ],
+        ids=lambda entry: next(iter(entry)),
+    )
+    @pytest.mark.parametrize("task", ["xor", "mnist_mlp"])
+    def test_bad_config_file_value_returns_config_error(self, task, entry, tmp_path, capsys):
+        # JSON admits Infinity and fractional counts, which no flag can give.
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        cfg = write_config(tmp_path, task=task, data_dir=str(empty), **entry)
+        assert main([cfg, "--out-dir", str(tmp_path / "out")]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_mnist_returns_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty"

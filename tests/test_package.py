@@ -10,7 +10,8 @@ from conftest import REPO_ROOT
 
 # Every name the package exported before its re-export list was derived from
 # the module lists, less the APIs deleted since (Loss, modulated_forward,
-# MZISetting, mzi_transfer, MeshBackend), plus realize_network.
+# MZISetting, mzi_transfer, MeshBackend, the Clements decomposition and the
+# intensity detector), plus realize_network.
 PUBLIC_NAMES = {
     "Activation",
     "Algorithm",
@@ -44,13 +45,11 @@ PUBLIC_NAMES = {
     "backprop_updates",
     "build_colsplit_net",
     "build_network",
-    "clements_decompose",
     "colsplit_evaluate",
     "colsplit_train",
     "columnize",
     "compose",
     "confusion_matrix",
-    "detect_intensity",
     "emit_metrics",
     "evaluate",
     "forward",
@@ -93,11 +92,27 @@ class TestExports:
         assert PUBLIC_NAMES <= set(twopass.__all__)
 
 
+# Every demo but mnist_mlp, which needs the MNIST files, runs offline in
+# under a second.
+OFFLINE_DEMOS = [p for p in DEMOS if p.stem != "mnist_mlp"]
+
+
+def load_demo(path):
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_imports(path):
     # Each demo's main() runs only under __main__, so importing runs nothing
     # but the demo's own imports from the package.
-    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert callable(module.main)
+    assert callable(load_demo(path).main)
+
+
+@pytest.mark.parametrize("path", OFFLINE_DEMOS, ids=[p.stem for p in OFFLINE_DEMOS])
+def test_offline_demo_runs(path, capsys):
+    # Running main() catches a demo that calls a deleted name at run time.
+    load_demo(path).main()
+    assert capsys.readouterr().out

@@ -20,8 +20,6 @@ from twopass import (
     apply_phase_noise,
     apply_updates,
     build_network,
-    clements_decompose,
-    detect_intensity,
     forward,
     mesh_forward,
     realize_network,
@@ -33,10 +31,9 @@ from twopass import (
     unitarity_residual,
     xor_dataset,
 )
-from twopass.core import activation_apply
 from twopass.data import Dataset
 from twopass.modulation import modulate_input, output_error
-from twopass.photonic import _null_rows
+from twopass.photonic import _input_isometry, _null_rows
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
@@ -47,7 +44,7 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
 
 
 def random_program(n: int, seed: int) -> MeshProgram:
-    return clements_decompose(random_unitary(n, seed))
+    return _input_isometry(random_unitary(n, seed))
 
 
 def mzi_reference(theta: float, phi: float) -> np.ndarray:
@@ -114,7 +111,7 @@ class TestMeshProgram:
                 )
 
     def test_empty_and_partial_meshes_are_valid(self):
-        # A mesh need not hold all n(n-1)/2 MZIs of a full Clements layout.
+        # A mesh need not hold all n(n-1)/2 MZIs of a full unitary mesh.
         empty = MeshProgram(
             n=3, modes=np.array([], dtype=int), thetas=[], phis=[], out_phases=[0.5, 0.0, 1.0]
         )
@@ -264,53 +261,39 @@ class TestMeshForward:
         assert unitarity_residual(random_program(7, seed=10)) < 1e-12
 
 
-class TestClementsDecompose:
+class TestInputIsometry:
+    """Square unitaries programmed by triangular nulling: full meshes of n(n-1)/2 MZIs."""
+
     def test_identity_reconstructs(self):
-        prog = clements_decompose(np.eye(4))
+        prog = _input_isometry(np.eye(4))
         np.testing.assert_allclose(transfer_matrix(prog), np.eye(4), atol=1e-12)
 
-    def test_identity_program_phases_are_pinned(self):
-        # Nulling the identity meets theta = 0 with exact zeros, where the
-        # sign of a zero real part decides an np.angle by pi.  Conjugate MZI
-        # factors taken with np.conj instead of computed directly still give
-        # a valid program, but a different one (phis[2] = pi, out_phases[0]
-        # = 0), and with it different photonic training artifacts.
-        prog = clements_decompose(np.eye(4))
-        np.testing.assert_array_equal(prog.modes, [0, 2, 1, 0, 2, 1])
-        np.testing.assert_allclose(prog.thetas, np.pi * np.array([0, 0, 1, 0, 0, 1]), atol=1e-12)
-        np.testing.assert_allclose(prog.phis, np.pi * np.array([1, 0, 0, 0, 0, 1]), atol=1e-12)
-        np.testing.assert_allclose(prog.out_phases, np.full(4, np.pi), atol=1e-12)
-
     def test_one_by_one_is_pure_phase(self):
-        prog = clements_decompose(np.array([[np.exp(0.7j)]]))
+        prog = _input_isometry(np.array([[np.exp(0.7j)]]))
         assert len(prog.modes) == 0
         np.testing.assert_allclose(prog.out_phases, [0.7], rtol=1e-12)
         np.testing.assert_allclose(transfer_matrix(prog), [[np.exp(0.7j)]], rtol=1e-12)
 
     def test_two_by_two_uses_single_mzi(self):
         u = random_unitary(2, seed=11)
-        prog = clements_decompose(u)
+        prog = _input_isometry(u)
         assert len(prog.modes) == 1
         np.testing.assert_allclose(transfer_matrix(prog), u, atol=1e-13)
 
     def test_seeded_unitaries_round_trip(self):
         for n in range(1, 13):
             u = random_unitary(n, seed=100 + n)
-            prog = clements_decompose(u)
+            prog = _input_isometry(u)
             assert len(prog.modes) == n * (n - 1) // 2
             np.testing.assert_allclose(transfer_matrix(prog), u, atol=1e-11)
 
     def test_permutation_matrix_round_trips(self):
         p = np.eye(5)[[3, 0, 4, 1, 2]]
-        np.testing.assert_allclose(transfer_matrix(clements_decompose(p)), p, atol=1e-12)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            clements_decompose(np.zeros((2, 3)))
+        np.testing.assert_allclose(transfer_matrix(_input_isometry(p)), p, atol=1e-12)
 
     def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError, match="not unitary"):
-            clements_decompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="rows are not orthonormal"):
+            _input_isometry(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -349,9 +332,9 @@ class TestRealizationProperties:
 
     @PROPERTY_SETTINGS
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
-    def test_clements_round_trip(self, n, seed):
+    def test_unitary_round_trip(self, n, seed):
         u = random_unitary(n, seed)
-        prog = clements_decompose(u)
+        prog = _input_isometry(u)
         assert len(prog.modes) == n * (n - 1) // 2
         np.testing.assert_allclose(transfer_matrix(prog), u, rtol=0, atol=1e-12)
 
@@ -431,19 +414,6 @@ class TestNullingMatchesSequentialReference:
             u, _, vh = np.linalg.svd(w, full_matrices=False)
             assert_nulling_matches_reference(vh)
             assert_nulling_matches_reference(u.T)
-
-
-class TestDetectIntensity:
-    def test_complex_magnitude_squared(self):
-        out = detect_intensity(np.array([3.0 + 4.0j, 1.0j]))
-        np.testing.assert_allclose(out, [25.0, 1.0], rtol=1e-15)
-        assert out.dtype == float
-
-    def test_equals_square_activation_on_real_fields(self):
-        x = np.linspace(-2.0, 2.0, 9)
-        np.testing.assert_array_equal(
-            detect_intensity(x), activation_apply(Activation.SQUARE, x)
-        )
 
 
 class TestRealizeWeight:

@@ -579,6 +579,17 @@ class TestConfigAndRecords:
             TrainConfig(lr_decay=0.0)
         with pytest.raises(ValueError):
             TrainConfig(lr_decay_at=1.5)
+        for bad in (
+            dict(learning_rate=float("nan")),
+            dict(learning_rate=float("inf")),
+            dict(epochs=1.5),
+            dict(epochs=True),
+            dict(batch_size=2.5),
+            dict(seed=-1),
+            dict(seed=1.5),
+        ):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                TrainConfig(**bad)
 
     def test_metrics_history_requires_increasing_iterations(self):
         r1 = MetricRecord(1, 0.5, None)
