@@ -3,12 +3,11 @@
 A 28x28 image is split into its 28 pixel columns.  Each column feeds its own
 small dense network, the 28 outputs are concatenated and a final aggregator
 layer maps them to the 10 class scores.  The whole arrangement composes into
-an ordinary 2-layer network whose first layer is a
-:class:`~twopass.core.BlockLayer`: the 28 column weights stacked as a
-``(28, co, 28)`` array.  Both training algorithms apply unchanged, and every
-product and update touches only the blocks, so the off-block entries of the
-equivalent 784-wide matrix are exactly zero by construction (they are never
-stored).
+an ordinary 2-layer network whose first :class:`~twopass.core.Layer` holds
+the 28 column weights as its ``(28, co, 28)`` block stack.  Both training
+algorithms apply unchanged, and every product and update touches only the
+blocks, so the off-block entries of the equivalent 784-wide matrix are
+exactly zero by construction (they are never stored).
 
 Row-wise splitting is available behind a switch (column-wise is the default
 because it separates better in practice).
@@ -21,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Activation, BlockLayer, Layer, LayerSpec, Network, forward, init_weights
+from .core import Activation, Layer, LayerSpec, Network, forward, init_weights
 from .data import Dataset
 from .modulation import ProjectionMatrix
 from .trainer import EvalResult, MetricsHistory, TrainConfig, evaluate, train
@@ -102,7 +101,7 @@ class ColumnSplitNet:
         if composed.layers[0].out_dim % SIDE:
             raise ValueError("stage-1 output size is not a multiple of 28")
         return cls(
-            column_nets=_column_nets(BlockLayer.from_dense(composed.layers[0], SIDE)),
+            column_nets=_column_nets(Layer.from_dense(composed.layers[0], SIDE)),
             aggregator=Network(composed.layers[1:]),
             mode=mode,
         )
@@ -121,8 +120,8 @@ def build_colsplit_net(
         Network(
             (
                 Layer(
-                    weight=init_weights(LayerSpec(SIDE, column_out, Activation.RELU), int(s)),
-                    activation=Activation.RELU,
+                    init_weights(LayerSpec(SIDE, column_out, Activation.RELU), int(s)),
+                    Activation.RELU,
                 ),
             )
         )
@@ -130,7 +129,7 @@ def build_colsplit_net(
     )
     agg_spec = LayerSpec(SIDE * column_out, NUM_CLASSES, Activation.SOFTMAX)
     aggregator = Network(
-        (Layer(weight=init_weights(agg_spec, int(children[SIDE])), activation=Activation.SOFTMAX),)
+        (Layer(init_weights(agg_spec, int(children[SIDE])), Activation.SOFTMAX),)
     )
     return ColumnSplitNet(column_nets=column_nets, aggregator=aggregator, mode=mode)
 
@@ -182,17 +181,17 @@ def compose(net: ColumnSplitNet) -> Network:
     matches stage-wise evaluation (split, per-column nets, concatenate,
     aggregator) exactly.
     """
-    stage1 = BlockLayer(
+    stage1 = Layer(
         np.stack([colnet.layers[0].weight for colnet in net.column_nets]),
         net.column_nets[0].layers[0].activation,
     )
     return Network((stage1,) + net.aggregator.layers)
 
 
-def _column_nets(stage1: BlockLayer) -> tuple[Network, ...]:
+def _column_nets(stage1: Layer) -> tuple[Network, ...]:
     """One single-layer column network per block of a composed stage 1."""
     return tuple(
-        Network((Layer(weight=block.copy(), activation=stage1.activation),))
+        Network((Layer(block.copy(), stage1.activation),))
         for block in stage1.blocks
     )
 

@@ -6,10 +6,11 @@ samples, so ``W @ x`` covers both cases unchanged.  All public operations
 validate that their inputs and outputs are finite; a violation raises
 :class:`NonFiniteError`.
 
-A layer is either dense (:class:`Layer`) or block-diagonal
-(:class:`BlockLayer`).  Both expose the four products a trainer needs
-(``matvec``, ``rmatvec``, ``avg_outer``, ``step``), so the trainers never
-touch the weight storage directly.
+There is one layer type, :class:`Layer`, stored as a ``(k, o, i)`` stack of
+diagonal blocks; a dense layer is one block.  It exposes the four products a
+trainer needs (``matvec``, ``rmatvec``, ``avg_outer``, ``step``), so the
+trainers never touch the weight storage directly, and every update is shaped
+like the blocks.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "NonFiniteError",
     "LayerSpec",
     "Layer",
-    "BlockLayer",
     "Network",
     "ForwardTrace",
     "activation_apply",
@@ -117,61 +117,16 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class Layer:
-    """One dense layer: weight of shape (out_dim, in_dim), no bias.
-
-    A layer whose weight is block-diagonal is a :class:`BlockLayer` instead,
-    which stores only its blocks; the two share the product methods below.
-    """
-
-    weight: np.ndarray
-    activation: Activation
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weight, dtype=float)
-        if w.ndim != 2:
-            raise ValueError(f"layer weight must be 2-D, got shape {w.shape}")
-        _require_finite("layer weight", w)
-        object.__setattr__(self, "weight", w)
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``W @ x`` for a (in_dim,) vector or an (in_dim, B) batch."""
-        return self.weight @ x
-
-    def rmatvec(self, delta: np.ndarray) -> np.ndarray:
-        """``W.T @ delta`` for a (out_dim,) vector or an (out_dim, B) batch."""
-        return self.weight.T @ delta
-
-    def avg_outer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Mean over the batch of per-sample outer products ``a_i b_i^T``."""
-        if a.ndim == 1:
-            return np.outer(a, b)
-        return (a @ b.T) / a.shape[1]
-
-    def step(self, dw: np.ndarray, learning_rate: float) -> "Layer":
-        """The layer with weight ``W - learning_rate * dw``."""
-        if dw.shape != self.weight.shape:
-            raise ValueError(f"update shape {dw.shape} != weight shape {self.weight.shape}")
-        return Layer(self.weight - learning_rate * dw, self.activation)
-
-
-@dataclass(frozen=True)
-class BlockLayer:
-    """A block-diagonal layer stored as its ``(k, o, i)`` stack of blocks.
+    """One layer, no bias, stored as its ``(k, o, i)`` stack of diagonal blocks.
 
     Block ``j`` maps inputs ``j*i .. (j+1)*i`` to outputs ``j*o .. (j+1)*o``;
     every other entry of the ``(k*o, k*i)`` weight is zero by construction,
-    since it is never stored.  Products and updates touch only the blocks
-    (``k*o*i`` entries rather than ``k*o*k*i``).  The dense 2-D ``weight``
-    is built on each read, for serialization; the trainers and the photonic
-    backend never read it.
+    since it is never stored.  A dense layer is one block: ``Layer(w, act)``
+    with a 2-D ``w`` stores ``w[None]``.  Products and updates touch only the
+    blocks (``k*o*i`` entries rather than ``k*o*k*i``), and every update is
+    block-shaped.  The dense 2-D ``weight`` is built on each read, for
+    serialization and inspection; the trainers and the photonic backend
+    never read it.
     """
 
     blocks: np.ndarray
@@ -179,22 +134,24 @@ class BlockLayer:
 
     def __post_init__(self) -> None:
         b = np.asarray(self.blocks, dtype=float)
+        if b.ndim == 2:
+            b = b[None]
         if b.ndim != 3:
-            raise ValueError(f"layer blocks must be 3-D (k, o, i), got shape {b.shape}")
+            raise ValueError(f"layer weight must be 2-D or 3-D (k, o, i), got shape {b.shape}")
         _require_finite("layer weight", b)
         object.__setattr__(self, "blocks", b)
 
     @classmethod
-    def from_dense(cls, layer: Layer, k: int) -> "BlockLayer":
-        """Split a dense layer into ``k`` diagonal blocks; off-block entries must be 0."""
-        out_dim, in_dim = layer.weight.shape
+    def from_dense(cls, layer: "Layer", k: int) -> "Layer":
+        """Split a layer's dense weight into ``k`` diagonal blocks; off-block entries must be 0."""
+        dense = layer.weight
+        out_dim, in_dim = dense.shape
         o, i = out_dim // k, in_dim // k
         if o * k != out_dim or i * k != in_dim:
-            raise ValueError(f"weight shape {layer.weight.shape} does not split into {k} blocks")
+            raise ValueError(f"weight shape {dense.shape} does not split into {k} blocks")
         diag = np.arange(k)
-        blocks = layer.weight.reshape(k, o, k, i)[diag, :, diag, :]
-        block_layer = cls(blocks, layer.activation)
-        if not np.array_equal(block_layer.weight, layer.weight):
+        block_layer = cls(dense.reshape(k, o, k, i)[diag, :, diag, :], layer.activation)
+        if not np.array_equal(block_layer.weight, dense):
             raise ValueError(f"weight is not block-diagonal: nonzero entries off its {k} blocks")
         return block_layer
 
@@ -218,7 +175,7 @@ class BlockLayer:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``W @ x`` for a (in_dim,) vector or an (in_dim, B) batch, block by block."""
         k, o, i = self.blocks.shape
-        return np.matmul(self.blocks, x.reshape(k, i, -1)).reshape((k * o,) + x.shape[1:])
+        return (self.blocks @ x.reshape(k, i, -1)).reshape((k * o,) + x.shape[1:])
 
     def rmatvec(self, delta: np.ndarray) -> np.ndarray:
         """``W.T @ delta`` for a (out_dim,) vector or an (out_dim, B) batch."""
@@ -232,18 +189,18 @@ class BlockLayer:
         prod = np.matmul(a.reshape(k, o, -1), b.reshape(k, i, -1).transpose(0, 2, 1))
         return prod / (1 if a.ndim == 1 else a.shape[1])
 
-    def step(self, dw: np.ndarray, learning_rate: float) -> "BlockLayer":
+    def step(self, dw: np.ndarray, learning_rate: float) -> "Layer":
         """The layer with blocks ``B - learning_rate * dw``; ``dw`` is block-shaped."""
         if dw.shape != self.blocks.shape:
             raise ValueError(f"update shape {dw.shape} != block shape {self.blocks.shape}")
-        return BlockLayer(self.blocks - learning_rate * dw, self.activation)
+        return Layer(self.blocks - learning_rate * dw, self.activation)
 
 
 @dataclass(frozen=True)
 class Network:
     """Ordered layers; adjacent layers must be dimension compatible."""
 
-    layers: tuple[Layer | BlockLayer, ...]
+    layers: tuple[Layer, ...]
 
     def __post_init__(self) -> None:
         layers = tuple(self.layers)

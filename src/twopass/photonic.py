@@ -19,10 +19,10 @@ side and sum_{r<k} (m-1-r) on the output side, instead of two full meshes of
 n(n-1)/2 and m(m-1)/2.
 
 The photonic backend is :func:`realize_network`: it maps a network to the
-network its meshes implement, each weight replaced by the real part of its
-layer's realized matrix, and each block of a block layer realized on its own
-meshes.  The trainer realizes once per step and runs both passes through the
-result with the ordinary dense forward pass.
+network its meshes implement, each block of each layer realized on its own
+meshes and replaced by the real part of its realized matrix (a dense layer
+is one block).  The trainer realizes once per step and runs both passes
+through the result with the ordinary forward pass.
 
 Re-programming is what a photonic step costs, so each MZI is programmed with
 one scalar phase computation (the row being nulled is carried as Python
@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BlockLayer, Layer, Network, NonFiniteError
+from .core import Layer, Network, NonFiniteError
 
 __all__ = [
     "MeshProgram",
@@ -114,9 +114,6 @@ class MeshProgram:
         thetas, phis, out = (
             np.asarray(a, dtype=float) for a in (self.thetas, self.phis, self.out_phases)
         )
-        if not np.isfinite(np.concatenate((thetas, phis, out), axis=None)).all():
-            raise ValueError("phases must be finite")
-        thetas, phis, out = (np.mod(a, TWO_PI) for a in (thetas, phis, out))
         if not len(modes) == len(thetas) == len(phis):
             raise ValueError(
                 f"modes, thetas and phis must have equal length, "
@@ -124,6 +121,14 @@ class MeshProgram:
             )
         if out.shape != (self.n,):
             raise ValueError(f"output phase screen must have length {self.n}")
+        phases = np.concatenate((thetas, phis, out), axis=None)
+        if not np.isfinite(phases).all():
+            raise ValueError("phases must be finite")
+        # Wrap into [0, 2pi).  np.mod rounds a tiny negative phase up to
+        # exactly 2pi; the second mod maps that to 0 and leaves the rest as is.
+        np.mod(np.mod(phases, TWO_PI, out=phases), TWO_PI, out=phases)
+        t, p = thetas.size, phis.size
+        thetas, phis, out = phases[:t], phases[t : t + p], phases[t + p :]
         if modes.size and (modes.min() < 0 or modes.max() > self.n - 2):
             raise ValueError("MZI mode indices out of range")
         for name, arr in (("modes", modes), ("thetas", thetas), ("phis", phis), ("out_phases", out)):
@@ -323,24 +328,24 @@ def realize_weight(w: np.ndarray) -> PhotonicLayer:
     )
 
 
-def _realized(w: np.ndarray) -> np.ndarray:
-    """The real part of ``w``'s realized matrix (ideal detection)."""
-    return realize_weight(w).realized_matrix.real
-
-
 def realize_network(net: Network) -> Network:
     """The network the meshes implement: the photonic backend, handed to the trainer.
 
-    Each weight becomes the real part of its :func:`realize_weight` matrix
-    (ideal detection) and activations are unchanged.  A block layer comes
-    back as a block layer with each block realized on its own mesh pair, so
-    its off-block entries stay exactly zero.
+    Each block of each layer is realized on its own mesh pair by
+    :func:`realize_weight` and replaced by the real part of its realized
+    matrix (ideal detection); activations are unchanged.  A dense layer is
+    one block, and the off-block entries of a block-diagonal layer stay
+    exactly zero.
     """
+    # .real of the complex block array is a strided view.  Taking .real per
+    # block would make the weight contiguous, and the products would round
+    # differently (contiguous weights go through BLAS).
     return Network(
         tuple(
-            BlockLayer(np.stack([_realized(b) for b in layer.blocks]), layer.activation)
-            if isinstance(layer, BlockLayer)
-            else Layer(_realized(layer.weight), layer.activation)
+            Layer(
+                np.array([realize_weight(b).realized_matrix for b in layer.blocks]).real,
+                layer.activation,
+            )
             for layer in net.layers
         )
     )

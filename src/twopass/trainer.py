@@ -86,10 +86,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class UpdateSet:
-    """Per-layer weight updates, each shaped like its layer's stored parameters.
+    """Per-layer weight updates, each shaped like its layer's ``(k, o, i)`` blocks.
 
-    That is the (out_dim, in_dim) weight of a dense layer and the (k, o, i)
-    block stack of a :class:`~twopass.core.BlockLayer`.
+    A dense layer is one block, so its update is ``(1, out_dim, in_dim)``.
     """
 
     deltas: tuple[np.ndarray, ...]
@@ -146,7 +145,7 @@ def two_pass_updates(
     activation (for layer 1 that presynaptic term is the modulated input
     itself); the last layer uses the output error gamma.  Batched traces
     yield batch-averaged updates.  ``net`` is the network both passes ran
-    under; it only decides how each outer product is stored.
+    under; its block structure decides which outer-product entries are kept.
     """
     if clean.depth != modulated.depth:
         raise ValueError(f"trace depth mismatch: {clean.depth} != {modulated.depth}")
@@ -187,7 +186,7 @@ def backprop_updates(net: Network, clean: ForwardTrace, gamma: np.ndarray) -> Up
 
 
 def apply_updates(net: Network, updates: UpdateSet, learning_rate: float) -> Network:
-    """W_l(t+1) = W_l(t) - eta * dW_l, each layer in its own storage."""
+    """W_l(t+1) = W_l(t) - eta * dW_l, block by block."""
     if len(updates.deltas) != net.depth:
         raise ValueError(f"{len(updates.deltas)} updates for {net.depth} layers")
     return Network(

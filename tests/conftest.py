@@ -6,6 +6,57 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+
+# Plain-numpy references for the layer products and one training step: 2-D
+# weights, ``W @ x``, ``W.T @ d`` and full batch-mean outer products.  Tests
+# compare the block-stored ``Layer`` against these, never against itself.
+
+
+def block_diag(blocks: np.ndarray) -> np.ndarray:
+    """The dense (k*o, k*i) matrix with the (k, o, i) blocks on its diagonal."""
+    k, o, i = blocks.shape
+    dense = np.zeros((k * o, k * i))
+    for j in range(k):
+        dense[j * o : (j + 1) * o, j * i : (j + 1) * i] = blocks[j]
+    return dense
+
+
+def mean_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batch mean of the per-sample outer products a_n b_n^T (1-D: one sample)."""
+    return np.outer(a, b) if a.ndim == 1 else a @ b.T / a.shape[1]
+
+
+def reference_forward(weights, activations, x0):
+    """Pre-activations and activations of a pass; ``xs[0]`` is the input."""
+    from twopass import activation_apply
+
+    zs, xs = [], [x0]
+    for w, act in zip(weights, activations):
+        zs.append(w @ xs[-1])
+        xs.append(activation_apply(act, zs[-1]))
+    return zs, xs
+
+
+def reference_updates(weights, activations, x0, target, proj, two_pass: bool):
+    """Dense per-layer updates of one step: two-pass, or the backprop gradient."""
+    from twopass import Activation, activation_derivative, modulate_input, softmax_backward
+
+    zs, xs = reference_forward(weights, activations, x0)
+    gamma = xs[-1] - target
+    if two_pass:
+        _, mod = reference_forward(weights, activations, modulate_input(x0, proj, gamma))
+        errors = [x - m for x, m in zip(xs[1:-1], mod[1:-1])] + [gamma]
+        return [mean_outer(e, a) for e, a in zip(errors, mod[:-1])]
+    deltas, grad = [], gamma
+    for l in reversed(range(len(weights))):
+        if activations[l] is Activation.SOFTMAX:
+            delta = softmax_backward(xs[l + 1], grad)
+        else:
+            delta = grad * activation_derivative(activations[l], zs[l], xs[l + 1])
+        deltas.insert(0, mean_outer(delta, xs[l]))
+        grad = weights[l].T @ delta
+    return deltas
+
 MNIST_FILES = (
     "train-images-idx3-ubyte",
     "train-labels-idx1-ubyte",

@@ -14,7 +14,6 @@ import pytest
 from twopass import (
     Activation,
     Algorithm,
-    BlockLayer,
     Dataset,
     DivergenceError,
     ExperimentConfig,
@@ -320,7 +319,7 @@ class TestPhotonicMnistShapeEquivalence:
         )
         off_block = np.kron(np.eye(28), np.ones((28, 28))) == 0
         for stage1 in (composed.layers[0], realize_network(composed).layers[0]):
-            assert isinstance(stage1, BlockLayer)
+            assert stage1.blocks.shape == (28, 28, 28)
             assert np.all(stage1.weight[off_block] == 0.0)
 
 

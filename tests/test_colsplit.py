@@ -4,7 +4,6 @@ import pytest
 from twopass import (
     Activation,
     Algorithm,
-    BlockLayer,
     ColumnSplitNet,
     Dataset,
     Layer,
@@ -33,6 +32,8 @@ from twopass import (
     two_pass_updates,
 )
 
+from conftest import block_diag, reference_forward, reference_updates
+
 
 def block_mask(column_out: int) -> np.ndarray:
     mask = np.zeros((28 * column_out, 784), dtype=bool)
@@ -45,9 +46,9 @@ def random_image(seed: int) -> np.ndarray:
     return np.random.default_rng(seed).random((28, 28))
 
 
-def dense_twin(composed: Network) -> Network:
-    """The reference for a composed net: every layer a dense Layer on its 2-D weight."""
-    return Network(tuple(Layer(layer.weight, layer.activation) for layer in composed.layers))
+def dense_weights(composed: Network) -> list[np.ndarray]:
+    """The 2-D weights of a composed net, built from its blocks with plain numpy."""
+    return [block_diag(layer.blocks) for layer in composed.layers]
 
 
 class TestSplitColumns:
@@ -127,7 +128,7 @@ class TestCompose:
     def test_stage1_blocks_are_the_column_weights(self):
         net = build_colsplit_net(seed=1, column_out=3)
         stage1 = compose(net).layers[0]
-        assert isinstance(stage1, BlockLayer)
+        assert isinstance(stage1, Layer)
         assert stage1.blocks.shape == (28, 3, 28)
         w1 = stage1.weight
         assert w1.shape == (84, 784)
@@ -140,11 +141,13 @@ class TestCompose:
 
     def test_blocked_forward_matches_dense_reference(self):
         composed = compose(build_colsplit_net(seed=15, column_out=4))
-        reference = dense_twin(composed)
+        weights = dense_weights(composed)
+        activations = [layer.activation for layer in composed.layers]
         rng = np.random.default_rng(15)
         for x in (rng.random(784), rng.random((784, 7)), rng.random((7, 784)).T):
-            got, want = forward(composed, x), forward(reference, x)
-            for a, b in zip(got.zs + got.xs, want.zs + want.xs):
+            got = forward(composed, x)
+            zs, xs = reference_forward(weights, activations, x)
+            for a, b in zip(got.zs + got.xs, tuple(zs) + tuple(xs[1:])):
                 assert a.shape == b.shape
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
@@ -300,37 +303,37 @@ class TestColsplitTraining:
     @pytest.mark.parametrize("mode", list(SplitMode))
     @pytest.mark.parametrize("algorithm", list(Algorithm))
     def test_blocked_updates_match_dense_reference(self, mode, algorithm):
-        # Reference: the materialized dense stage 1 with the dense forward pass
-        # and full outer products, whose off-block part is dropped.
+        # Reference: the dense 2-D weights with plain numpy products and full
+        # batch-mean outer products, whose off-block part is dropped.
         net = build_colsplit_net(seed=16, column_out=2, mode=mode)
         data = small_dataset(16, n=12)
         proj = sample_projection(784, 10, seed=16)
         blocked = compose(net)
-        dense = dense_twin(blocked)
+        weights = dense_weights(blocked)
+        activations = [layer.activation for layer in blocked.layers]
         on_block = block_mask(2)
         x_all, t_all = columnize(data.inputs, mode).T, data.targets.T
         for start in range(0, 12, 4):
             xb = np.ascontiguousarray(x_all[:, start : start + 4])
             tb = t_all[:, start : start + 4]
-            deltas = []
-            for model in (blocked, dense):
-                clean = forward(model, xb)
-                gamma = output_error(clean.output, tb)
-                if algorithm is Algorithm.TWO_PASS:
-                    modulated = forward(model, modulate_input(xb, proj, gamma))
-                    deltas.append(two_pass_updates(model, clean, modulated, gamma).deltas)
-                else:
-                    deltas.append(backprop_updates(model, clean, gamma).deltas)
-            (b1, b2), (d1, d2) = deltas
-            d1 = np.where(on_block, d1, 0.0)
-            np.testing.assert_allclose(
-                BlockLayer(b1, Activation.RELU).weight, d1, rtol=0, atol=1e-12
+            clean = forward(blocked, xb)
+            gamma = output_error(clean.output, tb)
+            if algorithm is Algorithm.TWO_PASS:
+                modulated = forward(blocked, modulate_input(xb, proj, gamma))
+                b1, b2 = two_pass_updates(blocked, clean, modulated, gamma).deltas
+            else:
+                b1, b2 = backprop_updates(blocked, clean, gamma).deltas
+            d1, d2 = reference_updates(
+                weights, activations, xb, tb, proj, algorithm is Algorithm.TWO_PASS
             )
-            np.testing.assert_allclose(b2, d2, rtol=0, atol=1e-12)
+            d1 = np.where(on_block, d1, 0.0)
+            assert b1.shape == (28, 2, 28) and b2.shape == (1, 10, 56)
+            np.testing.assert_allclose(block_diag(b1), d1, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b2[0], d2, rtol=0, atol=1e-12)
             blocked = apply_updates(blocked, UpdateSet((b1, b2)), 0.5)
-            dense = apply_updates(dense, UpdateSet((d1, d2)), 0.5)
-            for lb, ld in zip(blocked.layers, dense.layers):
-                np.testing.assert_allclose(lb.weight, ld.weight, rtol=0, atol=1e-12)
+            weights = [w - 0.5 * d for w, d in zip(weights, (d1, d2))]
+            for layer, w in zip(blocked.layers, weights):
+                np.testing.assert_allclose(layer.weight, w, rtol=0, atol=1e-12)
 
     def test_trained_stagewise_matches_composed_forward(self):
         for mode in (SplitMode.COLUMN, SplitMode.ROW):

@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twopass import (
     Activation,
-    BlockLayer,
     Layer,
     LayerSpec,
     Network,
@@ -16,6 +17,8 @@ from twopass import (
     init_weights,
     softmax_backward,
 )
+
+from conftest import block_diag, mean_outer
 
 
 class TestActivationApply:
@@ -217,23 +220,31 @@ class TestNetworkTypes:
 
     def test_block_layer_shape_and_zero_enforcement(self):
         with pytest.raises(ValueError, match="3-D"):
-            BlockLayer(np.eye(2), Activation.IDENTITY)
+            Layer(np.ones((2, 1, 1, 1)), Activation.IDENTITY)
         with pytest.raises(ValueError, match="non-finite"):
-            BlockLayer(np.full((2, 1, 1), np.inf), Activation.IDENTITY)
+            Layer(np.full((2, 1, 1), np.inf), Activation.IDENTITY)
         # a dense weight with a nonzero entry off its blocks has no block form
         with pytest.raises(ValueError, match="block-diagonal"):
-            BlockLayer.from_dense(Layer(np.ones((2, 2)), Activation.IDENTITY), 2)
+            Layer.from_dense(Layer(np.ones((2, 2)), Activation.IDENTITY), 2)
         with pytest.raises(ValueError, match="does not split"):
-            BlockLayer.from_dense(Layer(np.eye(3), Activation.IDENTITY), 2)
+            Layer.from_dense(Layer(np.eye(3), Activation.IDENTITY), 2)
         blocks = np.arange(1.0, 13.0).reshape(3, 2, 2)
-        dense = BlockLayer(blocks, Activation.RELU).weight
+        dense = Layer(blocks, Activation.RELU).weight
         assert dense.shape == (6, 6)
         for j in range(3):
             np.testing.assert_array_equal(dense[2 * j : 2 * j + 2, 2 * j : 2 * j + 2], blocks[j])
         assert np.count_nonzero(dense) == blocks.size
-        back = BlockLayer.from_dense(Layer(dense, Activation.RELU), 3)
+        back = Layer.from_dense(Layer(dense, Activation.RELU), 3)
         np.testing.assert_array_equal(back.blocks, blocks)
         assert (back.in_dim, back.out_dim, back.activation) == (6, 6, Activation.RELU)
+
+    def test_dense_weight_is_one_block(self):
+        w = np.arange(6.0).reshape(2, 3)
+        layer = Layer(w, Activation.RELU)
+        assert layer.blocks.shape == (1, 2, 3)
+        assert (layer.in_dim, layer.out_dim) == (3, 2)
+        np.testing.assert_array_equal(layer.blocks[0], w)
+        np.testing.assert_array_equal(layer.weight, w)
 
     def test_network_rejects_incompatible_chain(self):
         l1 = Layer(np.zeros((3, 2)), Activation.RELU)
@@ -265,6 +276,37 @@ class TestNetworkTypes:
         assert entry["in_dim"] == 2 and entry["out_dim"] == 3
         assert entry["activation"] == "relu"
         assert entry["weights"] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+
+@st.composite
+def blocks_and_inputs(draw):
+    """A (k, o, i) block stack, an input and an output-side vector or batch."""
+    k, o, i = (draw(st.integers(1, 5)) for _ in range(3))
+    width = draw(st.one_of(st.none(), st.integers(1, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = () if width is None else (width,)
+    return rng.normal(size=(k, o, i)), rng.normal(size=(k * i,) + batch), rng.normal(
+        size=(k * o,) + batch
+    )
+
+
+class TestLayerProductProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(blocks_and_inputs())
+    def test_products_equal_numpy_on_the_block_diagonal(self, case):
+        # One block is a dense layer: its products must be numpy's, bit for bit.
+        blocks, x, d = case
+        layer = Layer(blocks, Activation.IDENTITY)
+        w = block_diag(blocks)
+        on_block = block_diag(np.ones_like(blocks)) == 1.0
+        got = (layer.matvec(x), layer.rmatvec(d), block_diag(layer.avg_outer(d, x)))
+        want = (w @ x, w.T @ d, np.where(on_block, mean_outer(d, x), 0.0))
+        for g, ref in zip(got, want):
+            assert g.shape == ref.shape
+            if blocks.shape[0] == 1:
+                assert g.tobytes() == ref.tobytes()
+            else:
+                np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
 
 
 class TestBuildNetwork:

@@ -21,6 +21,7 @@ from twopass import (
     TrainConfig,
     emit_metrics,
     evaluate,
+    forward,
     main,
     run_experiment,
 )
@@ -262,6 +263,49 @@ class TestBenchmarkHookPoints:
         for name in ("harness.evaluate", "harness.colsplit_evaluate"):
             for args in calls[name]:
                 assert isinstance(args["data"], Dataset)
+
+
+    def test_post_run_reads_of_the_trained_colsplit_model(self, monkeypatch, synthetic_mnist_dir):
+        # What the benchmark reads after a column-split run: the trained model
+        # returned by harness.colsplit_train and the composed network returned
+        # by colsplit.train (perfbench/workload.py), and every layer's dense
+        # .weight of the network train receives (perfbench/spans.py).
+        kept = {}
+
+        def keep(module, name):
+            fn = getattr(module, name)
+
+            def kept_fn(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                kept.setdefault(name, []).append((args, result[0]))
+                return result
+
+            monkeypatch.setattr(module, name, kept_fn)
+
+        keep(harness, "colsplit_train")
+        keep(colsplit, "train")
+        evaluated = spy_on(monkeypatch, harness, "colsplit_evaluate")
+        run_experiment(
+            ExperimentConfig(task=Task.MNIST_COLSPLIT, hidden=2, data_dir=str(synthetic_mnist_dir))
+        )
+        ((_, trained),) = kept["colsplit_train"]
+        ((train_args, trained_composed),) = kept["train"]
+        co = trained.column_out
+        on_block = np.kron(np.eye(28), np.ones((co, 28))) == 1.0
+        for composed in (colsplit.compose(trained), trained_composed):
+            w1 = composed.layers[0].weight
+            assert isinstance(w1, np.ndarray) and w1.shape == (28 * co, 784)
+            assert np.all(w1[~on_block] == 0.0)
+            assert np.any(w1[on_block] != 0.0)
+        for net in (train_args[0], trained_composed):
+            for layer in net.layers:
+                assert layer.weight.shape == (layer.out_dim, layer.in_dim)
+        composed = colsplit.compose(trained)
+        images = evaluated[0]["data"].inputs
+        for r in range(8):
+            ref = colsplit.stagewise_forward(trained, images[r].reshape(28, 28))
+            x = colsplit.columnize(images[r : r + 1], trained.mode)[0]
+            np.testing.assert_allclose(forward(composed, x).output, ref, rtol=0, atol=1e-12)
 
 
 class TestEmitMetrics:

@@ -10,13 +10,12 @@ from conftest import REPO_ROOT
 
 # Every name the package exported before its re-export list was derived from
 # the module lists, less the APIs deleted since (Loss, modulated_forward,
-# MZISetting, mzi_transfer, MeshBackend, the Clements decomposition and the
-# intensity detector), plus realize_network.
+# MZISetting, mzi_transfer, MeshBackend, the Clements decomposition, the
+# intensity detector and BlockLayer, now one Layer type), plus realize_network.
 PUBLIC_NAMES = {
     "Activation",
     "Algorithm",
     "Backend",
-    "BlockLayer",
     "ColumnSplitNet",
     "DataError",
     "Dataset",

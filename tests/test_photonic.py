@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from twopass import (
     Activation,
-    BlockLayer,
     Layer,
     LayerSpec,
     MeshProgram,
@@ -195,6 +194,28 @@ class TestMeshProgram:
         np.testing.assert_allclose(prog.thetas, [1.5 * np.pi], rtol=1e-12)
         np.testing.assert_allclose(prog.phis, [np.pi], rtol=1e-12)
         np.testing.assert_allclose(prog.out_phases, [0.0, 2.0 * np.pi - 0.25], atol=1e-15)
+
+    def test_tiny_negative_phases_wrap_to_zero(self):
+        prog = MeshProgram(
+            n=2,
+            modes=np.array([0, 0]),
+            thetas=np.array([-1e-17, -5e-324]),
+            phis=np.array([-1e-300, 2.0 * np.pi]),
+            out_phases=np.array([-1e-17, -4.0 * np.pi - 1e-16]),
+        )
+        for phases in (prog.thetas, prog.phis, prog.out_phases):
+            np.testing.assert_array_equal(phases, np.zeros_like(phases))
+
+    def test_realized_phases_lie_in_range_and_round_trip(self):
+        # This weight's output mesh has a phase that np.mod alone maps to 2pi.
+        layer = realize_weight(np.random.default_rng(3).normal(size=(4, 6)))
+        for prog in (layer.mesh_v, layer.mesh_u):
+            for phases in (prog.thetas, prog.phis, prog.out_phases):
+                assert np.all((phases >= 0.0) & (phases < 2.0 * np.pi))
+            back = MeshProgram.from_json(prog.to_json())
+            for name in ("thetas", "phis", "out_phases"):
+                assert getattr(back, name).tobytes() == getattr(prog, name).tobytes()
+            np.testing.assert_array_equal(transfer_matrix(back), transfer_matrix(prog))
 
     def test_json_round_trip_is_exact(self):
         prog = random_program(5, seed=1)
@@ -562,7 +583,7 @@ class TestMeshBackend:
         net = self.make_net(seed=20)
         x = np.random.default_rng(20).random(3)
         rng = np.random.default_rng(21)
-        updates = UpdateSet(tuple(rng.normal(size=l.weight.shape) for l in net.layers))
+        updates = UpdateSet(tuple(rng.normal(size=l.blocks.shape) for l in net.layers))
         new_net = apply_updates(net, updates, 0.1)
         np.testing.assert_allclose(
             forward(realize_network(new_net), x).output, forward(new_net, x).output, atol=1e-10
@@ -570,16 +591,16 @@ class TestMeshBackend:
 
     def test_block_layer_realizes_block_by_block(self):
         rng = np.random.default_rng(26)
-        blocks = BlockLayer(rng.normal(size=(3, 2, 4)), Activation.RELU)
+        blocks = Layer(rng.normal(size=(3, 2, 4)), Activation.RELU)
         net = Network((blocks, Layer(rng.normal(size=(1, 6)), Activation.IDENTITY)))
         realized = realize_network(net)
         stage1 = realized.layers[0]
-        assert isinstance(stage1, BlockLayer) and stage1.activation is Activation.RELU
+        assert stage1.blocks.shape == (3, 2, 4) and stage1.activation is Activation.RELU
         for got, block in zip(stage1.blocks, blocks.blocks):
             np.testing.assert_array_equal(got, realize_weight(block).realized_matrix.real)
         dense = realize_weight(blocks.weight).realized_matrix.real
         np.testing.assert_allclose(stage1.weight, dense, rtol=0, atol=1e-12)
-        assert isinstance(realized.layers[1], Layer)
+        assert realized.layers[1].blocks.shape == (1, 1, 6)
 
     def test_wrong_input_length_rejected(self):
         realized = realize_network(self.make_net(seed=22))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twopass import (
     Activation,
     Algorithm,
-    BlockLayer,
     Dataset,
     DivergenceError,
     Layer,
@@ -25,21 +26,23 @@ from twopass import (
 )
 from twopass.trainer import MetricRecord, MetricsHistory
 
+from conftest import block_diag, mean_outer, reference_updates
+
 
 def block_net(seed):
-    """5 -> 12 sigmoid, a 3-block 12 -> 6 ReLU BlockLayer, 6 -> 2 softmax."""
+    """5 -> 12 sigmoid, a 3-block 12 -> 6 ReLU layer, 6 -> 2 softmax."""
     rng = np.random.default_rng(seed)
     return Network(
         (
             Layer(rng.normal(size=(12, 5)), Activation.SIGMOID),
-            BlockLayer(rng.normal(size=(3, 2, 4)), Activation.RELU),
+            Layer(rng.normal(size=(3, 2, 4)), Activation.RELU),
             Layer(rng.normal(size=(2, 6)), Activation.SOFTMAX),
         )
     )
 
 
 # Where the 3-block 12 -> 6 layer's dense weight may be nonzero.
-ON_BLOCK = BlockLayer(np.ones((3, 2, 4)), Activation.IDENTITY).weight == 1.0
+ON_BLOCK = block_diag(np.ones((3, 2, 4))) == 1.0
 
 
 def hand_net():
@@ -122,13 +125,13 @@ class TestTwoPassUpdates:
         np.testing.assert_array_equal(gamma, np.array([-1.125, 0.625]))
         np.testing.assert_array_equal(
             updates.deltas[0],
-            np.array([[0.11029052734375, -0.5705413818359375],
-                      [0.27215576171875, -1.4078826904296875]]),
+            np.array([[[0.11029052734375, -0.5705413818359375],
+                       [0.27215576171875, -1.4078826904296875]]]),
         )
         np.testing.assert_array_equal(
             updates.deltas[1],
-            np.array([[-0.819580078125, 1.316162109375],
-                      [0.455322265625, -0.731201171875]]),
+            np.array([[[-0.819580078125, 1.316162109375],
+                       [0.455322265625, -0.731201171875]]]),
         )
 
     def test_every_per_sample_update_has_rank_at_most_one(self):
@@ -205,12 +208,12 @@ class TestTwoPassUpdates:
         modulated = forward(net, x_err0)
         updates = two_pass_updates(net, clean, modulated, gamma)
         np.testing.assert_array_equal(
-            updates.deltas[0], np.outer(clean.xs[0] - modulated.xs[0], x_err0)
+            updates.deltas[0], np.outer(clean.xs[0] - modulated.xs[0], x_err0)[None]
         )
         np.testing.assert_array_equal(
-            updates.deltas[1], np.outer(clean.xs[1] - modulated.xs[1], modulated.xs[0])
+            updates.deltas[1], np.outer(clean.xs[1] - modulated.xs[1], modulated.xs[0])[None]
         )
-        np.testing.assert_array_equal(updates.deltas[2], np.outer(gamma, modulated.xs[1]))
+        np.testing.assert_array_equal(updates.deltas[2], np.outer(gamma, modulated.xs[1])[None])
 
     def test_depth_mismatch_rejected(self):
         net2, net1 = hand_net(), Network((Layer(np.eye(2), Activation.IDENTITY),))
@@ -229,32 +232,32 @@ class TestTwoPassUpdates:
 class TestApplyUpdates:
     def test_zero_learning_rate_leaves_network_identical(self):
         net = hand_net()
-        updates = UpdateSet((np.ones((2, 2)), np.ones((2, 2))))
+        updates = UpdateSet((np.ones((1, 2, 2)), np.ones((1, 2, 2))))
         out = apply_updates(net, updates, 0.0)
         for a, b in zip(net.layers, out.layers):
             np.testing.assert_array_equal(a.weight, b.weight)
 
     def test_zero_updates_leave_network_identical(self):
         net = hand_net()
-        updates = UpdateSet((np.zeros((2, 2)), np.zeros((2, 2))))
+        updates = UpdateSet((np.zeros((1, 2, 2)), np.zeros((1, 2, 2))))
         out = apply_updates(net, updates, 0.5)
         for a, b in zip(net.layers, out.layers):
             np.testing.assert_array_equal(a.weight, b.weight)
 
     def test_scalar_arithmetic_example(self):
         net = Network((Layer(np.array([[1.0]]), Activation.IDENTITY),))
-        out = apply_updates(net, UpdateSet((np.array([[2.0]]),)), 0.5)
+        out = apply_updates(net, UpdateSet((np.array([[[2.0]]]),)), 0.5)
         np.testing.assert_array_equal(out.layers[0].weight, np.array([[0.0]]))
 
     def test_shape_mismatch_rejected(self):
         net = hand_net()
         with pytest.raises(ValueError):
-            apply_updates(net, UpdateSet((np.zeros((3, 3)), np.zeros((2, 2)))), 0.1)
+            apply_updates(net, UpdateSet((np.zeros((1, 3, 3)), np.zeros((1, 2, 2)))), 0.1)
         with pytest.raises(ValueError):
-            apply_updates(net, UpdateSet((np.zeros((2, 2)),)), 0.1)
+            apply_updates(net, UpdateSet((np.zeros((1, 2, 2)),)), 0.1)
 
     def test_block_layer_off_block_entries_never_move(self):
-        net = Network((BlockLayer(np.ones((2, 1, 1)), Activation.IDENTITY),))
+        net = Network((Layer(np.ones((2, 1, 1)), Activation.IDENTITY),))
         out = apply_updates(net, UpdateSet((np.full((2, 1, 1), 7.0),)), 1.0)
         np.testing.assert_array_equal(
             out.layers[0].weight, np.array([[-6.0, 0.0], [0.0, -6.0]])
@@ -267,46 +270,89 @@ class TestApplyUpdates:
 class TestBlockLayer:
     def test_products_match_the_dense_weight(self):
         rng = np.random.default_rng(30)
-        layer = BlockLayer(rng.normal(size=(3, 2, 4)), Activation.RELU)
-        dense = Layer(layer.weight, layer.activation)
+        layer = Layer(rng.normal(size=(3, 2, 4)), Activation.RELU)
+        w = block_diag(layer.blocks)
         for x, d in ((rng.random(12), rng.random(6)), (rng.random((12, 5)), rng.random((6, 5)))):
-            np.testing.assert_allclose(layer.matvec(x), dense.matvec(x), rtol=0, atol=1e-12)
-            np.testing.assert_allclose(layer.rmatvec(d), dense.rmatvec(d), rtol=0, atol=1e-12)
-            outer = BlockLayer(layer.avg_outer(d, x), layer.activation).weight
+            np.testing.assert_allclose(layer.matvec(x), w @ x, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(layer.rmatvec(d), w.T @ d, rtol=0, atol=1e-12)
             np.testing.assert_allclose(
-                outer, np.where(ON_BLOCK, dense.avg_outer(d, x), 0.0), rtol=0, atol=1e-12
+                block_diag(layer.avg_outer(d, x)),
+                np.where(ON_BLOCK, mean_outer(d, x), 0.0),
+                rtol=0,
+                atol=1e-12,
             )
 
     @pytest.mark.parametrize("algorithm", list(Algorithm))
     def test_training_steps_match_dense_reference(self, algorithm):
-        # Reference: the materialized dense weight, the dense forward pass and
-        # full outer products, with each update's off-block part dropped.
+        # Reference: the dense 2-D weights with plain numpy products and full
+        # batch-mean outer products, with each update's off-block part dropped.
         blocked = block_net(31)
-        dense = Network(
-            tuple(Layer(layer.weight, layer.activation) for layer in blocked.layers)
-        )
+        weights = [block_diag(layer.blocks) for layer in blocked.layers]
+        activations = [layer.activation for layer in blocked.layers]
         rng = np.random.default_rng(31)
         proj = sample_projection(5, 2, seed=31)
         for _ in range(3):
             xb = rng.random((5, 4))
             tb = np.eye(2)[:, rng.integers(0, 2, 4)]
-            deltas = []
-            for model in (blocked, dense):
-                clean = forward(model, xb)
-                gamma = output_error(clean.output, tb)
-                if algorithm is Algorithm.TWO_PASS:
-                    modulated = forward(model, modulate_input(xb, proj, gamma))
-                    deltas.append(two_pass_updates(model, clean, modulated, gamma).deltas)
-                else:
-                    deltas.append(backprop_updates(model, clean, gamma).deltas)
-            (b0, b1, b2), (d0, d1, d2) = deltas
-            assert b1.shape == (3, 2, 4)
+            clean = forward(blocked, xb)
+            gamma = output_error(clean.output, tb)
+            if algorithm is Algorithm.TWO_PASS:
+                modulated = forward(blocked, modulate_input(xb, proj, gamma))
+                b0, b1, b2 = two_pass_updates(blocked, clean, modulated, gamma).deltas
+            else:
+                b0, b1, b2 = backprop_updates(blocked, clean, gamma).deltas
+            d0, d1, d2 = reference_updates(
+                weights, activations, xb, tb, proj, algorithm is Algorithm.TWO_PASS
+            )
+            d1 = np.where(ON_BLOCK, d1, 0.0)
+            assert (b0.shape, b1.shape, b2.shape) == ((1, 12, 5), (3, 2, 4), (1, 2, 6))
+            for got, want in zip((b0, b1, b2), (d0, d1, d2)):
+                np.testing.assert_allclose(block_diag(got), want, rtol=0, atol=1e-12)
             blocked = apply_updates(blocked, UpdateSet((b0, b1, b2)), 0.5)
-            dense = apply_updates(dense, UpdateSet((d0, np.where(ON_BLOCK, d1, 0.0), d2)), 0.5)
-            for lb, ld in zip(blocked.layers, dense.layers):
-                np.testing.assert_allclose(lb.weight, ld.weight, rtol=0, atol=1e-12)
-        assert isinstance(blocked.layers[1], BlockLayer)
+            weights = [w - 0.5 * d for w, d in zip(weights, (d0, d1, d2))]
+            for layer, w in zip(blocked.layers, weights):
+                np.testing.assert_allclose(layer.weight, w, rtol=0, atol=1e-12)
+        assert blocked.layers[1].blocks.shape == (3, 2, 4)
         assert np.all(blocked.layers[1].weight[~ON_BLOCK] == 0.0)
+
+
+@st.composite
+def blocked_nets(draw):
+    """1-3 layers of random activations, each split into a random number of blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 8))
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.sampled_from([d for d in range(1, dim + 1) if dim % d == 0]))
+        o = draw(st.integers(1, 4))
+        act = draw(st.sampled_from(list(Activation)))
+        layers.append(Layer(rng.normal(size=(k, o, dim // k)), act))
+        dim = k * o
+    return Network(tuple(layers))
+
+
+class TestZeroErrorFixedPointProperty:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(blocked_nets(), st.one_of(st.none(), st.integers(1, 4)), st.integers(0, 2**31))
+    def test_targets_equal_to_the_clean_output_change_nothing(self, net, width, seed):
+        rng = np.random.default_rng(seed)
+        x0 = rng.random((net.in_dim,) if width is None else (net.in_dim, width))
+        proj = sample_projection(net.in_dim, net.out_dim, seed=seed)
+        clean = forward(net, x0)
+        gamma = output_error(clean.output, clean.output.copy())
+        modulated = forward(net, modulate_input(x0, proj, gamma))
+        for a, b in zip(clean.zs + clean.xs, modulated.zs + modulated.xs):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for updates in (
+            two_pass_updates(net, clean, modulated, gamma),
+            backprop_updates(net, clean, gamma),
+        ):
+            for layer, dw in zip(net.layers, updates.deltas):
+                assert dw.shape == layer.blocks.shape
+                assert np.all(dw == 0.0)
+            after = apply_updates(net, updates, 0.5)
+            for before, now in zip(net.layers, after.layers):
+                assert now.blocks.tobytes() == before.blocks.tobytes()
 
 
 class TestBackpropUpdates:
@@ -324,7 +370,7 @@ class TestBackpropUpdates:
         clean = forward(net, x0)
         gamma = output_error(clean.output, np.array([1.0, -1.0]))
         (dw,) = backprop_updates(net, clean, gamma).deltas
-        np.testing.assert_allclose(dw, np.outer(gamma, x0), rtol=1e-14)
+        np.testing.assert_allclose(dw, np.outer(gamma, x0)[None], rtol=1e-14)
 
     def test_gradient_matches_central_finite_differences(self):
         # Smooth activations only; epsilon and the tolerance follow the usual
