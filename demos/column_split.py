@@ -1,11 +1,12 @@
 """The column-split architecture, without any training.
 
 A convolution-free stand-in for a CNN: 28 small networks each read one image
-column, and a shared aggregator mixes their outputs.  Composing the column
-nets into one wide first stage gives a block-diagonal weight matrix, which is
-what makes the scheme realizable as independent small photonic meshes instead
-of one huge one.  This script builds the net, shows the sparsity structure,
-and checks that the composed network and the per-column pipeline agree.
+column, and a shared aggregator mixes their outputs.  The model is stored as
+one network whose wide first stage is a block-diagonal weight matrix, which
+is what makes the scheme realizable as independent small photonic meshes
+instead of one huge one.  This script builds the net, shows the sparsity
+structure, and checks that the composed network and the per-column pipeline
+agree.
 """
 
 import numpy as np
@@ -13,9 +14,7 @@ import numpy as np
 from twopass import (
     build_colsplit_net,
     columnize,
-    compose,
     forward,
-    reassemble,
     split_columns,
     stagewise_forward,
 )
@@ -27,10 +26,9 @@ def main() -> None:
 
     pieces = split_columns(image)
     print(f"image 28x28 -> {len(pieces)} column vectors of length {len(pieces[0])}")
-    print(f"reassemble inverts split: {np.array_equal(reassemble(pieces), image)}")
 
     colnet = build_colsplit_net(seed=1)
-    net = compose(colnet)
+    net = colnet.network
     blocks = net.layers[0].blocks
     w1 = net.layers[0].weight  # dense view, built on read
     nonzero = np.count_nonzero(w1)

@@ -2,12 +2,13 @@
 
 A 28x28 image is split into its 28 pixel columns.  Each column feeds its own
 small dense network, the 28 outputs are concatenated and a final aggregator
-layer maps them to the 10 class scores.  The whole arrangement composes into
-an ordinary 2-layer network whose first :class:`~twopass.core.Layer` holds
-the 28 column weights as its ``(28, co, 28)`` block stack.  Both training
-algorithms apply unchanged, and every product and update touches only the
-blocks, so the off-block entries of the equivalent 784-wide matrix are
-exactly zero by construction (they are never stored).
+layer maps them to the 10 class scores.  The model is stored only in its
+composed form: an ordinary network whose first :class:`~twopass.core.Layer`
+holds the 28 column weights as its ``(28, co, 28)`` block stack, so the
+column nets are views of its blocks.  Both training algorithms apply
+unchanged to it, and every product and update touches only the blocks, so
+the off-block entries of the equivalent 784-wide matrix are exactly zero by
+construction (they are never stored).  Serialization keeps the blocks.
 
 Row-wise splitting is available behind a switch (column-wise is the default
 because it separates better in practice).
@@ -30,7 +31,6 @@ __all__ = [
     "ColumnSplitNet",
     "build_colsplit_net",
     "split_columns",
-    "reassemble",
     "columnize",
     "compose",
     "colsplit_train",
@@ -50,61 +50,58 @@ class SplitMode(str, Enum):
 
 @dataclass(frozen=True)
 class ColumnSplitNet:
-    """28 single-layer column networks and the aggregator that fuses them."""
+    """The composed column-split network and the split that feeds it.
 
-    column_nets: tuple[Network, ...]
-    aggregator: Network
+    ``network`` is an ordinary :class:`~twopass.core.Network`: a stage 1 whose
+    ``(28, co, 28)`` block stack holds the 28 column networks, followed by
+    the aggregator.  It takes the :func:`columnize`-d 784-vector.  The column
+    nets and the aggregator are views derived from it, never stored twice.
+    """
+
+    network: Network
     mode: SplitMode = SplitMode.COLUMN
 
     def __post_init__(self) -> None:
-        if len(self.column_nets) != SIDE:
-            raise ValueError(f"expected {SIDE} column networks, got {len(self.column_nets)}")
-        first = self.column_nets[0]
-        for net in self.column_nets:
-            if net.depth != 1:
-                raise ValueError("column networks must be single-layer")
-            if net.in_dim != SIDE:
-                raise ValueError(f"column networks must take {SIDE} inputs")
-            if net.out_dim != first.out_dim:
-                raise ValueError("column networks must share one output size")
-            if net.layers[0].activation is not first.layers[0].activation:
-                raise ValueError("column networks must share one activation")
-        expected = SIDE * first.out_dim
-        if self.aggregator.in_dim != expected:
+        object.__setattr__(self, "mode", SplitMode(self.mode))
+        k, _, i = self.network.layers[0].blocks.shape
+        if (k, i) != (SIDE, SIDE):
             raise ValueError(
-                f"aggregator input size {self.aggregator.in_dim} != "
-                f"concatenated column outputs {expected}"
+                f"stage 1 must be {SIDE} column blocks of {SIDE} inputs, "
+                f"got block shape {self.network.layers[0].blocks.shape}"
             )
+        if self.network.depth < 2:
+            raise ValueError("a column-split network needs an aggregator after stage 1")
+
+    @property
+    def column_nets(self) -> tuple[Network, ...]:
+        """One single-layer network per stage-1 block."""
+        stage1 = self.network.layers[0]
+        return tuple(Network((Layer(block, stage1.activation),)) for block in stage1.blocks)
+
+    @property
+    def aggregator(self) -> Network:
+        return Network(self.network.layers[1:])
 
     @property
     def column_out(self) -> int:
-        return self.column_nets[0].out_dim
+        return self.network.layers[0].blocks.shape[1]
 
     @property
     def in_dim(self) -> int:
-        return SIDE * SIDE
+        return self.network.in_dim
 
     @property
     def out_dim(self) -> int:
-        return self.aggregator.out_dim
+        return self.network.out_dim
 
     def to_json(self) -> str:
-        """Serialize the composed model (layer shapes, activation names, weights)."""
-        return compose(self).to_json()
+        """Serialize the composed network (shapes, activations, block counts, blocks)."""
+        return self.network.to_json()
 
     @classmethod
     def from_json(cls, text: str, mode: SplitMode = SplitMode.COLUMN) -> "ColumnSplitNet":
-        """Rebuild from a composed-model document; off-block weights must be zero."""
-        composed = Network.from_json(text)
-        if composed.depth != 2 or composed.in_dim != SIDE * SIDE:
-            raise ValueError("document does not describe a column-split model")
-        if composed.layers[0].out_dim % SIDE:
-            raise ValueError("stage-1 output size is not a multiple of 28")
-        return cls(
-            column_nets=_column_nets(Layer.from_dense(composed.layers[0], SIDE)),
-            aggregator=Network(composed.layers[1:]),
-            mode=mode,
-        )
+        """Rebuild from a composed-network document."""
+        return cls(Network.from_json(text), mode)
 
 
 def build_colsplit_net(
@@ -116,22 +113,13 @@ def build_colsplit_net(
     if column_out < 1:
         raise ValueError("column_out must be >= 1")
     children = np.random.SeedSequence(seed).generate_state(SIDE + 1)
-    column_nets = tuple(
-        Network(
-            (
-                Layer(
-                    init_weights(LayerSpec(SIDE, column_out, Activation.RELU), int(s)),
-                    Activation.RELU,
-                ),
-            )
-        )
-        for s in children[:SIDE]
+    col_spec = LayerSpec(SIDE, column_out, Activation.RELU)
+    stage1 = Layer(
+        np.stack([init_weights(col_spec, int(s)) for s in children[:SIDE]]), Activation.RELU
     )
     agg_spec = LayerSpec(SIDE * column_out, NUM_CLASSES, Activation.SOFTMAX)
-    aggregator = Network(
-        (Layer(init_weights(agg_spec, int(children[SIDE])), Activation.SOFTMAX),)
-    )
-    return ColumnSplitNet(column_nets=column_nets, aggregator=aggregator, mode=mode)
+    aggregator = Layer(init_weights(agg_spec, int(children[SIDE])), Activation.SOFTMAX)
+    return ColumnSplitNet(Network((stage1, aggregator)), mode)
 
 
 def split_columns(image: np.ndarray, mode: SplitMode = SplitMode.COLUMN) -> np.ndarray:
@@ -143,19 +131,9 @@ def split_columns(image: np.ndarray, mode: SplitMode = SplitMode.COLUMN) -> np.n
     image = np.asarray(image, dtype=float)
     if image.shape != (SIDE, SIDE):
         raise ValueError(f"expected a {SIDE}x{SIDE} image, got shape {image.shape}")
-    if mode is SplitMode.COLUMN:
+    if SplitMode(mode) is SplitMode.COLUMN:
         return image.T.copy()
     return image.copy()
-
-
-def reassemble(pieces: np.ndarray, mode: SplitMode = SplitMode.COLUMN) -> np.ndarray:
-    """Inverse of split_columns."""
-    pieces = np.asarray(pieces, dtype=float)
-    if pieces.shape != (SIDE, SIDE):
-        raise ValueError(f"expected {SIDE} pieces of length {SIDE}, got shape {pieces.shape}")
-    if mode is SplitMode.COLUMN:
-        return pieces.T.copy()
-    return pieces.copy()
 
 
 def columnize(inputs: np.ndarray, mode: SplitMode = SplitMode.COLUMN) -> np.ndarray:
@@ -168,41 +146,20 @@ def columnize(inputs: np.ndarray, mode: SplitMode = SplitMode.COLUMN) -> np.ndar
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != SIDE * SIDE:
         raise ValueError(f"expected shape (N, {SIDE * SIDE}), got {inputs.shape}")
-    if mode is SplitMode.ROW:
+    if SplitMode(mode) is SplitMode.ROW:
         return inputs.copy()
     n = inputs.shape[0]
     return inputs.reshape(n, SIDE, SIDE).transpose(0, 2, 1).reshape(n, SIDE * SIDE)
 
 
 def compose(net: ColumnSplitNet) -> Network:
-    """Stack the column nets into one block-diagonal layer, followed by the aggregator.
+    """``net.network``: block-diagonal stage 1, then the aggregator.
 
-    The composed network takes the columnized 784-vector.  Forward through it
-    matches stage-wise evaluation (split, per-column nets, concatenate,
-    aggregator) exactly.
+    It takes the columnized 784-vector, and forward through it matches
+    stage-wise evaluation (split, per-column nets, concatenate, aggregator).
+    The name stays for the benchmark's checks and the stage-wise tests.
     """
-    stage1 = Layer(
-        np.stack([colnet.layers[0].weight for colnet in net.column_nets]),
-        net.column_nets[0].layers[0].activation,
-    )
-    return Network((stage1,) + net.aggregator.layers)
-
-
-def _column_nets(stage1: Layer) -> tuple[Network, ...]:
-    """One single-layer column network per block of a composed stage 1."""
-    return tuple(
-        Network((Layer(block.copy(), stage1.activation),))
-        for block in stage1.blocks
-    )
-
-
-def _extract(template: ColumnSplitNet, trained: Network) -> ColumnSplitNet:
-    """Slice a trained composed network back into column nets + aggregator."""
-    return ColumnSplitNet(
-        column_nets=_column_nets(trained.layers[0]),
-        aggregator=Network(trained.layers[1:]),
-        mode=template.mode,
-    )
+    return net.network
 
 
 def stagewise_forward(net: ColumnSplitNet, image: np.ndarray) -> np.ndarray:
@@ -228,13 +185,12 @@ def colsplit_train(
     realize=None,
 ) -> tuple[ColumnSplitNet, MetricsHistory]:
     """Train the composed network; its block-diagonal stage 1 keeps the column split."""
-    composed = compose(net)
-    trained, history = train(composed, _columnized(data, net.mode), proj, cfg, realize=realize)
-    return _extract(net, trained), history
+    trained, history = train(net.network, _columnized(data, net.mode), proj, cfg, realize=realize)
+    return ColumnSplitNet(trained, net.mode), history
 
 
 def colsplit_evaluate(net: ColumnSplitNet, data: Dataset, realize=None) -> EvalResult:
-    return evaluate(compose(net), _columnized(data, net.mode), realize=realize)
+    return evaluate(net.network, _columnized(data, net.mode), realize=realize)
 
 
 def confusion_matrix(predictions: np.ndarray, truth: np.ndarray) -> np.ndarray:

@@ -125,7 +125,7 @@ class Layer:
     with a 2-D ``w`` stores ``w[None]``.  Products and updates touch only the
     blocks (``k*o*i`` entries rather than ``k*o*k*i``), and every update is
     block-shaped.  The dense 2-D ``weight`` is built on each read, for
-    serialization and inspection; the trainers and the photonic backend
+    inspection only; serialization, the trainers and the photonic backend
     never read it.
     """
 
@@ -140,20 +140,6 @@ class Layer:
             raise ValueError(f"layer weight must be 2-D or 3-D (k, o, i), got shape {b.shape}")
         _require_finite("layer weight", b)
         object.__setattr__(self, "blocks", b)
-
-    @classmethod
-    def from_dense(cls, layer: "Layer", k: int) -> "Layer":
-        """Split a layer's dense weight into ``k`` diagonal blocks; off-block entries must be 0."""
-        dense = layer.weight
-        out_dim, in_dim = dense.shape
-        o, i = out_dim // k, in_dim // k
-        if o * k != out_dim or i * k != in_dim:
-            raise ValueError(f"weight shape {dense.shape} does not split into {k} blocks")
-        diag = np.arange(k)
-        block_layer = cls(dense.reshape(k, o, k, i)[diag, :, diag, :], layer.activation)
-        if not np.array_equal(block_layer.weight, dense):
-            raise ValueError(f"weight is not block-diagonal: nonzero entries off its {k} blocks")
-        return block_layer
 
     @property
     def in_dim(self) -> int:
@@ -226,14 +212,15 @@ class Network:
         return self.layers[-1].out_dim
 
     def to_json(self) -> str:
-        """Serialize shapes, activation names, and row-major dense weights."""
+        """Serialize shapes, activation names, block counts and row-major blocks."""
         doc = {
             "layers": [
                 {
                     "in_dim": layer.in_dim,
                     "out_dim": layer.out_dim,
                     "activation": layer.activation.value,
-                    "weights": layer.weight.ravel().tolist(),
+                    "blocks": layer.blocks.shape[0],
+                    "weights": layer.blocks.ravel().tolist(),
                 }
                 for layer in self.layers
             ]
@@ -245,10 +232,16 @@ class Network:
         doc = json.loads(text)
         layers = []
         for entry in doc["layers"]:
-            w = np.asarray(entry["weights"], dtype=float).reshape(
-                entry["out_dim"], entry["in_dim"]
-            )
-            layers.append(Layer(w, Activation(entry["activation"])))
+            k, out_dim, in_dim = entry["blocks"], entry["out_dim"], entry["in_dim"]
+            if isinstance(k, bool) or not isinstance(k, int) or k < 1 or out_dim % k or in_dim % k:
+                raise ValueError(
+                    f"blocks must be an integer >= 1 dividing {out_dim}x{in_dim}, got {k!r}"
+                )
+            o, i = out_dim // k, in_dim // k
+            w = np.asarray(entry["weights"], dtype=float)
+            if w.size != k * o * i:
+                raise ValueError(f"{k} blocks of {o}x{i} need {k * o * i} weights, got {w.size}")
+            layers.append(Layer(w.reshape(k, o, i), Activation(entry["activation"])))
         return cls(tuple(layers))
 
 

@@ -71,6 +71,7 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(
                 f"learning_rate must be positive and finite, got {self.learning_rate!r}"

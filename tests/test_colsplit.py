@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twopass import (
     Activation,
@@ -25,7 +29,6 @@ from twopass import (
     modulate_input,
     one_hot,
     output_error,
-    reassemble,
     sample_projection,
     split_columns,
     stagewise_forward,
@@ -67,16 +70,16 @@ class TestSplitColumns:
         for r in range(28):
             np.testing.assert_array_equal(pieces[r], img[r])
 
-    def test_reassemble_inverts_split(self):
-        img = random_image(2)
-        for mode in (SplitMode.COLUMN, SplitMode.ROW):
-            np.testing.assert_array_equal(reassemble(split_columns(img, mode), mode), img)
-
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="28x28"):
             split_columns(np.zeros((28, 27)))
-        with pytest.raises(ValueError, match="28 pieces"):
-            reassemble(np.zeros((27, 28)))
+
+    def test_mode_given_as_string_is_the_enum(self):
+        img = random_image(2)
+        for mode in SplitMode:
+            np.testing.assert_array_equal(split_columns(img, mode.value), split_columns(img, mode))
+        with pytest.raises(ValueError, match="diagonal"):
+            split_columns(img, "diagonal")
 
 
 class TestColumnize:
@@ -112,14 +115,19 @@ class TestColumnize:
         with pytest.raises(ValueError, match="784"):
             columnize(np.zeros((2, 28)))
 
+    def test_mode_given_as_string_is_the_enum(self):
+        flat = np.random.default_rng(6).random((2, 784))
+        for mode in SplitMode:
+            np.testing.assert_array_equal(columnize(flat, mode.value), columnize(flat, mode))
+        with pytest.raises(ValueError, match="diagonal"):
+            columnize(flat, "diagonal")
+
 
 class TestCompose:
     def test_identity_columns_pass_pixels_through(self):
         base = build_colsplit_net(seed=0, column_out=28)
-        identity_cols = tuple(
-            Network((Layer(np.eye(28), Activation.RELU),)) for _ in range(28)
-        )
-        net = ColumnSplitNet(column_nets=identity_cols, aggregator=base.aggregator)
+        identity = Layer(np.tile(np.eye(28), (28, 1, 1)), Activation.RELU)
+        net = ColumnSplitNet(Network((identity,) + base.aggregator.layers))
         composed = compose(net)
         v = np.random.default_rng(7).random(784)
         trace = forward(composed, v)
@@ -152,8 +160,9 @@ class TestCompose:
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_forward_matches_stagewise_reference(self):
-        for mode in (SplitMode.COLUMN, SplitMode.ROW):
+        for mode in (SplitMode.COLUMN, SplitMode.ROW, "column", "row"):
             net = build_colsplit_net(seed=2, column_out=5, mode=mode)
+            assert net.mode is SplitMode(mode)
             composed = compose(net)
             for seed in range(4):
                 img = random_image(10 + seed)
@@ -163,61 +172,49 @@ class TestCompose:
 
     def test_zeroed_column_contributes_nothing(self):
         base = build_colsplit_net(seed=3, column_out=4)
-        cols = list(base.column_nets)
-        cols[11] = Network((Layer(np.zeros((4, 28)), Activation.RELU),))
-        net = ColumnSplitNet(column_nets=tuple(cols), aggregator=base.aggregator)
+        blocks = base.network.layers[0].blocks.copy()
+        blocks[11] = 0.0
+        net = ColumnSplitNet(Network((Layer(blocks, Activation.RELU),) + base.aggregator.layers))
         trace = forward(compose(net), np.random.default_rng(8).random(784))
         np.testing.assert_array_equal(trace.xs[0][44:48], np.zeros(4))
 
 
+def with_stage1(blocks: np.ndarray) -> Network:
+    """A network of ReLU ``blocks`` and a softmax aggregator that fits them."""
+    stage1 = Layer(blocks, Activation.RELU)
+    return Network((stage1, Layer(np.zeros((10, stage1.out_dim)), Activation.SOFTMAX)))
+
+
 class TestColumnSplitNetValidation:
     def test_wrong_column_count(self):
-        base = build_colsplit_net(seed=0, column_out=2)
-        with pytest.raises(ValueError, match="expected 28 column networks"):
-            ColumnSplitNet(column_nets=base.column_nets[:27], aggregator=base.aggregator)
-
-    def test_multi_layer_column_rejected(self):
-        base = build_colsplit_net(seed=0, column_out=2)
-        deep = Network(
-            (
-                Layer(np.zeros((2, 28)), Activation.RELU),
-                Layer(np.zeros((2, 2)), Activation.RELU),
-            )
-        )
-        with pytest.raises(ValueError, match="single-layer"):
-            ColumnSplitNet(
-                column_nets=base.column_nets[:27] + (deep,), aggregator=base.aggregator
-            )
+        with pytest.raises(ValueError, match="28 column blocks"):
+            ColumnSplitNet(with_stage1(np.zeros((27, 2, 28))))
 
     def test_wrong_column_input_size_rejected(self):
-        base = build_colsplit_net(seed=0, column_out=2)
-        narrow = Network((Layer(np.zeros((2, 14)), Activation.RELU),))
-        with pytest.raises(ValueError, match="28 inputs"):
-            ColumnSplitNet(
-                column_nets=base.column_nets[:27] + (narrow,), aggregator=base.aggregator
-            )
-
-    def test_mismatched_output_sizes_rejected(self):
-        base = build_colsplit_net(seed=0, column_out=2)
-        wide = Network((Layer(np.zeros((3, 28)), Activation.RELU),))
-        with pytest.raises(ValueError, match="one output size"):
-            ColumnSplitNet(
-                column_nets=base.column_nets[:27] + (wide,), aggregator=base.aggregator
-            )
-
-    def test_mismatched_activations_rejected(self):
-        base = build_colsplit_net(seed=0, column_out=2)
-        odd = Network((Layer(np.zeros((2, 28)), Activation.SIGMOID),))
-        with pytest.raises(ValueError, match="one activation"):
-            ColumnSplitNet(
-                column_nets=base.column_nets[:27] + (odd,), aggregator=base.aggregator
-            )
+        with pytest.raises(ValueError, match="28 column blocks of 28 inputs"):
+            ColumnSplitNet(with_stage1(np.zeros((28, 2, 14))))
 
     def test_aggregator_size_mismatch_rejected(self):
-        base = build_colsplit_net(seed=0, column_out=2)
-        bad_agg = Network((Layer(np.zeros((10, 100)), Activation.SOFTMAX),))
-        with pytest.raises(ValueError, match="aggregator input size"):
-            ColumnSplitNet(column_nets=base.column_nets, aggregator=bad_agg)
+        stage1 = build_colsplit_net(seed=0, column_out=2).network.layers[0]
+        bad_agg = Layer(np.zeros((10, 100)), Activation.SOFTMAX)
+        with pytest.raises(ValueError, match="incompatible: 56 -> 100"):
+            ColumnSplitNet(Network((stage1, bad_agg)))
+
+    def test_mode_is_coerced_to_the_enum(self):
+        network = build_colsplit_net(seed=0, column_out=2).network
+        assert ColumnSplitNet(network, "row").mode is SplitMode.ROW
+        with pytest.raises(ValueError, match="diagonal"):
+            ColumnSplitNet(network, "diagonal")
+
+    def test_views_are_read_from_the_network(self):
+        net = build_colsplit_net(seed=0, column_out=3)
+        stage1 = net.network.layers[0]
+        assert len(net.column_nets) == 28
+        for block, colnet in zip(stage1.blocks, net.column_nets):
+            assert colnet.depth == 1 and colnet.layers[0].activation is Activation.RELU
+            np.testing.assert_array_equal(colnet.layers[0].blocks, block[None])
+        assert net.aggregator.layers == net.network.layers[1:]
+        assert (net.column_out, net.in_dim, net.out_dim) == (3, 784, 10)
 
 
 class TestBuildColsplitNet:
@@ -369,12 +366,46 @@ class TestColsplitTraining:
         assert result.accuracy is not None and 0.0 <= result.accuracy <= 1.0
 
 
+class TestBlockPreservationProperty:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        co=st.integers(1, 4),
+        mode=st.sampled_from(list(SplitMode)),
+        algorithm=st.sampled_from(list(Algorithm)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_training_keeps_blocks_stagewise_forward_and_json(self, co, mode, algorithm, seed):
+        net = build_colsplit_net(seed=seed, column_out=co, mode=mode)
+        data = small_dataset(seed, n=8)
+        cfg = TrainConfig(
+            learning_rate=0.5, epochs=1, batch_size=4, seed=seed, algorithm=algorithm
+        )
+        trained, _ = colsplit_train(net, data, sample_projection(784, 10, seed=seed), cfg)
+        assert trained.mode is mode
+        w1 = trained.network.layers[0].weight
+        assert w1.shape == (28 * co, 784)
+        assert np.all(w1[~block_mask(co)] == 0.0)
+        assert np.any(w1 != net.network.layers[0].weight)
+        for i in range(2):
+            got = forward(trained.network, columnize(data.inputs[i : i + 1], mode)[0]).output
+            ref = stagewise_forward(trained, data.inputs[i].reshape(28, 28))
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        back = ColumnSplitNet.from_json(trained.to_json(), mode)
+        assert back.mode is mode
+        for la, lb in zip(trained.network.layers, back.network.layers):
+            assert la.blocks.shape == lb.blocks.shape
+            np.testing.assert_array_equal(la.blocks, lb.blocks)
+            assert la.activation is lb.activation
+
+
 class TestSerialization:
     def test_round_trip_preserves_weights(self):
         net = build_colsplit_net(seed=11, column_out=2)
         back = ColumnSplitNet.from_json(net.to_json())
+        assert back.network.layers[0].blocks.shape == (28, 2, 28)
         for la, lb in zip(compose(net).layers, compose(back).layers):
-            np.testing.assert_array_equal(la.weight, lb.weight)
+            assert la.blocks.shape == lb.blocks.shape
+            np.testing.assert_array_equal(la.blocks, lb.blocks)
             assert la.activation is lb.activation
         assert back.mode is SplitMode.COLUMN
 
@@ -388,29 +419,27 @@ class TestSerialization:
             (LayerSpec(784, 56, Activation.RELU), LayerSpec(56, 10, Activation.SOFTMAX)),
             seed=0,
         )
-        with pytest.raises(ValueError, match="block-diagonal"):
+        with pytest.raises(ValueError, match="28 column blocks"):
             ColumnSplitNet.from_json(dense.to_json())
 
     def test_wrong_depth_rejected(self):
-        shallow = build_network((LayerSpec(784, 10, Activation.SOFTMAX),), seed=0)
-        with pytest.raises(ValueError, match="column-split"):
-            ColumnSplitNet.from_json(shallow.to_json())
+        stage1 = build_colsplit_net(seed=0, column_out=2).network.layers[0]
+        with pytest.raises(ValueError, match="needs an aggregator"):
+            ColumnSplitNet.from_json(Network((stage1,)).to_json())
 
     def test_wrong_input_size_rejected(self):
         small = build_network(
             (LayerSpec(100, 56, Activation.RELU), LayerSpec(56, 10, Activation.SOFTMAX)),
             seed=0,
         )
-        with pytest.raises(ValueError, match="column-split"):
+        with pytest.raises(ValueError, match="28 column blocks"):
             ColumnSplitNet.from_json(small.to_json())
 
     def test_indivisible_stage_width_rejected(self):
-        odd = build_network(
-            (LayerSpec(784, 30, Activation.RELU), LayerSpec(30, 10, Activation.SOFTMAX)),
-            seed=0,
-        )
-        with pytest.raises(ValueError, match="multiple of 28"):
-            ColumnSplitNet.from_json(odd.to_json())
+        doc = json.loads(build_colsplit_net(seed=0, column_out=2).to_json())
+        doc["layers"][0]["out_dim"] = 30
+        with pytest.raises(ValueError, match="dividing 30x784"):
+            ColumnSplitNet.from_json(json.dumps(doc))
 
 
 class TestConfusionMatrix:

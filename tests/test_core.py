@@ -223,20 +223,15 @@ class TestNetworkTypes:
             Layer(np.ones((2, 1, 1, 1)), Activation.IDENTITY)
         with pytest.raises(ValueError, match="non-finite"):
             Layer(np.full((2, 1, 1), np.inf), Activation.IDENTITY)
-        # a dense weight with a nonzero entry off its blocks has no block form
-        with pytest.raises(ValueError, match="block-diagonal"):
-            Layer.from_dense(Layer(np.ones((2, 2)), Activation.IDENTITY), 2)
-        with pytest.raises(ValueError, match="does not split"):
-            Layer.from_dense(Layer(np.eye(3), Activation.IDENTITY), 2)
         blocks = np.arange(1.0, 13.0).reshape(3, 2, 2)
-        dense = Layer(blocks, Activation.RELU).weight
+        layer = Layer(blocks, Activation.RELU)
+        assert (layer.in_dim, layer.out_dim) == (6, 6)
+        dense = layer.weight
         assert dense.shape == (6, 6)
         for j in range(3):
             np.testing.assert_array_equal(dense[2 * j : 2 * j + 2, 2 * j : 2 * j + 2], blocks[j])
+        # every entry off the blocks is zero: the dense view holds only the blocks
         assert np.count_nonzero(dense) == blocks.size
-        back = Layer.from_dense(Layer(dense, Activation.RELU), 3)
-        np.testing.assert_array_equal(back.blocks, blocks)
-        assert (back.in_dim, back.out_dim, back.activation) == (6, 6, Activation.RELU)
 
     def test_dense_weight_is_one_block(self):
         w = np.arange(6.0).reshape(2, 3)
@@ -275,7 +270,34 @@ class TestNetworkTypes:
         (entry,) = doc["layers"]
         assert entry["in_dim"] == 2 and entry["out_dim"] == 3
         assert entry["activation"] == "relu"
+        assert entry["blocks"] == 1
         assert entry["weights"] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        # a block layer stores its block count and only its blocks, row-major
+        blocks = np.arange(1.0, 13.0).reshape(3, 2, 2)
+        (entry,) = json.loads(Network((Layer(blocks, Activation.RELU),)).to_json())["layers"]
+        assert (entry["in_dim"], entry["out_dim"], entry["blocks"]) == (6, 6, 3)
+        assert entry["weights"] == blocks.ravel().tolist()
+
+    @pytest.mark.parametrize(
+        "blocks, weights, match",
+        [
+            (0, 12, "integer >= 1 dividing 6x6, got 0"),
+            (-1, 12, "got -1"),
+            (2.5, 12, "got 2.5"),
+            (3.0, 12, "got 3.0"),
+            (True, 12, "got True"),
+            (4, 12, "dividing 6x6, got 4"),
+            (2, 12, "2 blocks of 3x3 need 18 weights, got 12"),
+            (3, 11, "3 blocks of 2x2 need 12 weights, got 11"),
+        ],
+    )
+    def test_json_rejects_bad_block_counts_and_weight_counts(self, blocks, weights, match):
+        net = Network((Layer(np.ones((3, 2, 2)), Activation.RELU),))
+        doc = json.loads(net.to_json())
+        doc["layers"][0]["blocks"] = blocks
+        doc["layers"][0]["weights"] = doc["layers"][0]["weights"][:weights]
+        with pytest.raises(ValueError, match=match):
+            Network.from_json(json.dumps(doc))
 
 
 @st.composite
@@ -307,6 +329,31 @@ class TestLayerProductProperties:
                 assert g.tobytes() == ref.tobytes()
             else:
                 np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
+
+
+@st.composite
+def block_networks(draw):
+    """A network of a random (k, o, i) block layer and a dense layer after it."""
+    k, o, i, out = (draw(st.integers(1, 5)) for _ in range(4))
+    acts = st.sampled_from(list(Activation))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return Network(
+        (
+            Layer(rng.normal(size=(k, o, i)), draw(acts)),
+            Layer(rng.normal(size=(out, k * o)), draw(acts)),
+        )
+    )
+
+
+class TestJsonRoundTripProperty:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(block_networks())
+    def test_round_trip_keeps_block_shapes_bits_and_activations(self, net):
+        back = Network.from_json(net.to_json())
+        for a, b in zip(net.layers, back.layers, strict=True):
+            assert a.blocks.shape == b.blocks.shape
+            assert a.blocks.tobytes() == b.blocks.tobytes()
+            assert a.activation is b.activation
 
 
 class TestBuildNetwork:

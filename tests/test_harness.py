@@ -266,10 +266,10 @@ class TestBenchmarkHookPoints:
 
 
     def test_post_run_reads_of_the_trained_colsplit_model(self, monkeypatch, synthetic_mnist_dir):
-        # What the benchmark reads after a column-split run: the trained model
-        # returned by harness.colsplit_train and the composed network returned
-        # by colsplit.train (perfbench/workload.py), and every layer's dense
-        # .weight of the network train receives (perfbench/spans.py).
+        # What the benchmark reads around a column-split run: the model
+        # harness.colsplit_train receives and returns, the composed network
+        # returned by colsplit.train (perfbench/workload.py), and every
+        # layer's dense .weight of the network train receives (perfbench/spans.py).
         kept = {}
 
         def keep(module, name):
@@ -288,8 +288,14 @@ class TestBenchmarkHookPoints:
         run_experiment(
             ExperimentConfig(task=Task.MNIST_COLSPLIT, hidden=2, data_dir=str(synthetic_mnist_dir))
         )
-        ((_, trained),) = kept["colsplit_train"]
+        ((colsplit_args, trained),) = kept["colsplit_train"]
         ((train_args, trained_composed),) = kept["train"]
+        # perfbench/spans.py reads the model colsplit_train receives, and
+        # perfbench/workload.py the one it returns.
+        for model in (colsplit_args[0], trained):
+            assert len(model.column_nets) == 28
+            assert model.column_out == 2
+            assert isinstance(model.mode, SplitMode)
         co = trained.column_out
         on_block = np.kron(np.eye(28), np.ones((co, 28))) == 1.0
         for composed in (colsplit.compose(trained), trained_composed):

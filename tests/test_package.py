@@ -11,7 +11,8 @@ from conftest import REPO_ROOT
 # Every name the package exported before its re-export list was derived from
 # the module lists, less the APIs deleted since (Loss, modulated_forward,
 # MZISetting, mzi_transfer, MeshBackend, the Clements decomposition, the
-# intensity detector and BlockLayer, now one Layer type), plus realize_network.
+# intensity detector, BlockLayer (now one Layer type) and reassemble), plus
+# realize_network.
 PUBLIC_NAMES = {
     "Activation",
     "Algorithm",
@@ -63,7 +64,6 @@ PUBLIC_NAMES = {
     "output_error",
     "realize_network",
     "realize_weight",
-    "reassemble",
     "run_experiment",
     "sample_projection",
     "softmax_backward",

@@ -637,6 +637,19 @@ class TestConfigAndRecords:
             with pytest.raises(ValueError, match=next(iter(bad))):
                 TrainConfig(**bad)
 
+    def test_algorithm_given_as_string_is_the_enum(self):
+        assert TrainConfig(algorithm="two_pass").algorithm is Algorithm.TWO_PASS
+        assert TrainConfig(algorithm="backprop").algorithm is Algorithm.BACKPROP
+        with pytest.raises(ValueError, match="bogus"):
+            TrainConfig(algorithm="bogus")
+        # a string names the same rule as the enum: identical training, bit for bit
+        problem = TestTrain().make_problem(seed=4)
+        for algorithm in Algorithm:
+            by_enum, _ = train(*problem, TrainConfig(learning_rate=0.1, algorithm=algorithm))
+            by_name, _ = train(*problem, TrainConfig(learning_rate=0.1, algorithm=algorithm.value))
+            for a, b in zip(by_enum.layers, by_name.layers):
+                assert a.blocks.tobytes() == b.blocks.tobytes()
+
     def test_metrics_history_requires_increasing_iterations(self):
         r1 = MetricRecord(1, 0.5, None)
         r2 = MetricRecord(1, 0.4, None)
