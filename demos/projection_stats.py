@@ -18,10 +18,11 @@ SCALE = 0.05
 
 def main() -> None:
     proj = sample_projection(INPUT_DIM, 128, seed=0, scale=SCALE)
-    expected_var = proj.sigma**2
-    measured_var = float(proj.matrix.var())
-    print(f"entries sampled        {proj.matrix.size}")
-    print(f"target std             {proj.sigma:.9f}  (= {SCALE} * sqrt(6/{INPUT_DIM}))")
+    sigma = SCALE * np.sqrt(6.0 / INPUT_DIM)
+    expected_var = sigma**2
+    measured_var = float(proj.var())
+    print(f"entries sampled        {proj.size}")
+    print(f"target std             {sigma:.9f}  (= {SCALE} * sqrt(6/{INPUT_DIM}))")
     print(f"expected entry var     {expected_var:.6e}")
     print(f"measured entry var     {measured_var:.6e}")
     print(f"relative error         {abs(measured_var - expected_var) / expected_var:.4%}")

@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import Activation, Layer, LayerSpec, Network, forward, init_weights
 from .data import Dataset
-from .modulation import ProjectionMatrix
 from .trainer import EvalResult, MetricsHistory, TrainConfig, evaluate, train
 
 __all__ = [
@@ -180,7 +179,7 @@ def _columnized(data: Dataset, mode: SplitMode) -> Dataset:
 def colsplit_train(
     net: ColumnSplitNet,
     data: Dataset,
-    proj: ProjectionMatrix,
+    proj: np.ndarray,
     cfg: TrainConfig,
     realize=None,
 ) -> tuple[ColumnSplitNet, MetricsHistory]:

@@ -31,7 +31,7 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass(frozen=True)
 class Dataset:
-    """Row-per-sample inputs in [0, 1], targets, and integer labels."""
+    """Row-per-sample inputs in [0, 1], finite targets, and integer labels."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -47,8 +47,11 @@ class Dataset:
                 f"inconsistent sample counts: {n} inputs, "
                 f"{targets.shape[0]} targets, {labels.shape[0]} labels"
             )
-        if inputs.size and (inputs.min() < 0.0 or inputs.max() > 1.0):
+        # Written so that NaN fails it: NaN propagates through min and max.
+        if inputs.size and not (inputs.min() >= 0.0 and inputs.max() <= 1.0):
             raise ValueError("inputs must lie in [0, 1]")
+        if not np.isfinite(targets).all():
+            raise ValueError("targets must be finite")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "labels", labels)

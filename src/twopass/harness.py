@@ -38,7 +38,6 @@ from .modulation import sample_projection
 from .photonic import realize_network
 from .trainer import (
     Algorithm,
-    DivergenceError,
     MetricsHistory,
     TrainConfig,
     _check_int,
@@ -190,19 +189,6 @@ def _load_task_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         raise DataError(str(exc)) from exc
 
 
-def _evaluate_trained(eval_fn, model, data, realize):
-    # Training can end on weights that are finite but so large the forward
-    # pass only overflows here, on the held-out set.  That is divergence of
-    # the run, not an evaluation bug, and is reported as such.
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return eval_fn(model, data, realize=realize)
-    except NonFiniteError as exc:
-        raise DivergenceError(
-            f"trained model produced non-finite values at evaluation: {exc}"
-        ) from exc
-
-
 def _xor_model(cfg: ExperimentConfig, seed: int) -> Network:
     hidden = cfg.hidden or _XOR_HIDDEN
     specs = (LayerSpec(2, hidden, Activation.SQUARE), LayerSpec(hidden, 1, Activation.SQUARE))
@@ -242,10 +228,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     # installed on this module's attributes (profilers, tests) see the calls.
     if cfg.task is Task.MNIST_COLSPLIT:
         model, history = colsplit_train(model, train_data, proj, tc, realize=realize)
-        result = _evaluate_trained(colsplit_evaluate, model, test_data, realize)
+        result = colsplit_evaluate(model, test_data, realize=realize)
     else:
         model, history = train(model, train_data, proj, tc, realize=realize)
-        result = _evaluate_trained(evaluate, model, test_data, realize)
+        result = evaluate(model, test_data, realize=realize)
 
     confusion = None
     if result.accuracy is not None:
@@ -351,7 +337,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except DivergenceError as exc:
+    except NonFiniteError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
 

@@ -3,8 +3,9 @@
 One training step: clean forward pass, output error, error projected into
 input space and added to the input, second forward pass under the *same*
 (frozen) weights, then per-layer updates from activation differences between
-the two passes.  Updates are batch-averaged and applied once, only after both
-passes complete.
+the two passes.  Updates are a tuple of arrays, one per layer, batch-averaged
+and applied once, only after both passes complete.  Non-finite values in a
+step or an evaluation raise :class:`~twopass.core.NonFiniteError`.
 """
 
 from __future__ import annotations
@@ -26,16 +27,14 @@ from .core import (
     softmax_backward,
 )
 from .data import Dataset
-from .modulation import ProjectionMatrix, modulate_input, output_error
+from .modulation import modulate_input, output_error
 
 __all__ = [
     "Algorithm",
     "TrainConfig",
-    "UpdateSet",
     "MetricRecord",
     "MetricsHistory",
     "EvalResult",
-    "DivergenceError",
     "two_pass_updates",
     "backprop_updates",
     "apply_updates",
@@ -47,10 +46,6 @@ __all__ = [
 class Algorithm(str, Enum):
     TWO_PASS = "two_pass"
     BACKPROP = "backprop"
-
-
-class DivergenceError(RuntimeError):
-    """Training produced non-finite values (raised from a :class:`NonFiniteError`)."""
 
 
 def _check_int(name: str, value, minimum: int) -> None:
@@ -83,21 +78,6 @@ class TrainConfig:
             raise ValueError("lr_decay must be in (0, 1]")
         if not 0.0 < self.lr_decay_at <= 1.0:
             raise ValueError("lr_decay_at must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class UpdateSet:
-    """Per-layer weight updates, each shaped like its layer's ``(k, o, i)`` blocks.
-
-    A dense layer is one block, so its update is ``(1, out_dim, in_dim)``.
-    """
-
-    deltas: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        for i, d in enumerate(self.deltas):
-            if not np.isfinite(d).all():
-                raise NonFiniteError(f"update for layer {i + 1} contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -139,14 +119,14 @@ def _batch_width(arr: np.ndarray) -> int:
 
 def two_pass_updates(
     net: Network, clean: ForwardTrace, modulated: ForwardTrace, gamma: np.ndarray
-) -> UpdateSet:
+) -> tuple[np.ndarray, ...]:
     """Per-layer updates from the activation differences of the two passes.
 
     Layers 1..L-1 use (x_l - x_err,l) outer the modulated presynaptic
     activation (for layer 1 that presynaptic term is the modulated input
     itself); the last layer uses the output error gamma.  Batched traces
     yield batch-averaged updates.  ``net`` is the network both passes ran
-    under; its block structure decides which outer-product entries are kept.
+    under; each update is shaped like its layer's ``(k, o, i)`` blocks.
     """
     if clean.depth != modulated.depth:
         raise ValueError(f"trace depth mismatch: {clean.depth} != {modulated.depth}")
@@ -160,10 +140,12 @@ def two_pass_updates(
         diff = clean.xs[l - 1] - modulated.xs[l - 1]
         deltas.append(net.layers[l - 1].avg_outer(diff, modulated.activation(l - 1)))
     deltas.append(net.layers[-1].avg_outer(gamma, modulated.activation(depth - 1)))
-    return UpdateSet(tuple(deltas))
+    return tuple(deltas)
 
 
-def backprop_updates(net: Network, clean: ForwardTrace, gamma: np.ndarray) -> UpdateSet:
+def backprop_updates(
+    net: Network, clean: ForwardTrace, gamma: np.ndarray
+) -> tuple[np.ndarray, ...]:
     """Exact gradient of the loss 0.5*sum((x_L - target)^2), batch-averaged.
 
     gamma is x_L - target; the chain rule runs through every activation
@@ -183,36 +165,38 @@ def backprop_updates(net: Network, clean: ForwardTrace, gamma: np.ndarray) -> Up
         deltas[l] = layer.avg_outer(delta, clean.activation(l))
         if l > 0:
             grad_x = layer.rmatvec(delta)
-    return UpdateSet(tuple(deltas))
+    return tuple(deltas)
 
 
-def apply_updates(net: Network, updates: UpdateSet, learning_rate: float) -> Network:
-    """W_l(t+1) = W_l(t) - eta * dW_l, block by block."""
-    if len(updates.deltas) != net.depth:
-        raise ValueError(f"{len(updates.deltas)} updates for {net.depth} layers")
-    return Network(
-        tuple(layer.step(dw, learning_rate) for layer, dw in zip(net.layers, updates.deltas))
-    )
+def apply_updates(
+    net: Network, updates: tuple[np.ndarray, ...], learning_rate: float
+) -> Network:
+    """W_l(t+1) = W_l(t) - eta * dW_l, block by block.
+
+    Raises :class:`~twopass.core.NonFiniteError` if a new weight is not finite.
+    """
+    if len(updates) != net.depth:
+        raise ValueError(f"{len(updates)} updates for {net.depth} layers")
+    return Network(tuple(layer.step(dw, learning_rate) for layer, dw in zip(net.layers, updates)))
 
 
-def _validate_setup(net: Network, data: Dataset, proj: ProjectionMatrix) -> None:
+def _validate_setup(net: Network, data: Dataset, proj: np.ndarray) -> None:
     if data.inputs.shape[0] == 0:
         raise ValueError("dataset is empty")
     if data.inputs.shape[1] != net.in_dim:
         raise ValueError(f"data dim {data.inputs.shape[1]} != network in_dim {net.in_dim}")
     if data.targets.shape[1] != net.out_dim:
         raise ValueError(f"target dim {data.targets.shape[1]} != network out_dim {net.out_dim}")
-    if proj.input_dim != net.in_dim or proj.output_dim != net.out_dim:
+    if proj.shape != (net.in_dim, net.out_dim):
         raise ValueError(
-            f"projection shape {proj.input_dim}x{proj.output_dim} does not match "
-            f"network {net.in_dim}->{net.out_dim}"
+            f"projection shape {proj.shape} does not match network {net.in_dim}->{net.out_dim}"
         )
 
 
 def train(
     net: Network,
     data: Dataset,
-    proj: ProjectionMatrix,
+    proj: np.ndarray,
     cfg: TrainConfig,
     realize=None,
 ) -> tuple[Network, MetricsHistory]:
@@ -273,7 +257,7 @@ def train(
                     # overflowed weight subtraction.
                     net = apply_updates(net, updates, lr)
             except NonFiniteError as exc:
-                raise DivergenceError(
+                raise NonFiniteError(
                     f"training diverged (non-finite values) at iteration {iteration}"
                 ) from exc
             accuracy = (
@@ -291,24 +275,27 @@ def evaluate(
     """Mean squared error, accuracy (classification only), and predictions.
 
     Samples are evaluated in dataset order, in fixed-size chunks, through
-    ``realize(net)`` when ``realize`` is given.
+    ``realize(net)`` when ``realize`` is given.  Weights that are finite but
+    so large that a forward pass overflows raise
+    :class:`~twopass.core.NonFiniteError`, as divergence does in training.
     """
     n = data.inputs.shape[0]
     if n == 0:
         raise ValueError("dataset is empty")
-    run = net if realize is None else realize(net)
     classification = data.targets.shape[1] >= 2
     sq_sum = 0.0
     count = 0
     preds = np.empty(n, dtype=int)
-    for start in range(0, n, batch_size):
-        xb = data.inputs[start : start + batch_size].T
-        tb = data.targets[start : start + batch_size].T
-        trace = forward(run, xb)
-        gamma = output_error(trace.output, tb)
-        sq_sum += float(np.sum(gamma * gamma))
-        count += gamma.size
-        preds[start : start + batch_size] = np.argmax(trace.output, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = net if realize is None else realize(net)
+        for start in range(0, n, batch_size):
+            xb = data.inputs[start : start + batch_size].T
+            tb = data.targets[start : start + batch_size].T
+            trace = forward(run, xb)
+            gamma = output_error(trace.output, tb)
+            sq_sum += float(np.sum(gamma * gamma))
+            count += gamma.size
+            preds[start : start + batch_size] = np.argmax(trace.output, axis=0)
     mse = sq_sum / count
     accuracy = float(np.mean(preds == data.labels)) if classification else None
     return EvalResult(mse=mse, accuracy=accuracy, predictions=preds)

@@ -15,7 +15,6 @@ from twopass import (
     Network,
     SplitMode,
     TrainConfig,
-    UpdateSet,
     apply_updates,
     backprop_updates,
     build_colsplit_net,
@@ -317,9 +316,9 @@ class TestColsplitTraining:
             gamma = output_error(clean.output, tb)
             if algorithm is Algorithm.TWO_PASS:
                 modulated = forward(blocked, modulate_input(xb, proj, gamma))
-                b1, b2 = two_pass_updates(blocked, clean, modulated, gamma).deltas
+                b1, b2 = two_pass_updates(blocked, clean, modulated, gamma)
             else:
-                b1, b2 = backprop_updates(blocked, clean, gamma).deltas
+                b1, b2 = backprop_updates(blocked, clean, gamma)
             d1, d2 = reference_updates(
                 weights, activations, xb, tb, proj, algorithm is Algorithm.TWO_PASS
             )
@@ -327,7 +326,7 @@ class TestColsplitTraining:
             assert b1.shape == (28, 2, 28) and b2.shape == (1, 10, 56)
             np.testing.assert_allclose(block_diag(b1), d1, rtol=0, atol=1e-12)
             np.testing.assert_allclose(b2[0], d2, rtol=0, atol=1e-12)
-            blocked = apply_updates(blocked, UpdateSet((b1, b2)), 0.5)
+            blocked = apply_updates(blocked, (b1, b2), 0.5)
             weights = [w - 0.5 * d for w, d in zip(weights, (d1, d2))]
             for layer, w in zip(blocked.layers, weights):
                 np.testing.assert_allclose(layer.weight, w, rtol=0, atol=1e-12)

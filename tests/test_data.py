@@ -6,6 +6,7 @@ import pytest
 
 from twopass import (
     Dataset,
+    NonFiniteError,
     load_idx,
     load_mnist,
     normalize,
@@ -169,6 +170,27 @@ class TestDataset:
                 targets=np.array([[0.0]]),
                 labels=np.array([0]),
             )
+
+    def test_nan_input_rejected_as_data_not_divergence(self):
+        # NaN fails neither `< 0` nor `> 1`; it must still be bad data, not a
+        # NonFiniteError that would be reported as training divergence.
+        with pytest.raises(ValueError, match=r"\[0, 1\]") as exc:
+            Dataset(
+                inputs=np.array([[np.nan, 0.5]]),
+                targets=np.array([[0.0]]),
+                labels=np.array([0]),
+            )
+        assert not isinstance(exc.value, NonFiniteError)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected_as_data_not_divergence(self, bad):
+        with pytest.raises(ValueError, match="targets must be finite") as exc:
+            Dataset(
+                inputs=np.array([[0.0, 0.5]]),
+                targets=np.array([[bad]]),
+                labels=np.array([0]),
+            )
+        assert not isinstance(exc.value, NonFiniteError)
 
 
 class TestLoadMnist:

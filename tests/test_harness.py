@@ -1,5 +1,6 @@
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from twopass import (
     Algorithm,
     Backend,
     Dataset,
-    DivergenceError,
     ExperimentConfig,
     Layer,
     MetricRecord,
     MetricsHistory,
     Network,
+    NonFiniteError,
     RunReport,
     SplitMode,
     Task,
@@ -26,7 +27,7 @@ from twopass import (
     run_experiment,
 )
 from twopass import colsplit, harness, trainer
-from twopass.harness import _evaluate_trained, resolve_data_dir
+from twopass.harness import resolve_data_dir
 
 from conftest import REPO_ROOT
 
@@ -190,8 +191,8 @@ class TestRunExperiment:
 
     def test_evaluation_overflow_reports_divergence(self):
         # A run can end with weights that are still finite but overflow on
-        # the held-out forward pass; the report must say divergence instead
-        # of leaking an activation error.
+        # the held-out forward pass; evaluate must report that as divergence,
+        # without leaking an overflow warning.
         net = Network(
             (
                 Layer(np.array([[1e200]]), Activation.SQUARE),
@@ -203,16 +204,28 @@ class TestRunExperiment:
             targets=np.array([[0.0]]),
             labels=np.zeros(1, dtype=int),
         )
-        with pytest.raises(DivergenceError, match="at evaluation"):
-            _evaluate_trained(evaluate, net, data, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                evaluate(net, data)
 
+    def test_evaluation_divergence_exits_with_code_three(self, tmp_path, monkeypatch, capsys):
+        def diverging_evaluate(model, data, realize=None):
+            raise NonFiniteError("output error contains non-finite values")
 
-    def test_evaluation_bug_is_not_reported_as_divergence(self):
+        monkeypatch.setattr(harness, "evaluate", diverging_evaluate)
+        cfg = write_config(tmp_path, task="xor", epochs=1, batch_size=1)
+        assert main([cfg, "--out-dir", str(tmp_path / "out")]) == 3
+        assert "divergence: output error contains non-finite values" in capsys.readouterr().err
+
+    def test_evaluation_bug_is_not_reported_as_divergence(self, tmp_path, monkeypatch):
         def broken_evaluate(model, data, realize=None):
             raise ValueError("evaluation shape bug")
 
+        monkeypatch.setattr(harness, "evaluate", broken_evaluate)
+        cfg = write_config(tmp_path, task="xor", epochs=1, batch_size=1)
         with pytest.raises(ValueError, match="evaluation shape bug"):
-            _evaluate_trained(broken_evaluate, None, None, None)
+            main([cfg, "--out-dir", str(tmp_path / "out")])
 
 
 def spy_on(monkeypatch, module, name: str) -> list[dict]:

@@ -15,7 +15,6 @@ from twopass import (
     Network,
     PhotonicLayer,
     TrainConfig,
-    UpdateSet,
     apply_phase_noise,
     apply_updates,
     build_network,
@@ -583,7 +582,7 @@ class TestMeshBackend:
         net = self.make_net(seed=20)
         x = np.random.default_rng(20).random(3)
         rng = np.random.default_rng(21)
-        updates = UpdateSet(tuple(rng.normal(size=l.blocks.shape) for l in net.layers))
+        updates = tuple(rng.normal(size=l.blocks.shape) for l in net.layers)
         new_net = apply_updates(net, updates, 0.1)
         np.testing.assert_allclose(
             forward(realize_network(new_net), x).output, forward(new_net, x).output, atol=1e-10
@@ -643,5 +642,5 @@ class TestMeshBackend:
         mod_m = forward(realized, modulate_input(x0, proj, gamma_m))
         mesh_updates = two_pass_updates(net, clean_m, mod_m, gamma_m)
 
-        for a, b in zip(dense_updates.deltas, mesh_updates.deltas):
+        for a, b in zip(dense_updates, mesh_updates):
             np.testing.assert_allclose(b, a, atol=1e-9)

@@ -7,12 +7,11 @@ from twopass import (
     Activation,
     Algorithm,
     Dataset,
-    DivergenceError,
     Layer,
     LayerSpec,
     Network,
+    NonFiniteError,
     TrainConfig,
-    UpdateSet,
     apply_updates,
     backprop_updates,
     build_network,
@@ -108,7 +107,7 @@ class TestTwoPassUpdates:
         x0 = np.array([0.3, 0.6, 0.9])
         clean = forward(net, x0)
         updates = two_pass_updates(net, clean, clean, np.zeros(2))
-        for dw in updates.deltas:
+        for dw in updates:
             assert np.all(dw == 0.0)
 
     def test_hand_sized_example_matches_outer_product_oracle(self):
@@ -124,12 +123,12 @@ class TestTwoPassUpdates:
         updates = two_pass_updates(net, clean, modulated, gamma)
         np.testing.assert_array_equal(gamma, np.array([-1.125, 0.625]))
         np.testing.assert_array_equal(
-            updates.deltas[0],
+            updates[0],
             np.array([[[0.11029052734375, -0.5705413818359375],
                        [0.27215576171875, -1.4078826904296875]]]),
         )
         np.testing.assert_array_equal(
-            updates.deltas[1],
+            updates[1],
             np.array([[[-0.819580078125, 1.316162109375],
                        [0.455322265625, -0.731201171875]]]),
         )
@@ -150,7 +149,7 @@ class TestTwoPassUpdates:
             clean = forward(net, x0)
             gamma = output_error(clean.output, rng.random(3))
             modulated = forward(net, modulate_input(x0, proj, gamma))
-            for dw in two_pass_updates(net, clean, modulated, gamma).deltas:
+            for dw in two_pass_updates(net, clean, modulated, gamma):
                 assert np.linalg.matrix_rank(dw, tol=1e-10) <= 1
 
     def test_batch_averaged_update_has_rank_at_most_batch_size(self):
@@ -163,7 +162,7 @@ class TestTwoPassUpdates:
         clean = forward(net, xb)
         gamma = output_error(clean.output, rng.random((4, 2)))
         modulated = forward(net, modulate_input(xb, proj, gamma))
-        for dw in two_pass_updates(net, clean, modulated, gamma).deltas:
+        for dw in two_pass_updates(net, clean, modulated, gamma):
             assert np.linalg.matrix_rank(dw, tol=1e-10) <= 2
 
     def test_batch_update_is_mean_of_per_sample_updates(self):
@@ -185,8 +184,8 @@ class TestTwoPassUpdates:
             m = forward(net, modulate_input(xb[:, j], proj, g))
             per_sample.append(two_pass_updates(net, c, m, g))
         for l in range(net.depth):
-            mean = sum(u.deltas[l] for u in per_sample) / 3.0
-            np.testing.assert_allclose(batch.deltas[l], mean, rtol=1e-12, atol=1e-15)
+            mean = sum(u[l] for u in per_sample) / 3.0
+            np.testing.assert_allclose(batch[l], mean, rtol=1e-12, atol=1e-15)
 
     def test_first_layer_rule_is_general_rule_at_modulated_input(self):
         # Layer 1's presynaptic term is x_err,0 itself, i.e. the same pattern
@@ -208,12 +207,12 @@ class TestTwoPassUpdates:
         modulated = forward(net, x_err0)
         updates = two_pass_updates(net, clean, modulated, gamma)
         np.testing.assert_array_equal(
-            updates.deltas[0], np.outer(clean.xs[0] - modulated.xs[0], x_err0)[None]
+            updates[0], np.outer(clean.xs[0] - modulated.xs[0], x_err0)[None]
         )
         np.testing.assert_array_equal(
-            updates.deltas[1], np.outer(clean.xs[1] - modulated.xs[1], modulated.xs[0])[None]
+            updates[1], np.outer(clean.xs[1] - modulated.xs[1], modulated.xs[0])[None]
         )
-        np.testing.assert_array_equal(updates.deltas[2], np.outer(gamma, modulated.xs[1])[None])
+        np.testing.assert_array_equal(updates[2], np.outer(gamma, modulated.xs[1])[None])
 
     def test_depth_mismatch_rejected(self):
         net2, net1 = hand_net(), Network((Layer(np.eye(2), Activation.IDENTITY),))
@@ -232,39 +231,44 @@ class TestTwoPassUpdates:
 class TestApplyUpdates:
     def test_zero_learning_rate_leaves_network_identical(self):
         net = hand_net()
-        updates = UpdateSet((np.ones((1, 2, 2)), np.ones((1, 2, 2))))
+        updates = (np.ones((1, 2, 2)), np.ones((1, 2, 2)))
         out = apply_updates(net, updates, 0.0)
         for a, b in zip(net.layers, out.layers):
             np.testing.assert_array_equal(a.weight, b.weight)
 
     def test_zero_updates_leave_network_identical(self):
         net = hand_net()
-        updates = UpdateSet((np.zeros((1, 2, 2)), np.zeros((1, 2, 2))))
+        updates = (np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
         out = apply_updates(net, updates, 0.5)
         for a, b in zip(net.layers, out.layers):
             np.testing.assert_array_equal(a.weight, b.weight)
 
     def test_scalar_arithmetic_example(self):
         net = Network((Layer(np.array([[1.0]]), Activation.IDENTITY),))
-        out = apply_updates(net, UpdateSet((np.array([[[2.0]]]),)), 0.5)
+        out = apply_updates(net, (np.array([[[2.0]]]),), 0.5)
         np.testing.assert_array_equal(out.layers[0].weight, np.array([[0.0]]))
 
     def test_shape_mismatch_rejected(self):
         net = hand_net()
         with pytest.raises(ValueError):
-            apply_updates(net, UpdateSet((np.zeros((1, 3, 3)), np.zeros((1, 2, 2)))), 0.1)
+            apply_updates(net, (np.zeros((1, 3, 3)), np.zeros((1, 2, 2))), 0.1)
         with pytest.raises(ValueError):
-            apply_updates(net, UpdateSet((np.zeros((1, 2, 2)),)), 0.1)
+            apply_updates(net, (np.zeros((1, 2, 2)),), 0.1)
+
+    def test_non_finite_delta_rejected(self):
+        net = Network((Layer(np.array([[1.0]]), Activation.IDENTITY),))
+        with pytest.raises(NonFiniteError):
+            apply_updates(net, (np.array([[[np.nan]]]),), 0.5)
 
     def test_block_layer_off_block_entries_never_move(self):
         net = Network((Layer(np.ones((2, 1, 1)), Activation.IDENTITY),))
-        out = apply_updates(net, UpdateSet((np.full((2, 1, 1), 7.0),)), 1.0)
+        out = apply_updates(net, (np.full((2, 1, 1), 7.0),), 1.0)
         np.testing.assert_array_equal(
             out.layers[0].weight, np.array([[-6.0, 0.0], [0.0, -6.0]])
         )
         # an update shaped like the dense weight has no block form
         with pytest.raises(ValueError, match="block shape"):
-            apply_updates(net, UpdateSet((np.full((2, 2), 7.0),)), 1.0)
+            apply_updates(net, (np.full((2, 2), 7.0),), 1.0)
 
 
 class TestBlockLayer:
@@ -298,9 +302,9 @@ class TestBlockLayer:
             gamma = output_error(clean.output, tb)
             if algorithm is Algorithm.TWO_PASS:
                 modulated = forward(blocked, modulate_input(xb, proj, gamma))
-                b0, b1, b2 = two_pass_updates(blocked, clean, modulated, gamma).deltas
+                b0, b1, b2 = two_pass_updates(blocked, clean, modulated, gamma)
             else:
-                b0, b1, b2 = backprop_updates(blocked, clean, gamma).deltas
+                b0, b1, b2 = backprop_updates(blocked, clean, gamma)
             d0, d1, d2 = reference_updates(
                 weights, activations, xb, tb, proj, algorithm is Algorithm.TWO_PASS
             )
@@ -308,7 +312,7 @@ class TestBlockLayer:
             assert (b0.shape, b1.shape, b2.shape) == ((1, 12, 5), (3, 2, 4), (1, 2, 6))
             for got, want in zip((b0, b1, b2), (d0, d1, d2)):
                 np.testing.assert_allclose(block_diag(got), want, rtol=0, atol=1e-12)
-            blocked = apply_updates(blocked, UpdateSet((b0, b1, b2)), 0.5)
+            blocked = apply_updates(blocked, (b0, b1, b2), 0.5)
             weights = [w - 0.5 * d for w, d in zip(weights, (d0, d1, d2))]
             for layer, w in zip(blocked.layers, weights):
                 np.testing.assert_allclose(layer.weight, w, rtol=0, atol=1e-12)
@@ -347,7 +351,7 @@ class TestZeroErrorFixedPointProperty:
             two_pass_updates(net, clean, modulated, gamma),
             backprop_updates(net, clean, gamma),
         ):
-            for layer, dw in zip(net.layers, updates.deltas):
+            for layer, dw in zip(net.layers, updates):
                 assert dw.shape == layer.blocks.shape
                 assert np.all(dw == 0.0)
             after = apply_updates(net, updates, 0.5)
@@ -361,7 +365,7 @@ class TestBackpropUpdates:
             (LayerSpec(3, 4, Activation.SIGMOID), LayerSpec(4, 2, Activation.SOFTMAX)), seed=8
         )
         clean = forward(net, np.array([0.1, 0.2, 0.3]))
-        for dw in backprop_updates(net, clean, np.zeros(2)).deltas:
+        for dw in backprop_updates(net, clean, np.zeros(2)):
             assert np.all(dw == 0.0)
 
     def test_single_linear_layer_closed_form(self):
@@ -369,7 +373,7 @@ class TestBackpropUpdates:
         x0 = np.array([0.3, -0.7])
         clean = forward(net, x0)
         gamma = output_error(clean.output, np.array([1.0, -1.0]))
-        (dw,) = backprop_updates(net, clean, gamma).deltas
+        (dw,) = backprop_updates(net, clean, gamma)
         np.testing.assert_allclose(dw, np.outer(gamma, x0)[None], rtol=1e-14)
 
     def test_gradient_matches_central_finite_differences(self):
@@ -388,7 +392,7 @@ class TestBackpropUpdates:
 
         clean = forward(net, xb)
         gamma = output_error(clean.output, tb)
-        analytic = backprop_updates(net, clean, gamma).deltas
+        analytic = backprop_updates(net, clean, gamma)
         eps = 1e-5
         worst = 0.0
         for l, layer in enumerate(net.layers):
@@ -475,10 +479,10 @@ class TestTrain:
 
     def test_projection_matrix_unchanged_by_training(self):
         net, data, proj = self.make_problem(seed=3)
-        before = proj.matrix.copy()
+        before = proj.copy()
         cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=4, seed=1)
         train(net, data, proj, cfg)
-        np.testing.assert_array_equal(proj.matrix, before)
+        np.testing.assert_array_equal(proj, before)
 
     def test_divergence_error_names_the_iteration(self):
         net = build_network(
@@ -493,7 +497,7 @@ class TestTrain:
         )
         proj = sample_projection(2, 1, seed=0)
         cfg = TrainConfig(learning_rate=100.0, epochs=50, batch_size=4, seed=0)
-        with pytest.raises(DivergenceError, match=r"at iteration \d+"):
+        with pytest.raises(NonFiniteError, match=r"at iteration \d+"):
             train(net, data, proj, cfg)
 
     def test_divergence_on_final_update_is_reported(self):
@@ -509,7 +513,7 @@ class TestTrain:
         )
         proj = sample_projection(1, 1, seed=0)
         cfg = TrainConfig(learning_rate=1e4, epochs=1, batch_size=1, seed=0)
-        with pytest.raises(DivergenceError, match="at iteration 1"):
+        with pytest.raises(NonFiniteError, match="at iteration 1"):
             train(net, data, proj, cfg)
 
     def test_backend_value_error_is_not_divergence(self):
@@ -529,7 +533,7 @@ class TestTrain:
         def overflowing_realize(n):
             return Network(tuple(Layer(l.weight * np.inf, l.activation) for l in n.layers))
 
-        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="at iteration 1"):
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="at iteration 1"):
             train(net, data, proj, TrainConfig(), realize=overflowing_realize)
 
     def test_backprop_algorithm_trains_too(self):
@@ -655,7 +659,3 @@ class TestConfigAndRecords:
         r2 = MetricRecord(1, 0.4, None)
         with pytest.raises(ValueError):
             MetricsHistory((r1, r2))
-
-    def test_update_set_rejects_non_finite_deltas(self):
-        with pytest.raises(ValueError):
-            UpdateSet((np.array([[np.nan]]),))
