@@ -125,14 +125,12 @@ def split_columns(image: np.ndarray, mode: SplitMode = SplitMode.COLUMN) -> np.n
     """Split a 28x28 image into 28 vectors; row j of the result is piece j.
 
     Column mode: piece j is image column j top-to-bottom.  Row mode: piece j
-    is image row j left-to-right.
+    is image row j left-to-right.  This is :func:`columnize` of one image.
     """
     image = np.asarray(image, dtype=float)
     if image.shape != (SIDE, SIDE):
         raise ValueError(f"expected a {SIDE}x{SIDE} image, got shape {image.shape}")
-    if SplitMode(mode) is SplitMode.COLUMN:
-        return image.T.copy()
-    return image.copy()
+    return columnize(image.reshape(1, SIDE * SIDE), mode).reshape(SIDE, SIDE)
 
 
 def columnize(inputs: np.ndarray, mode: SplitMode = SplitMode.COLUMN) -> np.ndarray:

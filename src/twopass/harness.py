@@ -36,14 +36,7 @@ from .core import Activation, LayerSpec, Network, NonFiniteError, build_network
 from .data import Dataset, load_mnist, xor_dataset
 from .modulation import sample_projection
 from .photonic import realize_network
-from .trainer import (
-    Algorithm,
-    MetricsHistory,
-    TrainConfig,
-    _check_int,
-    evaluate,
-    train,
-)
+from .trainer import MetricsHistory, TrainConfig, _check_int, evaluate, train
 
 __all__ = [
     "Task",
@@ -81,18 +74,16 @@ _MLP_HIDDEN = 256
 _COLUMN_OUT = 28
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(TrainConfig):
+    """One run: the :class:`TrainConfig` fields plus the experiment's own.
+
+    ``seed`` is the run seed.  The network, projection and shuffle seeds are
+    drawn from it, and ``train`` receives ``train_config(shuffle_seed)``.
+    """
+
     task: Task
-    algorithm: Algorithm = Algorithm.TWO_PASS
     backend: Backend = Backend.DENSE
-    learning_rate: float = 0.01
-    epochs: int = 1
-    batch_size: int = 64
-    seed: int = 0
-    lr_decay: float = 0.1
-    lr_decay_at: float = 2.0 / 3.0
-    shuffle: bool = True
     projection_scale: float = 0.05
     hidden: int | None = None
     split: SplitMode = SplitMode.COLUMN
@@ -100,8 +91,8 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         object.__setattr__(self, "task", Task(self.task))
-        object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
         object.__setattr__(self, "backend", Backend(self.backend))
         object.__setattr__(self, "split", SplitMode(self.split))
         if not 0.0 < self.projection_scale < math.inf:
@@ -110,16 +101,16 @@ class ExperimentConfig:
             )
         if self.hidden is not None:
             _check_int("hidden", self.hidden, 1)
-        # TrainConfig's own checks, so that a bad epoch count, rate, batch
-        # size or seed is a config error before any data is loaded.  The run
-        # seed stands in for the shuffle seed derived from it.
-        self.train_config(shuffle_seed=self.seed)
+        for name in ("data_dir", "out_dir"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string or null, got {value!r}")
 
     def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        for key in ("task", "algorithm", "backend", "split"):
-            doc[key] = doc[key].value
-        return doc
+        return {
+            key: value.value if isinstance(value, Enum) else value
+            for key, value in dataclasses.asdict(self).items()
+        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -134,16 +125,9 @@ class ExperimentConfig:
         return cls(**doc)
 
     def train_config(self, shuffle_seed: int) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            seed=shuffle_seed,
-            algorithm=self.algorithm,
-            lr_decay=self.lr_decay,
-            lr_decay_at=self.lr_decay_at,
-            shuffle=self.shuffle,
-        )
+        """These training settings, with the shuffle seed in place of the run seed."""
+        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(TrainConfig)}
+        return TrainConfig(**{**values, "seed": shuffle_seed})
 
 
 @dataclass(frozen=True)
@@ -303,20 +287,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         doc = json.loads(Path(args.config).read_text())
         if not isinstance(doc, dict):
             raise ValueError("config file must hold a JSON object")
-    for key in (
-        "task",
-        "algorithm",
-        "backend",
-        "epochs",
-        "learning_rate",
-        "batch_size",
-        "seed",
-        "data_dir",
-        "out_dir",
-    ):
-        value = getattr(args, key)
-        if value is not None:
-            doc[key] = value
+    doc.update((k, v) for k, v in vars(args).items() if k != "config" and v is not None)
     return ExperimentConfig.from_dict(doc)
 
 
@@ -325,10 +296,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
-    except _UsageError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
+    except (_UsageError, OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

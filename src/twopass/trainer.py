@@ -78,6 +78,8 @@ class TrainConfig:
             raise ValueError("lr_decay must be in (0, 1]")
         if not 0.0 < self.lr_decay_at <= 1.0:
             raise ValueError("lr_decay_at must be in (0, 1]")
+        if not isinstance(self.shuffle, bool):
+            raise ValueError(f"shuffle must be true or false, got {self.shuffle!r}")
 
 
 @dataclass(frozen=True)

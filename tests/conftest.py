@@ -1,3 +1,4 @@
+import inspect
 import os
 from pathlib import Path
 
@@ -56,6 +57,21 @@ def reference_updates(weights, activations, x0, target, proj, two_pass: bool):
         deltas.insert(0, mean_outer(delta, xs[l]))
         grad = weights[l].T @ delta
     return deltas
+
+
+def spy_on(monkeypatch, module, name: str) -> list[dict]:
+    """Replace ``module.name`` with a pass-through; returns its bound arguments per call."""
+    fn = getattr(module, name)
+    signature = inspect.signature(fn)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
 
 MNIST_FILES = (
     "train-images-idx3-ubyte",

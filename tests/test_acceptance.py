@@ -23,10 +23,8 @@ from twopass import (
     backprop_updates,
     build_colsplit_net,
     build_network,
-    colsplit_evaluate,
     colsplit_train,
     compose,
-    confusion_matrix,
     evaluate,
     forward,
     load_mnist,
@@ -42,9 +40,10 @@ from twopass import (
     two_pass_updates,
     unitarity_residual,
 )
+from twopass import harness
 from twopass.photonic import _input_isometry
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, spy_on
 
 CONFIG_DIR = REPO_ROOT / "configs"
 
@@ -53,13 +52,6 @@ def load_config(name: str, **overrides) -> ExperimentConfig:
     doc = json.loads((CONFIG_DIR / name).read_text())
     doc.update(overrides)
     return ExperimentConfig.from_dict(doc)
-
-
-def seed_triple(seed: int) -> tuple[int, int, int]:
-    net_seed, proj_seed, shuffle_seed = (
-        int(s) for s in np.random.SeedSequence(seed).generate_state(3)
-    )
-    return net_seed, proj_seed, shuffle_seed
 
 
 class TestXorConvergence:
@@ -81,58 +73,49 @@ class TestXorConvergence:
         assert elapsed < 5.0, f"10-seed sweep took {elapsed:.2f}s"
 
 
-@pytest.fixture(scope="module")
-def mlp_results(mnist_data):
-    """Both MLP models trained with the shipped configs, plus test evaluations."""
-    train_data, test_data = mnist_data
+def run_shipped_configs(names, evaluate_name: str, data_dir) -> dict:
+    """Run each shipped config through ``run_experiment`` on ``data_dir``.
+
+    Maps each algorithm to the trained model (as the harness hands it to its
+    evaluation hook) and the run's report.
+    """
     out = {}
-    for name in ("mnist_mlp_twopass.json", "mnist_mlp_backprop.json"):
-        cfg = load_config(name)
-        net_seed, proj_seed, shuffle_seed = seed_triple(cfg.seed)
-        hidden = cfg.hidden or 256
-        net = build_network(
-            (
-                LayerSpec(784, hidden, Activation.RELU),
-                LayerSpec(hidden, 10, Activation.SOFTMAX),
-            ),
-            seed=net_seed,
-        )
-        proj = sample_projection(784, 10, seed=proj_seed, scale=cfg.projection_scale)
-        trained, _ = train(net, train_data, proj, cfg.train_config(shuffle_seed))
-        out[cfg.algorithm] = (trained, evaluate(trained, test_data))
+    for name in names:
+        cfg = load_config(name, data_dir=str(data_dir))
+        with pytest.MonkeyPatch.context() as mp:
+            evaluated = spy_on(mp, harness, evaluate_name)
+            report = run_experiment(cfg)
+        out[cfg.algorithm] = (evaluated[0]["net"], report)
     return out
 
 
 @pytest.fixture(scope="module")
-def colsplit_results(mnist_data):
-    """Both column-split models trained with the shipped configs."""
-    train_data, test_data = mnist_data
-    out = {}
-    for name in ("mnist_colsplit_twopass.json", "mnist_colsplit_backprop.json"):
-        cfg = load_config(name)
-        net_seed, proj_seed, shuffle_seed = seed_triple(cfg.seed)
-        colnet = build_colsplit_net(
-            seed=net_seed, column_out=cfg.hidden or 28, mode=cfg.split
-        )
-        proj = sample_projection(784, 10, seed=proj_seed, scale=cfg.projection_scale)
-        trained, _ = colsplit_train(colnet, train_data, proj, cfg.train_config(shuffle_seed))
-        out[cfg.algorithm] = (trained, colsplit_evaluate(trained, test_data))
-    return out
+def mlp_results(mnist_dir):
+    """Both MLP models trained by the shipped configs, with their reports."""
+    names = ("mnist_mlp_twopass.json", "mnist_mlp_backprop.json")
+    return run_shipped_configs(names, "evaluate", mnist_dir)
+
+
+@pytest.fixture(scope="module")
+def colsplit_results(mnist_dir):
+    """Both column-split models trained by the shipped configs, with their reports."""
+    names = ("mnist_colsplit_twopass.json", "mnist_colsplit_backprop.json")
+    return run_shipped_configs(names, "colsplit_evaluate", mnist_dir)
 
 
 @pytest.mark.slow
 class TestMnistMlp:
     def test_two_pass_reaches_target_accuracy(self, mlp_results):
-        _, result = mlp_results[Algorithm.TWO_PASS]
-        assert result.accuracy >= 0.95, f"two-pass test accuracy {result.accuracy:.4f}"
+        _, report = mlp_results[Algorithm.TWO_PASS]
+        assert report.final_accuracy >= 0.95, f"two-pass test accuracy {report.final_accuracy:.4f}"
 
     def test_backprop_reaches_target_accuracy(self, mlp_results):
-        _, result = mlp_results[Algorithm.BACKPROP]
-        assert result.accuracy >= 0.97, f"backprop test accuracy {result.accuracy:.4f}"
+        _, report = mlp_results[Algorithm.BACKPROP]
+        assert report.final_accuracy >= 0.97, f"backprop test accuracy {report.final_accuracy:.4f}"
 
     def test_two_pass_tracks_backprop(self, mlp_results):
-        two_pass = mlp_results[Algorithm.TWO_PASS][1].accuracy
-        backprop = mlp_results[Algorithm.BACKPROP][1].accuracy
+        two_pass = mlp_results[Algorithm.TWO_PASS][1].final_accuracy
+        backprop = mlp_results[Algorithm.BACKPROP][1].final_accuracy
         gap = backprop - two_pass
         assert gap <= 0.035, f"accuracy gap {gap * 100:.2f} percentage points"
 
@@ -140,17 +123,16 @@ class TestMnistMlp:
 @pytest.mark.slow
 class TestMnistColumnSplit:
     def test_two_pass_reaches_target_accuracy(self, colsplit_results):
-        _, result = colsplit_results[Algorithm.TWO_PASS]
-        assert result.accuracy >= 0.95, f"two-pass test accuracy {result.accuracy:.4f}"
+        _, report = colsplit_results[Algorithm.TWO_PASS]
+        assert report.final_accuracy >= 0.95, f"two-pass test accuracy {report.final_accuracy:.4f}"
 
     def test_backprop_reaches_target_accuracy(self, colsplit_results):
-        _, result = colsplit_results[Algorithm.BACKPROP]
-        assert result.accuracy >= 0.97, f"backprop test accuracy {result.accuracy:.4f}"
+        _, report = colsplit_results[Algorithm.BACKPROP]
+        assert report.final_accuracy >= 0.97, f"backprop test accuracy {report.final_accuracy:.4f}"
 
-    def test_confusion_diagonal_dominates_every_class(self, colsplit_results, mnist_data):
-        _, test_data = mnist_data
-        for trained, result in colsplit_results.values():
-            m = confusion_matrix(result.predictions, test_data.labels)
+    def test_confusion_diagonal_dominates_every_class(self, colsplit_results):
+        for _, report in colsplit_results.values():
+            m = np.array(report.confusion)
             for i in range(10):
                 off_diagonal = int(m[i].sum() - m[i, i])
                 assert m[i, i] > off_diagonal, (
@@ -262,7 +244,7 @@ def realize_and_compare(trained, test_data):
 class TestPhotonicEquivalence:
     def test_trained_model_realizes_on_meshes(self, mlp_results, mnist_data):
         _, test_data = mnist_data
-        trained, dense_result = mlp_results[Algorithm.TWO_PASS]
+        trained, dense_report = mlp_results[Algorithm.TWO_PASS]
         _, mesh_result = realize_and_compare(trained, test_data)
 
         realized = realize_network(trained)
@@ -274,7 +256,7 @@ class TestPhotonicEquivalence:
             worst = max(worst, float(np.abs(dense_out - mesh_out).max()))
         assert worst < 1e-5, f"worst per-sample output difference {worst:.3e}"
 
-        diff = abs(mesh_result.accuracy - dense_result.accuracy)
+        diff = abs(mesh_result.accuracy - dense_report.final_accuracy)
         assert diff <= 0.001, f"accuracy moved by {diff * 100:.3f} percentage points"
 
 

@@ -1,4 +1,3 @@
-import inspect
 import json
 import warnings
 
@@ -29,7 +28,7 @@ from twopass import (
 from twopass import colsplit, harness, trainer
 from twopass.harness import resolve_data_dir
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, spy_on
 
 
 def xor_config(**overrides) -> ExperimentConfig:
@@ -57,6 +56,16 @@ class TestExperimentConfig:
             split=SplitMode.ROW,
         )
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize(
+        "path", sorted((REPO_ROOT / "configs").glob("*.json")), ids=lambda p: p.stem
+    )
+    def test_shipped_config_round_trips(self, path):
+        doc = json.loads(path.read_text())
+        cfg = ExperimentConfig.from_dict(doc)
+        echoed = cfg.to_dict()
+        assert ExperimentConfig.from_dict(echoed) == cfg
+        assert {key: echoed[key] for key in doc} == doc
 
     def test_string_values_coerce_to_enums(self):
         cfg = ExperimentConfig.from_dict(
@@ -228,20 +237,6 @@ class TestRunExperiment:
             main([cfg, "--out-dir", str(tmp_path / "out")])
 
 
-def spy_on(monkeypatch, module, name: str) -> list[dict]:
-    """Replace ``module.name`` with a pass-through; returns its bound arguments per call."""
-    fn = getattr(module, name)
-    signature = inspect.signature(fn)
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(signature.bind(*args, **kwargs).arguments)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, spy)
-    return calls
-
-
 class TestBenchmarkHookPoints:
     """perfbench/workload.py and perfbench/spans.py replace these module
     attributes at run time and bind ``data`` and ``cfg`` by name, so
@@ -272,7 +267,9 @@ class TestBenchmarkHookPoints:
         for name in ("harness.train", "harness.colsplit_train", "colsplit.train"):
             for args in calls[name]:
                 assert isinstance(args["data"], Dataset)
-                assert isinstance(args["cfg"], TrainConfig)
+                # An ExperimentConfig is a TrainConfig too; train must get
+                # the derived config that carries the shuffle seed.
+                assert type(args["cfg"]) is TrainConfig
         for name in ("harness.evaluate", "harness.colsplit_evaluate"):
             for args in calls[name]:
                 assert isinstance(args["data"], Dataset)
@@ -470,16 +467,20 @@ class TestMain:
             {"batch_size": 2.5},
             {"hidden": 2.5},
             {"seed": 1.5},
+            {"data_dir": 5},
+            {"out_dir": 5},
+            {"shuffle": "no"},
         ],
         ids=lambda entry: next(iter(entry)),
     )
     @pytest.mark.parametrize("task", ["xor", "mnist_mlp"])
     def test_bad_config_file_value_returns_config_error(self, task, entry, tmp_path, capsys):
-        # JSON admits Infinity and fractional counts, which no flag can give.
+        # JSON admits Infinity, fractional counts and values of the wrong
+        # type, which no flag can give.
         empty = tmp_path / "empty"
         empty.mkdir()
-        cfg = write_config(tmp_path, task=task, data_dir=str(empty), **entry)
-        assert main([cfg, "--out-dir", str(tmp_path / "out")]) == 1
+        doc = {"task": task, "data_dir": str(empty), "out_dir": str(tmp_path / "out"), **entry}
+        assert main([write_config(tmp_path, **doc)]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

@@ -1,6 +1,10 @@
-"""The package's public surface: the export list and the demos built on it."""
+"""The public surface: the export list, the demos built on it and `python -m twopass`."""
 
+import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -113,3 +117,24 @@ def test_offline_demo_runs(path, capsys):
     # Running main() catches a demo that calls a deleted name at run time.
     load_demo(path).main()
     assert capsys.readouterr().out
+
+
+def test_module_entry_runs_the_cli(tmp_path):
+    # ``python -m twopass`` is the CLI: the shipped XOR run, silent on
+    # stderr, with its known metrics.csv bytes.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    config = REPO_ROOT / "configs" / "xor_twopass.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "twopass", str(config), "--out-dir", str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == "2a2200267872a5c254c27bff6df58cde8fa8558d6c7ef50a62964313928f6947"

@@ -637,6 +637,8 @@ class TestConfigAndRecords:
             dict(batch_size=2.5),
             dict(seed=-1),
             dict(seed=1.5),
+            dict(shuffle="no"),
+            dict(shuffle=1),
         ):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 TrainConfig(**bad)
