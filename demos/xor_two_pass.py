@@ -44,7 +44,8 @@ def main() -> None:
 
     for record in history.records[:: len(history) // 12]:
         print(f"  iteration {record.iteration:4d}  mse {record.mse:.6f}")
-    print(f"  iteration {history.final.iteration:4d}  mse {history.final.mse:.6f}")
+    last = history.records[-1]
+    print(f"  iteration {last.iteration:4d}  mse {last.mse:.6f}")
 
     result = evaluate(trained, data)
     print(f"\nfinal mse over the four patterns: {result.mse:.6f}")

@@ -8,10 +8,11 @@ holds the 28 column weights as its ``(28, co, 28)`` block stack, so the
 column nets are views of its blocks.  Both training algorithms apply
 unchanged to it, and every product and update touches only the blocks, so
 the off-block entries of the equivalent 784-wide matrix are exactly zero by
-construction (they are never stored).  Serialization keeps the blocks.
+construction (they are never stored).  ``Network`` JSON keeps the blocks.
 
-Row-wise splitting is available behind a switch (column-wise is the default
-because it separates better in practice).
+Row-wise splitting is available through the library's ``mode`` argument
+(:class:`SplitMode`); column-wise is the default, because it separates better
+in practice, and the only split the experiment runner builds.
 """
 
 from __future__ import annotations
@@ -92,15 +93,6 @@ class ColumnSplitNet:
     @property
     def out_dim(self) -> int:
         return self.network.out_dim
-
-    def to_json(self) -> str:
-        """Serialize the composed network (shapes, activations, block counts, blocks)."""
-        return self.network.to_json()
-
-    @classmethod
-    def from_json(cls, text: str, mode: SplitMode = SplitMode.COLUMN) -> "ColumnSplitNet":
-        """Rebuild from a composed-network document."""
-        return cls(Network.from_json(text), mode)
 
 
 def build_colsplit_net(

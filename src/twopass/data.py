@@ -19,7 +19,6 @@ __all__ = [
     "Dataset",
     "load_idx",
     "write_idx",
-    "normalize",
     "one_hot",
     "xor_dataset",
     "load_mnist",
@@ -116,15 +115,6 @@ def write_idx(path, array: np.ndarray) -> None:
         path.write_bytes(blob)
 
 
-def normalize(raw: np.ndarray) -> np.ndarray:
-    """Scale byte images to [0, 1] and flatten row-major: (r, c) -> 28*r + c."""
-    raw = np.asarray(raw)
-    if raw.min() < 0 or raw.max() > 255:
-        raise ValueError("raw pixel values must be in 0..255")
-    flat = raw.reshape(raw.shape[0], -1) if raw.ndim > 1 else raw
-    return flat.astype(float) / 255.0
-
-
 def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     """One row per label, a single 1 at the label's index."""
     labels = np.asarray(labels, dtype=int)
@@ -171,9 +161,9 @@ def _load_split(data_dir: Path, split: str) -> Dataset:
     if labels.size and labels.max() > 9:
         raise ValueError(f"{split}: labels outside 0..9")
     labels = labels.astype(int)
-    return Dataset(
-        inputs=normalize(images), targets=one_hot(labels, 10), labels=labels
-    )
+    # Bytes scaled to [0, 1], flattened row-major: pixel (r, c) -> 28r + c.
+    inputs = images.reshape(images.shape[0], -1) / 255.0
+    return Dataset(inputs=inputs, targets=one_hot(labels, 10), labels=labels)
 
 
 def load_mnist(data_dir, strict_counts: bool = True) -> tuple[Dataset, Dataset]:

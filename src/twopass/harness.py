@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
@@ -25,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .colsplit import (
+    SIDE,
     ColumnSplitNet,
-    SplitMode,
     build_colsplit_net,
     colsplit_evaluate,
     colsplit_train,
@@ -36,7 +35,7 @@ from .core import Activation, LayerSpec, Network, NonFiniteError, build_network
 from .data import Dataset, load_mnist, xor_dataset
 from .modulation import sample_projection
 from .photonic import realize_network
-from .trainer import MetricsHistory, TrainConfig, _check_int, evaluate, train
+from .trainer import MetricsHistory, TrainConfig, _check_int, _check_positive, evaluate, train
 
 __all__ = [
     "Task",
@@ -68,10 +67,12 @@ class DataError(RuntimeError):
 _DEFAULT_DATA_DIR = "data"
 _ENV_DATA_DIR = "TWOPASS_DATA_DIR"
 
-# Task-default widths: XOR hidden units, MLP hidden units, per-column outputs.
-_XOR_HIDDEN = 16
-_MLP_HIDDEN = 256
-_COLUMN_OUT = 28
+# Each dense task's hidden and output activations and default hidden width.
+# Its input and output widths are those of its data.
+_DENSE_MODELS = {
+    Task.XOR: (Activation.SQUARE, Activation.SQUARE, 16),
+    Task.MNIST_MLP: (Activation.RELU, Activation.SOFTMAX, 256),
+}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -86,7 +87,6 @@ class ExperimentConfig(TrainConfig):
     backend: Backend = Backend.DENSE
     projection_scale: float = 0.05
     hidden: int | None = None
-    split: SplitMode = SplitMode.COLUMN
     data_dir: str | None = None
     out_dir: str | None = None
 
@@ -94,11 +94,7 @@ class ExperimentConfig(TrainConfig):
         super().__post_init__()
         object.__setattr__(self, "task", Task(self.task))
         object.__setattr__(self, "backend", Backend(self.backend))
-        object.__setattr__(self, "split", SplitMode(self.split))
-        if not 0.0 < self.projection_scale < math.inf:
-            raise ValueError(
-                f"projection_scale must be positive and finite, got {self.projection_scale!r}"
-            )
+        _check_positive("projection_scale", self.projection_scale)
         if self.hidden is not None:
             _check_int("hidden", self.hidden, 1)
         for name in ("data_dir", "out_dir"):
@@ -173,27 +169,19 @@ def _load_task_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         raise DataError(str(exc)) from exc
 
 
-def _xor_model(cfg: ExperimentConfig, seed: int) -> Network:
-    hidden = cfg.hidden or _XOR_HIDDEN
-    specs = (LayerSpec(2, hidden, Activation.SQUARE), LayerSpec(hidden, 1, Activation.SQUARE))
+def _build_model(
+    cfg: ExperimentConfig, seed: int, train_data: Dataset
+) -> Network | ColumnSplitNet:
+    """The task's freshly initialized model, sized from ``train_data``."""
+    if cfg.task is Task.MNIST_COLSPLIT:
+        return build_colsplit_net(seed=seed, column_out=cfg.hidden or SIDE)
+    hidden_act, out_act, default_hidden = _DENSE_MODELS[cfg.task]
+    hidden = cfg.hidden or default_hidden
+    specs = (
+        LayerSpec(train_data.inputs.shape[1], hidden, hidden_act),
+        LayerSpec(hidden, train_data.targets.shape[1], out_act),
+    )
     return build_network(specs, seed=seed)
-
-
-def _mlp_model(cfg: ExperimentConfig, seed: int) -> Network:
-    hidden = cfg.hidden or _MLP_HIDDEN
-    specs = (LayerSpec(784, hidden, Activation.RELU), LayerSpec(hidden, 10, Activation.SOFTMAX))
-    return build_network(specs, seed=seed)
-
-
-def _colsplit_model(cfg: ExperimentConfig, seed: int) -> ColumnSplitNet:
-    return build_colsplit_net(seed=seed, column_out=cfg.hidden or _COLUMN_OUT, mode=cfg.split)
-
-
-_MODEL_BUILDERS = {
-    Task.XOR: _xor_model,
-    Task.MNIST_MLP: _mlp_model,
-    Task.MNIST_COLSPLIT: _colsplit_model,
-}
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -203,7 +191,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     net_seed, proj_seed, shuffle_seed = (
         int(s) for s in np.random.SeedSequence(cfg.seed).generate_state(3)
     )
-    model = _MODEL_BUILDERS[cfg.task](cfg, net_seed)
+    model = _build_model(cfg, net_seed, train_data)
     proj = sample_projection(model.in_dim, model.out_dim, seed=proj_seed, scale=cfg.projection_scale)
     tc = cfg.train_config(shuffle_seed)
 

@@ -48,10 +48,22 @@ class Algorithm(str, Enum):
     BACKPROP = "backprop"
 
 
+# The learning rate drops to LR_DECAY times its value from the 0-based epoch
+# max(1, floor(epochs * LR_DECAY_AT)) on.
+LR_DECAY = 0.1
+LR_DECAY_AT = 2.0 / 3.0
+
+
 def _check_int(name: str, value, minimum: int) -> None:
     """Raise ValueError unless ``value`` is an integer (not a bool) >= ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a positive, finite real (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,23 +73,14 @@ class TrainConfig:
     batch_size: int = 64
     seed: int = 0
     algorithm: Algorithm = Algorithm.TWO_PASS
-    lr_decay: float = 0.1
-    lr_decay_at: float = 2.0 / 3.0
     shuffle: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError(
-                f"learning_rate must be positive and finite, got {self.learning_rate!r}"
-            )
+        _check_positive("learning_rate", self.learning_rate)
         _check_int("epochs", self.epochs, 1)
         _check_int("batch_size", self.batch_size, 1)
         _check_int("seed", self.seed, 0)
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError("lr_decay must be in (0, 1]")
-        if not 0.0 < self.lr_decay_at <= 1.0:
-            raise ValueError("lr_decay_at must be in (0, 1]")
         if not isinstance(self.shuffle, bool):
             raise ValueError(f"shuffle must be true or false, got {self.shuffle!r}")
 
@@ -102,10 +105,6 @@ class MetricsHistory:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    @property
-    def final(self) -> MetricRecord:
-        return self.records[-1]
 
 
 @dataclass(frozen=True)
@@ -220,12 +219,12 @@ def train(
     classification = data.targets.shape[1] >= 2
     n = data.inputs.shape[0]
     rng = np.random.default_rng(cfg.seed)
-    decay_epoch = max(1, int(np.floor(cfg.epochs * cfg.lr_decay_at)))
+    decay_epoch = max(1, int(np.floor(cfg.epochs * LR_DECAY_AT)))
 
     records = []
     iteration = 0
     for epoch in range(cfg.epochs):
-        lr = cfg.learning_rate * (cfg.lr_decay if epoch >= decay_epoch else 1.0)
+        lr = cfg.learning_rate * (LR_DECAY if epoch >= decay_epoch else 1.0)
         order = rng.permutation(n) if cfg.shuffle else np.arange(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]

@@ -389,7 +389,7 @@ class TestBlockPreservationProperty:
             got = forward(trained.network, columnize(data.inputs[i : i + 1], mode)[0]).output
             ref = stagewise_forward(trained, data.inputs[i].reshape(28, 28))
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
-        back = ColumnSplitNet.from_json(trained.to_json(), mode)
+        back = ColumnSplitNet(Network.from_json(trained.network.to_json()), mode)
         assert back.mode is mode
         for la, lb in zip(trained.network.layers, back.network.layers):
             assert la.blocks.shape == lb.blocks.shape
@@ -400,7 +400,7 @@ class TestBlockPreservationProperty:
 class TestSerialization:
     def test_round_trip_preserves_weights(self):
         net = build_colsplit_net(seed=11, column_out=2)
-        back = ColumnSplitNet.from_json(net.to_json())
+        back = ColumnSplitNet(Network.from_json(net.network.to_json()))
         assert back.network.layers[0].blocks.shape == (28, 2, 28)
         for la, lb in zip(compose(net).layers, compose(back).layers):
             assert la.blocks.shape == lb.blocks.shape
@@ -410,7 +410,7 @@ class TestSerialization:
 
     def test_round_trip_mode_argument(self):
         net = build_colsplit_net(seed=12, column_out=2, mode=SplitMode.ROW)
-        back = ColumnSplitNet.from_json(net.to_json(), mode=SplitMode.ROW)
+        back = ColumnSplitNet(Network.from_json(net.network.to_json()), SplitMode.ROW)
         assert back.mode is SplitMode.ROW
 
     def test_dense_first_stage_rejected(self):
@@ -419,12 +419,12 @@ class TestSerialization:
             seed=0,
         )
         with pytest.raises(ValueError, match="28 column blocks"):
-            ColumnSplitNet.from_json(dense.to_json())
+            ColumnSplitNet(Network.from_json(dense.to_json()))
 
     def test_wrong_depth_rejected(self):
         stage1 = build_colsplit_net(seed=0, column_out=2).network.layers[0]
         with pytest.raises(ValueError, match="needs an aggregator"):
-            ColumnSplitNet.from_json(Network((stage1,)).to_json())
+            ColumnSplitNet(Network.from_json(Network((stage1,)).to_json()))
 
     def test_wrong_input_size_rejected(self):
         small = build_network(
@@ -432,13 +432,13 @@ class TestSerialization:
             seed=0,
         )
         with pytest.raises(ValueError, match="28 column blocks"):
-            ColumnSplitNet.from_json(small.to_json())
+            ColumnSplitNet(Network.from_json(small.to_json()))
 
     def test_indivisible_stage_width_rejected(self):
-        doc = json.loads(build_colsplit_net(seed=0, column_out=2).to_json())
+        doc = json.loads(build_colsplit_net(seed=0, column_out=2).network.to_json())
         doc["layers"][0]["out_dim"] = 30
         with pytest.raises(ValueError, match="dividing 30x784"):
-            ColumnSplitNet.from_json(json.dumps(doc))
+            ColumnSplitNet(Network.from_json(json.dumps(doc)))
 
 
 class TestConfusionMatrix:

@@ -9,7 +9,6 @@ from twopass import (
     NonFiniteError,
     load_idx,
     load_mnist,
-    normalize,
     one_hot,
     write_idx,
     xor_dataset,
@@ -96,29 +95,6 @@ class TestWriteIdx:
     def test_two_dimensional_arrays_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="1-D or 3-D"):
             write_idx(tmp_path / "bad", np.zeros((2, 2), dtype=np.uint8))
-
-
-class TestNormalize:
-    def test_extreme_and_midrange_values(self):
-        out = normalize(np.array([[[0, 255], [128, 64]]], dtype=np.uint8))
-        np.testing.assert_allclose(
-            out, np.array([[0.0, 1.0, 128.0 / 255.0, 64.0 / 255.0]]), rtol=1e-15
-        )
-
-    def test_row_major_flattening(self):
-        # pixel (r, c) of a 28x28 image lands at flat index 28*r + c
-        raw = np.zeros((1, 28, 28), dtype=np.uint8)
-        raw[0, 3, 5] = 255
-        out = normalize(raw)
-        assert out.shape == (1, 784)
-        assert out[0, 28 * 3 + 5] == 1.0
-        assert out.sum() == 1.0
-
-    def test_out_of_range_values_rejected(self):
-        with pytest.raises(ValueError, match="0..255"):
-            normalize(np.array([[300]]))
-        with pytest.raises(ValueError, match="0..255"):
-            normalize(np.array([[-1]]))
 
 
 class TestOneHot:
@@ -220,6 +196,17 @@ class TestLoadMnist:
         assert float(train.inputs.min()) >= 0.0
         assert float(train.inputs.max()) <= 1.0
         np.testing.assert_array_equal(train.targets.argmax(axis=1), train.labels)
+
+    def test_row_major_flattening(self, tmp_path):
+        # pixel (r, c) of a 28x28 image lands at flat index 28*r + c
+        self.write_split(tmp_path, n_train=1, n_test=1)
+        raw = np.zeros((1, 28, 28), dtype=np.uint8)
+        raw[0, 3, 5] = 255
+        write_idx(tmp_path / MNIST_FILES[0], raw)
+        train, _ = load_mnist(tmp_path, strict_counts=False)
+        assert train.inputs.shape == (1, 784)
+        assert train.inputs[0, 28 * 3 + 5] == 1.0
+        assert train.inputs.sum() == 1.0
 
     def test_gzipped_corpus_loads(self, tmp_path):
         self.write_split(tmp_path, n_train=2, n_test=1, gz=True)

@@ -16,7 +16,6 @@ from twopass import (
     Network,
     NonFiniteError,
     RunReport,
-    SplitMode,
     Task,
     TrainConfig,
     emit_metrics,
@@ -53,7 +52,6 @@ class TestExperimentConfig:
             learning_rate=0.3,
             epochs=7,
             hidden=9,
-            split=SplitMode.ROW,
         )
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
@@ -69,12 +67,11 @@ class TestExperimentConfig:
 
     def test_string_values_coerce_to_enums(self):
         cfg = ExperimentConfig.from_dict(
-            {"task": "mnist_mlp", "algorithm": "backprop", "backend": "photonic", "split": "row"}
+            {"task": "mnist_mlp", "algorithm": "backprop", "backend": "photonic"}
         )
         assert cfg.task is Task.MNIST_MLP
         assert cfg.algorithm is Algorithm.BACKPROP
         assert cfg.backend is Backend.PHOTONIC
-        assert cfg.split is SplitMode.ROW
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys: momentum"):
@@ -106,8 +103,6 @@ class TestExperimentConfig:
         assert tc.batch_size == 2
         assert tc.seed == 77
         assert tc.algorithm is Algorithm.BACKPROP
-        assert tc.lr_decay == cfg.lr_decay
-        assert tc.lr_decay_at == cfg.lr_decay_at
         assert tc.shuffle is cfg.shuffle
 
 
@@ -305,7 +300,7 @@ class TestBenchmarkHookPoints:
         for model in (colsplit_args[0], trained):
             assert len(model.column_nets) == 28
             assert model.column_out == 2
-            assert isinstance(model.mode, SplitMode)
+            assert model.mode is colsplit.SplitMode.COLUMN
         co = trained.column_out
         on_block = np.kron(np.eye(28), np.ones((co, 28))) == 1.0
         for composed in (colsplit.compose(trained), trained_composed):
@@ -426,6 +421,20 @@ class TestMain:
         assert main([cfg]) == 1
         assert "momentum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry",
+        [{"lr_decay": 0.5}, {"lr_decay_at": 0.5}, {"split": "row"}],
+        ids=lambda entry: next(iter(entry)),
+    )
+    def test_removed_key_returns_config_error_before_data_loads(self, entry, tmp_path, capsys):
+        # The schedule and the split are fixed in code; an empty data
+        # directory would give exit 2 if the config passed.
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        cfg = write_config(tmp_path, task="mnist_mlp", data_dir=str(empty), **entry)
+        assert main([cfg]) == 1
+        assert f"config error: unknown config keys: {next(iter(entry))}" in capsys.readouterr().err
+
     def test_missing_config_file_returns_config_error(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.json")]) == 1
         assert "config error" in capsys.readouterr().err
@@ -463,6 +472,8 @@ class TestMain:
         "entry",
         [
             {"projection_scale": float("inf")},
+            pytest.param({"projection_scale": True}, id="projection_scale_true"),
+            pytest.param({"learning_rate": True}, id="learning_rate_true"),
             {"epochs": 1.5},
             {"batch_size": 2.5},
             {"hidden": 2.5},

@@ -23,9 +23,10 @@ from twopass import (
     train,
     two_pass_updates,
 )
+from twopass import trainer
 from twopass.trainer import MetricRecord, MetricsHistory
 
-from conftest import block_diag, mean_outer, reference_updates
+from conftest import block_diag, mean_outer, reference_updates, spy_on
 
 
 def block_net(seed):
@@ -437,6 +438,21 @@ class TestTrain:
         for la, lb in zip(net_a.layers, net_b.layers):
             np.testing.assert_array_equal(la.weight, lb.weight)
 
+    @pytest.mark.parametrize("epochs, drop_epoch", [(1, None), (2, 1), (3, 2), (30, 20)])
+    def test_learning_rate_drops_tenfold_at_two_thirds(self, monkeypatch, epochs, drop_epoch):
+        # The rate is 0.1 * lr from 0-based epoch max(1, floor(2 * epochs / 3)) on.
+        calls = spy_on(monkeypatch, trainer, "apply_updates")
+        net, data, proj = self.make_problem(seed=3)
+        lr = 0.2
+        train(net, data, proj, TrainConfig(learning_rate=lr, epochs=epochs, batch_size=6))
+        steps_per_epoch = 2
+        expected = [
+            0.1 * lr if drop_epoch is not None and epoch >= drop_epoch else lr
+            for epoch in range(epochs)
+            for _ in range(steps_per_epoch)
+        ]
+        assert [call["learning_rate"] for call in calls] == expected
+
     def test_zero_error_dataset_is_a_fixed_point(self):
         net, data, proj = self.make_problem(seed=7)
         # Mirror the trainer's exact batch construction (transpose, then
@@ -625,13 +641,10 @@ class TestConfigAndRecords:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            TrainConfig(lr_decay=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(lr_decay_at=1.5)
         for bad in (
             dict(learning_rate=float("nan")),
             dict(learning_rate=float("inf")),
+            dict(learning_rate=True),
             dict(epochs=1.5),
             dict(epochs=True),
             dict(batch_size=2.5),
