@@ -119,7 +119,7 @@ def split_columns(image: np.ndarray, mode: SplitMode = SplitMode.COLUMN) -> np.n
     Column mode: piece j is image column j top-to-bottom.  Row mode: piece j
     is image row j left-to-right.  This is :func:`columnize` of one image.
     """
-    image = np.asarray(image, dtype=float)
+    image = np.asarray(image)
     if image.shape != (SIDE, SIDE):
         raise ValueError(f"expected a {SIDE}x{SIDE} image, got shape {image.shape}")
     return columnize(image.reshape(1, SIDE * SIDE), mode).reshape(SIDE, SIDE)
@@ -130,9 +130,10 @@ def columnize(inputs: np.ndarray, mode: SplitMode = SplitMode.COLUMN) -> np.ndar
 
     Flattened datasets store pixel (r, c) at index 28r + c.  The composed
     column-split network expects piece j's entries contiguous, i.e. pixel
-    (r, c) at index 28c + r in column mode.  Row mode is the identity.
+    (r, c) at index 28c + r in column mode.  Row mode is the identity.  The
+    result is a new array of the input's dtype, so uint8 pixels stay bytes.
     """
-    inputs = np.asarray(inputs, dtype=float)
+    inputs = np.asarray(inputs)
     if inputs.ndim != 2 or inputs.shape[1] != SIDE * SIDE:
         raise ValueError(f"expected shape (N, {SIDE * SIDE}), got {inputs.shape}")
     if SplitMode(mode) is SplitMode.ROW:

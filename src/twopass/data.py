@@ -30,14 +30,27 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass(frozen=True)
 class Dataset:
-    """Row-per-sample inputs in [0, 1], finite targets, and integer labels."""
+    """Row-per-sample inputs, finite targets, and integer labels.
+
+    ``inputs`` are either uint8 bytes, each meaning ``byte / 255``, or floats
+    in [0, 1].  Bytes are kept as they are (8x smaller than floats) and need
+    no range check; any other dtype is converted to float and checked.  The
+    scaling by 1/255 is applied only where :func:`~twopass.trainer.train` and
+    :func:`~twopass.trainer.evaluate` take a batch: ``columnize``,
+    ``split_columns`` and ``forward`` use the values as given.
+    """
 
     inputs: np.ndarray
     targets: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        inputs = np.asarray(self.inputs, dtype=float)
+        inputs = np.asarray(self.inputs)
+        if inputs.dtype != np.uint8:
+            inputs = inputs.astype(float, copy=False)
+            # Written so that NaN fails it: NaN propagates through min and max.
+            if inputs.size and not (inputs.min() >= 0.0 and inputs.max() <= 1.0):
+                raise ValueError("inputs must lie in [0, 1]")
         targets = np.asarray(self.targets, dtype=float)
         labels = np.asarray(self.labels, dtype=int)
         n = inputs.shape[0]
@@ -46,9 +59,6 @@ class Dataset:
                 f"inconsistent sample counts: {n} inputs, "
                 f"{targets.shape[0]} targets, {labels.shape[0]} labels"
             )
-        # Written so that NaN fails it: NaN propagates through min and max.
-        if inputs.size and not (inputs.min() >= 0.0 and inputs.max() <= 1.0):
-            raise ValueError("inputs must lie in [0, 1]")
         if not np.isfinite(targets).all():
             raise ValueError("targets must be finite")
         object.__setattr__(self, "inputs", inputs)
@@ -89,7 +99,7 @@ def load_idx(path) -> np.ndarray:
         raise ValueError(
             f"size mismatch in {path}: expected {expected} payload bytes, got {actual}"
         )
-    return np.frombuffer(raw[header_len:], dtype=np.uint8).reshape(dims)
+    return np.frombuffer(raw, dtype=np.uint8, offset=header_len).reshape(dims)
 
 
 def write_idx(path, array: np.ndarray) -> None:
@@ -161,15 +171,17 @@ def _load_split(data_dir: Path, split: str) -> Dataset:
     if labels.size and labels.max() > 9:
         raise ValueError(f"{split}: labels outside 0..9")
     labels = labels.astype(int)
-    # Bytes scaled to [0, 1], flattened row-major: pixel (r, c) -> 28r + c.
-    inputs = images.reshape(images.shape[0], -1) / 255.0
+    # Raw bytes (see Dataset), flattened row-major: pixel (r, c) -> 28r + c.
+    inputs = images.reshape(images.shape[0], -1)
     return Dataset(inputs=inputs, targets=one_hot(labels, 10), labels=labels)
 
 
 def load_mnist(data_dir, strict_counts: bool = True) -> tuple[Dataset, Dataset]:
     """Load the train/test splits from IDX files under ``data_dir``.
 
-    With ``strict_counts`` the standard 60000/10000 split sizes are enforced.
+    Inputs are the files' uint8 pixel bytes, one flattened ``(N, 784)`` row
+    per image; the trainer scales them to [0, 1] batch by batch.  With
+    ``strict_counts`` the standard 60000/10000 split sizes are enforced.
     """
     data_dir = Path(data_dir)
     train = _load_split(data_dir, "train")

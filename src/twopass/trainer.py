@@ -181,6 +181,18 @@ def apply_updates(
     return Network(tuple(layer.step(dw, learning_rate) for layer, dw in zip(net.layers, updates)))
 
 
+def _scaled(inputs: np.ndarray) -> np.ndarray:
+    """``inputs`` as floats in [0, 1]: uint8 bytes are divided by 255 (see Dataset).
+
+    Byte batches come back as a new C-contiguous array.  The conversion is
+    exact and the division correctly rounded, so the values equal those of
+    ``inputs / 255.0``.
+    """
+    if inputs.dtype == np.uint8:
+        return np.divide(inputs, 255.0, out=np.empty(inputs.shape))
+    return inputs
+
+
 def _validate_setup(net: Network, data: Dataset, proj: np.ndarray) -> None:
     if data.inputs.shape[0] == 0:
         raise ValueError("dataset is empty")
@@ -232,7 +244,7 @@ def train(
             # comes out C-contiguous, and matmul rounding depends on layout, so
             # a C-contiguous clean batch makes both passes bitwise identical
             # whenever gamma is zero (exact fixed point at zero error).
-            xb = np.ascontiguousarray(x_all[:, idx])
+            xb = np.ascontiguousarray(_scaled(x_all[:, idx]))
             tb = t_all[:, idx]
             iteration += 1
             # Divergence shows up as non-finite values; those are detected and
@@ -290,7 +302,7 @@ def evaluate(
     with np.errstate(over="ignore", invalid="ignore"):
         run = net if realize is None else realize(net)
         for start in range(0, n, batch_size):
-            xb = data.inputs[start : start + batch_size].T
+            xb = _scaled(data.inputs[start : start + batch_size]).T
             tb = data.targets[start : start + batch_size].T
             trace = forward(run, xb)
             gamma = output_error(trace.output, tb)

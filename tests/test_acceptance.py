@@ -7,6 +7,7 @@ marked slow; everything else runs in seconds from a fresh checkout.
 
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from twopass import (
     build_colsplit_net,
     build_network,
     colsplit_train,
+    columnize,
     compose,
     evaluate,
     forward,
@@ -250,7 +252,7 @@ class TestPhotonicEquivalence:
         realized = realize_network(trained)
         worst = 0.0
         for start in range(0, len(test_data), 2000):
-            xb = test_data.inputs[start : start + 2000].T
+            xb = (test_data.inputs[start : start + 2000] / 255.0).T
             dense_out = forward(trained, xb).output
             mesh_out = forward(realized, xb).output
             worst = max(worst, float(np.abs(dense_out - mesh_out).max()))
@@ -303,6 +305,22 @@ class TestPhotonicMnistShapeEquivalence:
         for stage1 in (composed.layers[0], realize_network(composed).layers[0]):
             assert stage1.blocks.shape == (28, 28, 28)
             assert np.all(stage1.weight[off_block] == 0.0)
+
+
+class TestMnistShapeMemory:
+    def test_loading_and_columnizing_stay_in_bytes(self, synthetic_mnist_dir):
+        # The pixels stay uint8 (45 MiB for the train split) through loading
+        # and the column reorder; float64 copies would take 359 MiB each.
+        # tracemalloc counts numpy's allocations exactly, so the bound is not
+        # noisy.
+        tracemalloc.start()
+        try:
+            train_data, _ = load_mnist(synthetic_mnist_dir)
+            columnize(train_data.inputs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestUnitaryRoundTrip:

@@ -104,6 +104,13 @@ class TestColumnize:
         out[0, 0] = -1.0
         assert flat[0, 0] != -1.0
 
+    @pytest.mark.parametrize("mode", list(SplitMode))
+    def test_bytes_stay_bytes_and_match_the_float_result(self, mode):
+        pixels = np.random.default_rng(7).integers(0, 256, (3, 784), dtype=np.uint8)
+        out = columnize(pixels, mode)
+        assert out.dtype == np.uint8
+        np.testing.assert_array_equal(out, columnize(pixels / 255.0, mode) * 255.0)
+
     def test_column_mode_is_an_involution(self):
         flat = np.random.default_rng(6).random((2, 784))
         np.testing.assert_array_equal(

@@ -5,16 +5,29 @@ import numpy as np
 import pytest
 
 from twopass import (
+    Activation,
     Dataset,
+    LayerSpec,
     NonFiniteError,
+    build_network,
+    evaluate,
     load_idx,
     load_mnist,
     one_hot,
     write_idx,
     xor_dataset,
 )
+from twopass import trainer
 
-from conftest import MNIST_FILES
+from conftest import MNIST_FILES, spy_on
+
+
+def seen_by_trainer(monkeypatch, data: Dataset) -> np.ndarray:
+    """The inputs ``evaluate`` feeds to its forward passes, one row per sample."""
+    calls = spy_on(monkeypatch, trainer, "forward")
+    net = build_network([LayerSpec(784, 10, Activation.SOFTMAX)], seed=0)
+    evaluate(net, data)
+    return np.concatenate([call["x0"].T for call in calls])
 
 
 def idx_bytes(magic: int, dims: tuple[int, ...], payload: bytes) -> bytes:
@@ -158,6 +171,22 @@ class TestDataset:
             )
         assert not isinstance(exc.value, NonFiniteError)
 
+    @pytest.mark.parametrize("dtype", [np.int16, np.uint16, np.int64])
+    def test_integer_inputs_other_than_bytes_are_range_checked(self, dtype):
+        # Only uint8 means pixel / 255; wider integers are taken at face value.
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            Dataset(
+                inputs=np.array([[0, 255]], dtype=dtype),
+                targets=np.array([[0.0]]),
+                labels=np.array([0]),
+            )
+
+    def test_byte_inputs_are_kept_as_given_without_a_range_check(self):
+        # 255 would fail the [0, 1] check; uint8 is taken as pixel / 255.
+        pixels = np.array([[0, 255]], dtype=np.uint8)
+        data = Dataset(inputs=pixels, targets=np.array([[0.0]]), labels=np.array([0]))
+        assert data.inputs is pixels
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_target_rejected_as_data_not_divergence(self, bad):
         with pytest.raises(ValueError, match="targets must be finite") as exc:
@@ -187,26 +216,32 @@ class TestLoadMnist:
                 rng.integers(0, 10, n, dtype=np.uint8),
             )
 
-    def test_small_synthetic_corpus_loads(self, tmp_path):
+    def test_small_synthetic_corpus_loads(self, tmp_path, monkeypatch):
         self.write_split(tmp_path, n_train=7, n_test=3)
         train, test = load_mnist(tmp_path, strict_counts=False)
         assert len(train) == 7 and len(test) == 3
+        assert train.inputs.dtype == np.uint8
         assert train.inputs.shape == (7, 784)
         assert train.targets.shape == (7, 10)
-        assert float(train.inputs.min()) >= 0.0
-        assert float(train.inputs.max()) <= 1.0
+        raw = load_idx(tmp_path / MNIST_FILES[0]).reshape(7, 784)
+        np.testing.assert_array_equal(train.inputs, raw)
+        np.testing.assert_array_equal(seen_by_trainer(monkeypatch, train), raw / 255.0)
         np.testing.assert_array_equal(train.targets.argmax(axis=1), train.labels)
 
-    def test_row_major_flattening(self, tmp_path):
+    def test_row_major_flattening(self, tmp_path, monkeypatch):
         # pixel (r, c) of a 28x28 image lands at flat index 28*r + c
         self.write_split(tmp_path, n_train=1, n_test=1)
         raw = np.zeros((1, 28, 28), dtype=np.uint8)
         raw[0, 3, 5] = 255
         write_idx(tmp_path / MNIST_FILES[0], raw)
         train, _ = load_mnist(tmp_path, strict_counts=False)
+        assert train.inputs.dtype == np.uint8
         assert train.inputs.shape == (1, 784)
-        assert train.inputs[0, 28 * 3 + 5] == 1.0
-        assert train.inputs.sum() == 1.0
+        assert train.inputs[0, 28 * 3 + 5] == 255
+        assert train.inputs.sum() == 255
+        seen = seen_by_trainer(monkeypatch, train)
+        assert seen[0, 28 * 3 + 5] == 1.0
+        assert seen.sum() == 1.0
 
     def test_gzipped_corpus_loads(self, tmp_path):
         self.write_split(tmp_path, n_train=2, n_test=1, gz=True)
@@ -245,13 +280,13 @@ class TestLoadMnist:
 
 
 class TestRealMnist:
-    def test_standard_split_properties(self, mnist_data):
+    def test_standard_split_properties(self, mnist_data, monkeypatch):
         train, test = mnist_data
         assert len(train) == 60000
         assert len(test) == 10000
+        assert train.inputs.dtype == np.uint8
         assert train.inputs.shape == (60000, 784)
-        assert float(train.inputs.min()) >= 0.0
-        assert float(train.inputs.max()) <= 1.0
+        np.testing.assert_array_equal(seen_by_trainer(monkeypatch, test), test.inputs / 255.0)
         np.testing.assert_array_equal(
             np.unique(test.labels), np.arange(10)
         )

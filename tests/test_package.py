@@ -17,8 +17,8 @@ from conftest import REPO_ROOT
 # MZISetting, mzi_transfer, MeshBackend, the Clements decomposition, the
 # intensity detector, BlockLayer (now one Layer type), reassemble, the
 # ProjectionMatrix and UpdateSet wrappers and DivergenceError, now plain
-# arrays, tuples and NonFiniteError, and normalize, now part of load_mnist),
-# plus realize_network.
+# arrays, tuples and NonFiniteError, and normalize, now done per batch by the
+# trainer), plus realize_network.
 PUBLIC_NAMES = {
     "Activation",
     "Algorithm",

@@ -14,10 +14,14 @@ from twopass import (
     TrainConfig,
     apply_updates,
     backprop_updates,
+    build_colsplit_net,
     build_network,
+    colsplit_evaluate,
+    colsplit_train,
     evaluate,
     forward,
     modulate_input,
+    one_hot,
     output_error,
     sample_projection,
     train,
@@ -631,6 +635,46 @@ class TestEvaluate:
             labels=np.array([0]),
         )
         assert evaluate(net, data).accuracy is None
+
+
+def byte_twins(seed: int, n: int = 200) -> tuple[Dataset, Dataset]:
+    """A Dataset of uint8 784-pixel rows, and its twin holding ``inputs / 255.0``."""
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, (n, 784), dtype=np.uint8)
+    labels = rng.integers(0, 10, n)
+    targets = one_hot(labels, 10)
+    return Dataset(pixels, targets, labels), Dataset(pixels / 255.0, targets, labels)
+
+
+class TestByteInputs:
+    """uint8 inputs train and evaluate to the same bits as their float twins."""
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    @pytest.mark.parametrize("model", ["dense", "colsplit"])
+    def test_bytes_and_floats_give_identical_bits(self, model, algorithm):
+        twins = byte_twins(seed=11)
+        proj = sample_projection(784, 10, seed=12)
+        cfg = TrainConfig(
+            learning_rate=0.05, epochs=2, batch_size=64, seed=13, algorithm=algorithm
+        )
+        if model == "dense":
+            net = build_network(
+                (LayerSpec(784, 16, Activation.RELU), LayerSpec(16, 10, Activation.SOFTMAX)),
+                seed=14,
+            )
+            runs = [train(net, data, proj, cfg) for data in twins]
+            evals = [evaluate(runs[0][0], data, batch_size=64) for data in twins]
+            layers = [trained.layers for trained, _ in runs]
+        else:
+            net = build_colsplit_net(seed=14, column_out=2)
+            runs = [colsplit_train(net, data, proj, cfg) for data in twins]
+            evals = [colsplit_evaluate(runs[0][0], data) for data in twins]
+            layers = [trained.network.layers for trained, _ in runs]
+        assert runs[0][1] == runs[1][1]
+        for from_bytes, from_floats in zip(*layers):
+            assert from_bytes.blocks.tobytes() == from_floats.blocks.tobytes()
+        assert evals[0].mse == evals[1].mse
+        np.testing.assert_array_equal(evals[0].predictions, evals[1].predictions)
 
 
 class TestConfigAndRecords:
