@@ -295,9 +295,6 @@ def init_weights(spec: LayerSpec, seed: int) -> np.ndarray:
 
 def build_network(specs: list[LayerSpec], seed: int) -> Network:
     """Build a network from layer specs with per-layer seeds derived from ``seed``."""
-    for prev, cur in zip(specs, specs[1:]):
-        if cur.in_dim != prev.out_dim:
-            raise ValueError(f"layer specs incompatible: {prev.out_dim} -> {cur.in_dim}")
     child_seeds = np.random.SeedSequence(seed).generate_state(len(specs))
     layers = tuple(
         Layer(init_weights(spec, int(child_seeds[i])), spec.activation)

@@ -35,9 +35,9 @@ class Dataset:
     ``inputs`` are either uint8 bytes, each meaning ``byte / 255``, or floats
     in [0, 1].  Bytes are kept as they are (8x smaller than floats) and need
     no range check; any other dtype is converted to float and checked.  The
-    scaling by 1/255 is applied only where :func:`~twopass.trainer.train` and
-    :func:`~twopass.trainer.evaluate` take a batch: ``columnize``,
-    ``split_columns`` and ``forward`` use the values as given.
+    scaling by 1/255 happens only in ``trainer._batch``, where ``train`` and
+    ``evaluate`` take a batch: ``columnize``, ``split_columns`` and
+    ``forward`` use the values as given.
     """
 
     inputs: np.ndarray
@@ -107,7 +107,7 @@ def write_idx(path, array: np.ndarray) -> None:
 
     3-D arrays get the image magic, 1-D arrays the label magic.
     """
-    array = np.ascontiguousarray(array, dtype=np.uint8)
+    array = np.asarray(array, dtype=np.uint8)
     if array.ndim == 3:
         magic = IDX_IMAGES_MAGIC
     elif array.ndim == 1:

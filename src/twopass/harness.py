@@ -131,7 +131,6 @@ class RunReport:
     """Self-describing result of one experiment run."""
 
     config: ExperimentConfig
-    seed: int
     final_mse: float
     final_accuracy: float | None
     wall_time_s: float
@@ -141,7 +140,7 @@ class RunReport:
     def to_json(self) -> str:
         doc = {
             "config": self.config.to_dict(),
-            "seed": self.seed,
+            "seed": self.config.seed,
             "final_mse": self.final_mse,
             "final_accuracy": self.final_accuracy,
             "wall_time_s": self.wall_time_s,
@@ -213,7 +212,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         )
     return RunReport(
         config=cfg,
-        seed=cfg.seed,
         final_mse=float(result.mse),
         final_accuracy=None if result.accuracy is None else float(result.accuracy),
         wall_time_s=time.perf_counter() - start,

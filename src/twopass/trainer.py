@@ -53,6 +53,9 @@ class Algorithm(str, Enum):
 LR_DECAY = 0.1
 LR_DECAY_AT = 2.0 / 3.0
 
+# Samples per forward pass in evaluate (perfbench/run.py's EVAL_CHUNK).
+EVAL_BATCH = 2000
+
 
 def _check_int(name: str, value, minimum: int) -> None:
     """Raise ValueError unless ``value`` is an integer (not a bool) >= ``minimum``."""
@@ -73,7 +76,6 @@ class TrainConfig:
     batch_size: int = 64
     seed: int = 0
     algorithm: Algorithm = Algorithm.TWO_PASS
-    shuffle: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
@@ -81,8 +83,6 @@ class TrainConfig:
         _check_int("epochs", self.epochs, 1)
         _check_int("batch_size", self.batch_size, 1)
         _check_int("seed", self.seed, 0)
-        if not isinstance(self.shuffle, bool):
-            raise ValueError(f"shuffle must be true or false, got {self.shuffle!r}")
 
 
 @dataclass(frozen=True)
@@ -181,16 +181,19 @@ def apply_updates(
     return Network(tuple(layer.step(dw, learning_rate) for layer, dw in zip(net.layers, updates)))
 
 
-def _scaled(inputs: np.ndarray) -> np.ndarray:
-    """``inputs`` as floats in [0, 1]: uint8 bytes are divided by 255 (see Dataset).
+def _batch(inputs: np.ndarray, idx) -> np.ndarray:
+    """Rows ``idx`` of ``inputs`` as a new C-ordered float64 ``(d, B)`` batch.
 
-    Byte batches come back as a new C-contiguous array.  The conversion is
-    exact and the division correctly rounded, so the values equal those of
-    ``inputs / 255.0``.
+    uint8 bytes are divided by 255 (see Dataset), exactly as
+    ``inputs[idx].T / 255.0`` would.  The layout is fixed because matmul
+    rounding may depend on it: the modulated input ``xb + F gamma`` comes
+    out C-ordered, so a C-ordered clean batch makes both passes bitwise
+    identical whenever gamma is zero (the exact fixed point at zero error).
     """
+    xb = inputs[idx].T
     if inputs.dtype == np.uint8:
-        return np.divide(inputs, 255.0, out=np.empty(inputs.shape))
-    return inputs
+        return np.divide(xb, 255.0, out=np.empty(xb.shape))
+    return np.array(xb, order="C")
 
 
 def _validate_setup(net: Network, data: Dataset, proj: np.ndarray) -> None:
@@ -215,17 +218,17 @@ def train(
 ) -> tuple[Network, MetricsHistory]:
     """Train ``net`` on ``data``; returns the trained network and metrics.
 
-    Deterministic for a fixed config: shuffling uses cfg.seed, batches are
-    processed in a fixed order, and each update is applied only after both
-    passes of its batch complete.  ``realize``, when given, is a
-    ``Network -> Network`` function mapping the current weights to the
+    Deterministic for a fixed config: each epoch visits the samples in the
+    order ``rng.permutation(n)``, ``rng`` seeded with cfg.seed, in batches
+    taken (byte inputs scaled) by :func:`_batch`, and each update is applied
+    only after both passes of its batch complete.  ``realize``, when given,
+    is a ``Network -> Network`` function mapping the current weights to the
     network that actually runs (for instance
     :func:`~twopass.photonic.realize_network`); it is applied once per step,
     both passes run through its result, and the update is applied to ``net``.
     """
     _validate_setup(net, data, proj)
 
-    x_all = data.inputs.T
     t_all = data.targets.T
     labels = data.labels
     classification = data.targets.shape[1] >= 2
@@ -237,14 +240,10 @@ def train(
     iteration = 0
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate * (LR_DECAY if epoch >= decay_epoch else 1.0)
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            # Fix the batch's memory layout: the modulated input (xb + F gamma)
-            # comes out C-contiguous, and matmul rounding depends on layout, so
-            # a C-contiguous clean batch makes both passes bitwise identical
-            # whenever gamma is zero (exact fixed point at zero error).
-            xb = np.ascontiguousarray(_scaled(x_all[:, idx]))
+            xb = _batch(data.inputs, idx)
             tb = t_all[:, idx]
             iteration += 1
             # Divergence shows up as non-finite values; those are detected and
@@ -282,15 +281,14 @@ def train(
     return net, MetricsHistory(tuple(records))
 
 
-def evaluate(
-    net: Network, data: Dataset, realize=None, batch_size: int = 2000
-) -> EvalResult:
+def evaluate(net: Network, data: Dataset, realize=None) -> EvalResult:
     """Mean squared error, accuracy (classification only), and predictions.
 
-    Samples are evaluated in dataset order, in fixed-size chunks, through
-    ``realize(net)`` when ``realize`` is given.  Weights that are finite but
-    so large that a forward pass overflows raise
-    :class:`~twopass.core.NonFiniteError`, as divergence does in training.
+    Samples are evaluated in dataset order, in chunks of ``EVAL_BATCH``
+    taken (byte inputs scaled) by :func:`_batch`, through ``realize(net)``
+    when ``realize`` is given.  Weights that are finite but so large that a
+    forward pass overflows raise :class:`~twopass.core.NonFiniteError`, as
+    divergence does in training.
     """
     n = data.inputs.shape[0]
     if n == 0:
@@ -301,14 +299,15 @@ def evaluate(
     preds = np.empty(n, dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
         run = net if realize is None else realize(net)
-        for start in range(0, n, batch_size):
-            xb = _scaled(data.inputs[start : start + batch_size]).T
-            tb = data.targets[start : start + batch_size].T
+        for start in range(0, n, EVAL_BATCH):
+            rows = slice(start, start + EVAL_BATCH)
+            xb = _batch(data.inputs, rows)
+            tb = data.targets[rows].T
             trace = forward(run, xb)
             gamma = output_error(trace.output, tb)
             sq_sum += float(np.sum(gamma * gamma))
             count += gamma.size
-            preds[start : start + batch_size] = np.argmax(trace.output, axis=0)
+            preds[rows] = np.argmax(trace.output, axis=0)
     mse = sq_sum / count
     accuracy = float(np.mean(preds == data.labels)) if classification else None
     return EvalResult(mse=mse, accuracy=accuracy, predictions=preds)

@@ -33,6 +33,7 @@ from twopass import (
     stagewise_forward,
     two_pass_updates,
 )
+from twopass import trainer
 
 from conftest import block_diag, reference_forward, reference_updates
 
@@ -263,18 +264,14 @@ class TestColsplitTraining:
         net = build_colsplit_net(seed=7, column_out=2)
         data = small_dataset(7, n=6)
         composed = compose(net)
-        # Mirror the trainer's exact batch construction (transpose, index,
-        # layout) so the stored targets match its forward pass bit for bit.
-        xb = np.ascontiguousarray(columnize(data.inputs).T[:, np.arange(6)])
-        outputs = forward(composed, xb).output.T
+        cfg = TrainConfig(learning_rate=0.5, epochs=2, batch_size=6, seed=0)
+        # Take the first epoch's batch as the trainer does, so the stored
+        # targets match its forward pass bit for bit.
+        order = np.random.default_rng(cfg.seed).permutation(6)
+        outputs = np.empty_like(data.targets)
+        xb = trainer._batch(columnize(data.inputs), order)
+        outputs[order] = forward(composed, xb).output.T
         perfect = Dataset(inputs=data.inputs, targets=outputs, labels=data.labels)
-        cfg = TrainConfig(
-            learning_rate=0.5,
-            epochs=2,
-            batch_size=6,
-            seed=0,
-            shuffle=False,
-        )
         proj = sample_projection(784, 10, seed=7)
         trained, history = colsplit_train(net, perfect, proj, cfg)
         for la, lb in zip(compose(net).layers, compose(trained).layers):
@@ -315,9 +312,9 @@ class TestColsplitTraining:
         weights = dense_weights(blocked)
         activations = [layer.activation for layer in blocked.layers]
         on_block = block_mask(2)
-        x_all, t_all = columnize(data.inputs, mode).T, data.targets.T
+        x_in, t_all = columnize(data.inputs, mode), data.targets.T
         for start in range(0, 12, 4):
-            xb = np.ascontiguousarray(x_all[:, start : start + 4])
+            xb = trainer._batch(x_in, slice(start, start + 4))
             tb = t_all[:, start : start + 4]
             clean = forward(blocked, xb)
             gamma = output_error(clean.output, tb)

@@ -103,7 +103,6 @@ class TestExperimentConfig:
         assert tc.batch_size == 2
         assert tc.seed == 77
         assert tc.algorithm is Algorithm.BACKPROP
-        assert tc.shuffle is cfg.shuffle
 
 
 def make_report(with_confusion: bool) -> RunReport:
@@ -116,7 +115,6 @@ def make_report(with_confusion: bool) -> RunReport:
         confusion = tuple(tuple(int(v) for v in row) for row in rows)
     return RunReport(
         config=xor_config(),
-        seed=0,
         final_mse=0.25,
         final_accuracy=0.75 if with_confusion else None,
         wall_time_s=1.5,
@@ -128,7 +126,7 @@ def make_report(with_confusion: bool) -> RunReport:
 def assert_report_document(doc: dict, report: RunReport) -> None:
     """The report.json fields hold exactly the report's values."""
     assert ExperimentConfig.from_dict(doc["config"]) == report.config
-    assert doc["seed"] == report.seed
+    assert doc["seed"] == report.config.seed
     assert doc["final_mse"] == report.final_mse
     assert doc["final_accuracy"] == report.final_accuracy
     assert doc["wall_time_s"] == report.wall_time_s
@@ -348,7 +346,6 @@ class TestEmitMetrics:
         history = MetricsHistory(records=(MetricRecord(1, 0.5, 0.125),))
         report = RunReport(
             config=xor_config(),
-            seed=0,
             final_mse=0.5,
             final_accuracy=0.125,
             wall_time_s=0.1,
@@ -423,17 +420,24 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "entry",
-        [{"lr_decay": 0.5}, {"lr_decay_at": 0.5}, {"split": "row"}],
-        ids=lambda entry: next(iter(entry)),
+        [
+            {"lr_decay": 0.5},
+            {"lr_decay_at": 0.5},
+            {"split": "row"},
+            {"task": "xor", "shuffle": True},
+        ],
+        ids=lambda entry: list(entry)[-1],
     )
     def test_removed_key_returns_config_error_before_data_loads(self, entry, tmp_path, capsys):
-        # The schedule and the split are fixed in code; an empty data
-        # directory would give exit 2 if the config passed.
+        # The schedule, the split and shuffling are fixed in code; an empty
+        # data directory would give exit 2, and XOR exit 0, if the config passed.
         empty = tmp_path / "empty"
         empty.mkdir()
-        cfg = write_config(tmp_path, task="mnist_mlp", data_dir=str(empty), **entry)
-        assert main([cfg]) == 1
-        assert f"config error: unknown config keys: {next(iter(entry))}" in capsys.readouterr().err
+        out = tmp_path / "out"
+        doc = {"task": "mnist_mlp", "data_dir": str(empty), "out_dir": str(out), **entry}
+        assert main([write_config(tmp_path, **doc)]) == 1
+        assert f"config error: unknown config keys: {list(entry)[-1]}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file_returns_config_error(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.json")]) == 1
@@ -480,7 +484,6 @@ class TestMain:
             {"seed": 1.5},
             {"data_dir": 5},
             {"out_dir": 5},
-            {"shuffle": "no"},
         ],
         ids=lambda entry: next(iter(entry)),
     )

@@ -459,16 +459,15 @@ class TestTrain:
 
     def test_zero_error_dataset_is_a_fixed_point(self):
         net, data, proj = self.make_problem(seed=7)
-        # Mirror the trainer's exact batch construction (transpose, then
-        # index) so the stored targets match its forward pass bit for bit.
-        x_all = data.inputs.T
+        cfg = TrainConfig(learning_rate=0.5, epochs=2, batch_size=3, seed=0)
+        # Take the first epoch's batches as the trainer does, so the stored
+        # targets match its forward pass bit for bit.
+        order = np.random.default_rng(cfg.seed).permutation(12)
         outputs = np.empty_like(data.targets)
         for start in range(0, 12, 3):
-            idx = np.arange(12)[start : start + 3]
-            xb = np.ascontiguousarray(x_all[:, idx])
-            outputs[idx] = forward(net, xb).output.T
+            idx = order[start : start + 3]
+            outputs[idx] = forward(net, trainer._batch(data.inputs, idx)).output.T
         perfect = Dataset(inputs=data.inputs, targets=outputs, labels=data.labels)
-        cfg = TrainConfig(learning_rate=0.5, epochs=2, batch_size=3, seed=0, shuffle=False)
         trained, history = train(net, perfect, proj, cfg)
         for la, lb in zip(net.layers, trained.layers):
             np.testing.assert_array_equal(la.weight, lb.weight)
@@ -478,17 +477,15 @@ class TestTrain:
         # Frozen-weights contract: both passes of a batch see the same
         # pre-update weights, updates apply after the passes complete.
         net, data, proj = self.make_problem(seed=9)
-        cfg = TrainConfig(
-            learning_rate=0.1, epochs=1, batch_size=4, seed=0, shuffle=False
-        )
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=4, seed=0)
         trained, _ = train(net, data, proj, cfg)
 
         ref = net
-        x_all, t_all = data.inputs.T, data.targets.T
-        order = np.arange(12)
+        t_all = data.targets.T
+        order = np.random.default_rng(cfg.seed).permutation(12)
         for start in range(0, 12, 4):
             idx = order[start : start + 4]
-            xb = np.ascontiguousarray(x_all[:, idx])
+            xb = trainer._batch(data.inputs, idx)
             tb = t_all[:, idx]
             clean = forward(ref, xb)
             gamma = output_error(clean.output, tb)
@@ -603,7 +600,7 @@ class TestEvaluate:
         assert result.accuracy == pytest.approx(2.0 / 3.0, rel=1e-12)
         np.testing.assert_array_equal(result.predictions, np.array([0, 1, 0]))
 
-    def test_chunk_size_does_not_change_results(self):
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
         rng = np.random.default_rng(21)
         net = build_network(
             (LayerSpec(4, 6, Activation.RELU), LayerSpec(6, 3, Activation.SOFTMAX)), seed=2
@@ -613,8 +610,10 @@ class TestEvaluate:
             targets=np.eye(3)[rng.integers(0, 3, 25)],
             labels=rng.integers(0, 3, 25),
         )
-        a = evaluate(net, data, batch_size=4)
-        b = evaluate(net, data, batch_size=1000)
+        monkeypatch.setattr(trainer, "EVAL_BATCH", 4)
+        a = evaluate(net, data)
+        monkeypatch.setattr(trainer, "EVAL_BATCH", 1000)
+        b = evaluate(net, data)
         assert a.mse == pytest.approx(b.mse, rel=1e-12)
         assert a.accuracy == b.accuracy
         np.testing.assert_array_equal(a.predictions, b.predictions)
@@ -651,7 +650,7 @@ class TestByteInputs:
 
     @pytest.mark.parametrize("algorithm", list(Algorithm))
     @pytest.mark.parametrize("model", ["dense", "colsplit"])
-    def test_bytes_and_floats_give_identical_bits(self, model, algorithm):
+    def test_bytes_and_floats_give_identical_bits(self, model, algorithm, monkeypatch):
         twins = byte_twins(seed=11)
         proj = sample_projection(784, 10, seed=12)
         cfg = TrainConfig(
@@ -663,7 +662,8 @@ class TestByteInputs:
                 seed=14,
             )
             runs = [train(net, data, proj, cfg) for data in twins]
-            evals = [evaluate(runs[0][0], data, batch_size=64) for data in twins]
+            monkeypatch.setattr(trainer, "EVAL_BATCH", 64)
+            evals = [evaluate(runs[0][0], data) for data in twins]
             layers = [trained.layers for trained, _ in runs]
         else:
             net = build_colsplit_net(seed=14, column_out=2)
@@ -675,6 +675,29 @@ class TestByteInputs:
             assert from_bytes.blocks.tobytes() == from_floats.blocks.tobytes()
         assert evals[0].mse == evals[1].mse
         np.testing.assert_array_equal(evals[0].predictions, evals[1].predictions)
+
+
+class TestBatch:
+    """Training and evaluation take every batch one way: a new C-ordered float copy."""
+
+    @pytest.mark.parametrize("idx", [np.array([4, 0, 3]), slice(1, 4)], ids=["index", "slice"])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_batch_is_a_new_c_ordered_float_copy(self, dtype, idx):
+        rng = np.random.default_rng(5)
+        pixels = rng.integers(0, 256, (6, 5), dtype=np.uint8)
+        inputs = pixels if dtype == np.uint8 else pixels / 255.0
+        expected = inputs[idx].T / 255.0 if dtype == np.uint8 else inputs[idx].T
+        xb = trainer._batch(inputs, idx)
+        assert xb.dtype == np.float64 and xb.shape == (5, 3)
+        assert xb.flags.c_contiguous and xb.flags.owndata
+        assert not np.shares_memory(xb, inputs)
+        assert xb.tobytes() == expected.tobytes()
+        # A zero error leaves the batch as it is, in the same layout, so
+        # both passes of a zero-error step multiply identical operands.
+        proj = sample_projection(5, 2, seed=6)
+        modulated = modulate_input(xb, proj, np.zeros((2, 3)))
+        assert modulated.flags.c_contiguous
+        assert modulated.tobytes() == xb.tobytes()
 
 
 class TestConfigAndRecords:
@@ -694,8 +717,6 @@ class TestConfigAndRecords:
             dict(batch_size=2.5),
             dict(seed=-1),
             dict(seed=1.5),
-            dict(shuffle="no"),
-            dict(shuffle=1),
         ):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 TrainConfig(**bad)
