@@ -484,6 +484,7 @@ class TestMain:
             {"seed": 1.5},
             {"data_dir": 5},
             {"out_dir": 5},
+            {"shuffle": "no"},  # a removed key: refused whatever its value
         ],
         ids=lambda entry: next(iter(entry)),
     )
