@@ -24,11 +24,15 @@ meshes and replaced by the real part of its realized matrix (a dense layer
 is one block).  The trainer realizes once per step and runs both passes
 through the result with the ordinary forward pass.
 
-Re-programming is what a photonic step costs, so each MZI is programmed with
-one scalar phase computation (the row being nulled is carried as Python
-scalars) and one update of the rows below it, and propagated by one 2x2
-transfer built once per program.  Every path derives its MZI from the same
-factors (:func:`_mzi_factors`).
+Re-programming the meshes and reading them back is what a photonic step
+costs, and at these sizes that is Python overhead per MZI, so both run on
+Python complex scalars with no numpy call per MZI.  Nulling carries every
+row as scalars; each MZI updates the row it nulls and the rows below it.
+Read-back takes only the k modes between the meshes: the first k rows of
+mesh(V^H), swept backwards through its MZIs, and the first k columns of
+mesh(U), swept forwards.  :func:`mesh_forward` propagates a field through a
+mesh with one 2x2 transfer per MZI, built once per program.  Every path
+derives its MZI from the same factors (:func:`_mzi_factors`).
 
 Everything here works at transfer-matrix fidelity: phase settings stand in
 for the physical permittivities, and nonlinearities between meshes are
@@ -184,6 +188,38 @@ def transfer_matrix(prog: MeshProgram) -> np.ndarray:
     return mesh_forward(prog, np.eye(prog.n, dtype=complex))
 
 
+def _leading(prog: MeshProgram, k: int, rows: bool) -> np.ndarray:
+    """The first k columns (n x k) of the mesh's transfer matrix, or its first k rows (k x n).
+
+    Unit vectors e_0 .. e_{k-1} are carried as Python complex scalars: a
+    column forward through the MZIs (T e_j), a row backward through them
+    (e_j^T T, the transpose of T^T e_j).  The output phases are applied last.
+    Vector j stays e_j until an MZI reaches mode j, so an MZI updates only the
+    vectors started so far; in a nulled mesh that is about k/2 on average.
+    """
+    order = slice(None, None, -1) if rows else slice(None)
+    vecs = np.eye(k, prog.n, dtype=complex).tolist()
+    started = [False] * k
+    live = []
+    for m, theta, phi in zip(
+        prog.modes[order].tolist(), prog.thetas[order].tolist(), prog.phis[order].tolist()
+    ):
+        for j in range(m, min(m + 2, k)):
+            if not started[j]:
+                started[j] = True
+                live.append(vecs[j])
+        pref, ephi, s, c = _mzi_factors(theta, phi)
+        t00, t01, t10, t11 = pref * ephi * s, pref * c, pref * ephi * c, -pref * s
+        if rows:
+            t01, t10 = t10, t01
+        for v in live:
+            a, b = v[m], v[m + 1]
+            v[m], v[m + 1] = t00 * a + t01 * b, t10 * a + t11 * b
+    vecs = np.array(vecs, dtype=complex).reshape(k, prog.n)
+    phases = np.exp(1j * prog.out_phases)
+    return phases[:k, None] * vecs if rows else phases[:, None] * vecs.T
+
+
 def unitarity_residual(prog: MeshProgram) -> float:
     """Frobenius norm of T^H T - I for the mesh's transfer matrix T."""
     t = transfer_matrix(prog)
@@ -197,16 +233,16 @@ def _null_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[
     neighbour by right-multiplying columns (m, m+1) with an inverse MZI,
     leaving a @ T_1^H ... T_L^H = [diag(d) 0], i.e. a = [diag(d) 0] T_L ... T_1.
     Returns the modes, thetas and phis of T_1 .. T_L and the unit-modulus d.
-    Row r costs n-1-r MZIs.  The row being nulled is carried as Python
-    scalars and only the rows below it are updated as arrays: the rows above
-    are already nulled, and their diagonal entries are left of every later
-    MZI.
+    Row r costs n-1-r MZIs.  Every row is carried as Python complex scalars,
+    and each MZI updates the row being nulled and the rows below it: the rows
+    above are already nulled, and their diagonal entries are left of every
+    later MZI.
     """
     k, n = a.shape
     residual = float(np.linalg.norm(a @ a.conj().T - np.eye(k)))
     if residual > 1e-8:
         raise ValueError(f"rows are not orthonormal: ||A A^H - I||_F = {residual:.3e}")
-    work = a.astype(complex)
+    rows = a.astype(complex).tolist()
     count = k * (n - 1) - k * (k - 1) // 2
     modes = np.empty(count, dtype=int)
     thetas = np.empty(count)
@@ -214,17 +250,19 @@ def _null_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[
     d = []
     i = 0
     for r in range(k):
-        row = work[r].tolist()
-        below = work[r + 1 :]
+        row, unnulled = rows[r], rows[r:]
         for m in range(n - 2, r - 1, -1):
             x, y = row[m], row[m + 1]
             theta = 2.0 * math.atan2(abs(x), abs(y))
             phi = cmath.phase(x * y.conjugate())
-            # work <- work @ T^H on columns (m, m+1); nulls work[r, m+1]
-            f = _mzi_factors(theta, phi, -1)
-            row[m], row[m + 1] = _apply(f, x, y)
-            if r + 1 < k:
-                below[:, m], below[:, m + 1] = _apply(f, below[:, m], below[:, m + 1])
+            # rows <- rows @ T^H on columns (m, m+1), nulling rows[r][m+1]:
+            # _apply's products in its order, with ephi * s and ephi * c
+            # taken once per MZI.
+            pref, ephi, s, c = _mzi_factors(theta, phi, -1)
+            es, ec = ephi * s, ephi * c
+            for b in unnulled:
+                p, q = b[m], b[m + 1]
+                b[m], b[m + 1] = pref * (es * p + c * q), pref * (ec * p - s * q)
             modes[i], thetas[i], phis[i] = m, theta, phi
             i += 1
         d.append(row[r])
@@ -299,8 +337,17 @@ class PhotonicLayer:
 
     @cached_property
     def realized_matrix(self) -> np.ndarray:
-        """Dense out_dim x in_dim matrix implemented by the layer: its forward of I."""
-        return self.forward(np.eye(self.in_dim))
+        """Dense out_dim x in_dim matrix the meshes implement: scale (U_k sigma) V_k.
+
+        Only the first k = min(out_dim, in_dim) modes pass the attenuations,
+        so the matrix is read back from k rows and k columns: V_k, the first
+        k rows of mesh_v's transfer, and U_k, mesh_u's transfer on the first
+        k unit columns.  Both come from the programmed phases, so this equals
+        ``forward(I)`` up to rounding, for any program.
+        """
+        k = self.sigma.shape[0]
+        u_k = _leading(self.mesh_u, k, rows=False)
+        return self.scale * (u_k * self.sigma) @ _leading(self.mesh_v, k, rows=True)
 
 
 def realize_weight(w: np.ndarray) -> PhotonicLayer:

@@ -190,10 +190,14 @@ def _batch(inputs: np.ndarray, idx) -> np.ndarray:
     out C-ordered, so a C-ordered clean batch makes both passes bitwise
     identical whenever gamma is zero (the exact fixed point at zero error).
     """
-    xb = inputs[idx].T
     if inputs.dtype == np.uint8:
+        xb = inputs[idx].T
         return np.divide(xb, 255.0, out=np.empty(xb.shape))
-    return np.array(xb, order="C")
+    # One copy of a float batch: take gathers index rows straight into C
+    # order, and a slice's rows are a view to copy.
+    if isinstance(idx, slice):
+        return np.array(inputs[idx].T, order="C")
+    return inputs.T.take(idx, axis=1)
 
 
 def _validate_setup(net: Network, data: Dataset, proj: np.ndarray) -> None:

@@ -351,6 +351,32 @@ class TestRealizationProperties:
         assert len(layer.mesh_v.modes) + len(layer.mesh_u.modes) == expected
 
     @PROPERTY_SETTINGS
+    @given(st.one_of(low_rank_weights(), integer_weights), st.integers(0, 2**32 - 1))
+    def test_realized_matrix_is_the_forward_of_the_identity(self, w, seed):
+        # The read-back takes k rows of mesh_v and k columns of mesh_u; the
+        # forward pass pushes every input mode through both meshes.  It must
+        # agree for any program: the nulled meshes, the same meshes under
+        # phase noise, and MZIs in random order, which start the read-back
+        # vectors in any order.
+        layer = realize_weight(w)
+        rng = np.random.default_rng(seed)
+
+        def scrambled(n):
+            count = int(rng.integers(0, 3 * n)) if n > 1 else 0
+            phases = rng.uniform(0.0, 2 * np.pi, size=2 * count + n)
+            modes = rng.integers(0, max(n - 1, 1), size=count)
+            return MeshProgram(n, modes, phases[:count], phases[count : 2 * count], phases[2 * count :])
+
+        for mesh_v, mesh_u in (
+            (layer.mesh_v, layer.mesh_u),
+            (apply_phase_noise(layer.mesh_v, 0.3, seed), apply_phase_noise(layer.mesh_u, 0.3, seed + 1)),
+            (scrambled(layer.in_dim), scrambled(layer.out_dim)),
+        ):
+            other = PhotonicLayer(mesh_v, layer.sigma, mesh_u, layer.scale)
+            expected = other.forward(np.eye(other.in_dim))
+            assert np.abs(other.realized_matrix - expected).max() <= 1e-13 * max(1.0, other.scale)
+
+    @PROPERTY_SETTINGS
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_unitary_round_trip(self, n, seed):
         u = random_unitary(n, seed)
