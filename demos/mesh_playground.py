@@ -5,8 +5,8 @@ thin SVD, W = scale * U Sigma V^H.  Each mesh is programmed by triangular
 nulling (Reck layout) and holds only the MZIs of the modes the attenuation
 row connects.  This script realizes a rectangular weight, inspects both
 meshes (MZI count, unitarity, JSON round trip), lights one input port and
-reads the detectors, then compares the optical output against plain matrix
-multiplication.
+reads the detectors, then compares the layer's optical output, its realized
+matrix applied to a field, against plain matrix multiplication.
 """
 
 import numpy as np
@@ -48,7 +48,7 @@ def main() -> None:
     print("  " + "  ".join(f"{p:.4f}" for p in intensities))
 
     x = rng.normal(size=N)
-    optical = layer.forward(x.astype(complex)).real
+    optical = (layer.realized_matrix @ x).real
     print(f"\n|mesh(x) - W x|         {np.abs(optical - w @ x).max():.3e}  (max over ports)")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import NonFiniteError
+from .core import _require_finite
 
 __all__ = [
     "sample_projection",
@@ -47,8 +47,7 @@ def output_error(x_l: np.ndarray, target: np.ndarray) -> np.ndarray:
     if x_l.shape != target.shape:
         raise ValueError(f"output shape {x_l.shape} != target shape {target.shape}")
     gamma = x_l - target
-    if not np.isfinite(gamma).all():
-        raise NonFiniteError("output error contains non-finite values")
+    _require_finite("output error", gamma)
     return gamma
 
 

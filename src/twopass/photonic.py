@@ -31,8 +31,9 @@ row as scalars; each MZI updates the row it nulls and the rows below it.
 Read-back takes only the k modes between the meshes: the first k rows of
 mesh(V^H), swept backwards through its MZIs, and the first k columns of
 mesh(U), swept forwards.  :func:`mesh_forward` propagates a field through a
-mesh with one 2x2 transfer per MZI, built once per program.  Every path
-derives its MZI from the same factors (:func:`_mzi_factors`).
+mesh with one 2x2 transfer per MZI, built once per program.  Both take an
+MZI's entries from one formula (:func:`_mzi_transfer`); only the nulling
+applies T^H, from the conjugate factors in its own product order.
 
 Everything here works at transfer-matrix fidelity: phase settings stand in
 for the physical permittivities, and nonlinearities between meshes are
@@ -49,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Layer, Network, NonFiniteError
+from .core import Layer, Network, _require_finite
 
 __all__ = [
     "MeshProgram",
@@ -79,14 +80,10 @@ def _mzi_factors(theta: float, phi: float, sign: int = 1) -> tuple[complex, comp
     return pref, cmath.exp(sign * 1j * phi), math.sin(half), math.cos(half)
 
 
-def _apply(f: tuple[complex, complex, float, float], top, bot):
-    """The mode pair (top, bot) after the MZI with factors ``f``; scalars or arrays.
-
-    The product order is fixed: exact zeros keep their signs, which the
-    nulling angles of later MZIs can depend on.
-    """
-    pref, ephi, s, c = f
-    return pref * (ephi * s * top + c * bot), pref * (ephi * c * top - s * bot)
+def _mzi_transfer(theta: float, phi: float) -> tuple[complex, complex, complex, complex]:
+    """The entries (t00, t01, t10, t11) of T(theta, phi): every propagation's MZI."""
+    pref, ephi, s, c = _mzi_factors(theta, phi)
+    return pref * ephi * s, pref * c, pref * ephi * c, -pref * s
 
 
 @dataclass(frozen=True)
@@ -169,13 +166,10 @@ def mesh_forward(prog: MeshProgram, field: np.ndarray) -> np.ndarray:
         raise ValueError(f"field must be 1-D or 2-D, got shape {field.shape}")
     if field.shape[0] != prog.n:
         raise ValueError(f"field length {field.shape[0]} != mesh dimension {prog.n}")
-    # Every MZI's 2x2 transfer, built once: its factors applied, as arrays
-    # over the mesh, to the identity field of one mode pair.
-    factors = np.array(
-        [_mzi_factors(t, p) for t, p in zip(prog.thetas.tolist(), prog.phis.tolist())],
+    transfers = np.array(
+        [_mzi_transfer(t, p) for t, p in zip(prog.thetas.tolist(), prog.phis.tolist())],
         dtype=complex,
-    ).reshape(-1, 4, 1)
-    transfers = np.stack(_apply(factors.transpose(1, 0, 2), *np.eye(2)), axis=1)
+    ).reshape(-1, 2, 2)
     v = field.copy()
     for m, t in zip(prog.modes.tolist(), transfers):
         v[m : m + 2] = np.dot(t, v[m : m + 2])
@@ -208,8 +202,7 @@ def _leading(prog: MeshProgram, k: int, rows: bool) -> np.ndarray:
             if not started[j]:
                 started[j] = True
                 live.append(vecs[j])
-        pref, ephi, s, c = _mzi_factors(theta, phi)
-        t00, t01, t10, t11 = pref * ephi * s, pref * c, pref * ephi * c, -pref * s
+        t00, t01, t10, t11 = _mzi_transfer(theta, phi)
         if rows:
             t01, t10 = t10, t01
         for v in live:
@@ -226,7 +219,7 @@ def unitarity_residual(prog: MeshProgram) -> float:
     return float(np.linalg.norm(t.conj().T @ t - np.eye(prog.n)))
 
 
-def _null_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[complex]]:
+def _null_rows(a: np.ndarray) -> tuple[list[int], list[float], list[float], list[complex]]:
     """Triangular nulling of a k x n matrix with orthonormal rows.
 
     Row by row, each entry right of the diagonal is nulled into its left
@@ -243,28 +236,24 @@ def _null_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[
     if residual > 1e-8:
         raise ValueError(f"rows are not orthonormal: ||A A^H - I||_F = {residual:.3e}")
     rows = a.astype(complex).tolist()
-    count = k * (n - 1) - k * (k - 1) // 2
-    modes = np.empty(count, dtype=int)
-    thetas = np.empty(count)
-    phis = np.empty(count)
-    d = []
-    i = 0
+    modes, thetas, phis, d = [], [], [], []
     for r in range(k):
         row, unnulled = rows[r], rows[r:]
         for m in range(n - 2, r - 1, -1):
             x, y = row[m], row[m + 1]
             theta = 2.0 * math.atan2(abs(x), abs(y))
             phi = cmath.phase(x * y.conjugate())
-            # rows <- rows @ T^H on columns (m, m+1), nulling rows[r][m+1]:
-            # _apply's products in its order, with ephi * s and ephi * c
-            # taken once per MZI.
+            # rows <- rows @ T^H on columns (m, m+1), nulling rows[r][m+1].
+            # The product order is fixed: exact zeros keep their signs, which
+            # the nulling angles of later MZIs can depend on.
             pref, ephi, s, c = _mzi_factors(theta, phi, -1)
             es, ec = ephi * s, ephi * c
             for b in unnulled:
                 p, q = b[m], b[m + 1]
                 b[m], b[m + 1] = pref * (es * p + c * q), pref * (ec * p - s * q)
-            modes[i], thetas[i], phis[i] = m, theta, phi
-            i += 1
+            modes.append(m)
+            thetas.append(theta)
+            phis.append(phi)
         d.append(row[r])
     return modes, thetas, phis, d
 
@@ -293,7 +282,7 @@ def _output_isometry(u: np.ndarray) -> MeshProgram:
     modes, thetas = modes[::-1], thetas[::-1]
     phases = [cmath.phase(z) for z in d] + [0.0] * (m - k)
     pushed = []
-    for mode, phi in zip(modes.tolist(), phis[::-1].tolist()):
+    for mode, phi in zip(modes, phis[::-1]):
         b = phases[mode + 1]
         pushed.append(phases[mode] - b)
         phases[mode] = (phi + b) % TWO_PI
@@ -325,16 +314,6 @@ class PhotonicLayer:
     def out_dim(self) -> int:
         return self.mesh_u.n
 
-    def forward(self, field: np.ndarray) -> np.ndarray:
-        """Propagate a field (length in_dim, or batch) through both meshes."""
-        v = mesh_forward(self.mesh_v, field)
-        k = self.sigma.shape[0]
-        shape = (self.out_dim,) + v.shape[1:]
-        mid = np.zeros(shape, dtype=complex)
-        sig = self.sigma.reshape((k,) + (1,) * (v.ndim - 1))
-        mid[:k] = sig * v[:k]
-        return self.scale * mesh_forward(self.mesh_u, mid)
-
     @cached_property
     def realized_matrix(self) -> np.ndarray:
         """Dense out_dim x in_dim matrix the meshes implement: scale (U_k sigma) V_k.
@@ -342,8 +321,8 @@ class PhotonicLayer:
         Only the first k = min(out_dim, in_dim) modes pass the attenuations,
         so the matrix is read back from k rows and k columns: V_k, the first
         k rows of mesh_v's transfer, and U_k, mesh_u's transfer on the first
-        k unit columns.  Both come from the programmed phases, so this equals
-        ``forward(I)`` up to rounding, for any program.
+        k unit columns.  Both come from the programmed phases, for any
+        program; a layer's output field is ``realized_matrix @ field``.
         """
         k = self.sigma.shape[0]
         u_k = _leading(self.mesh_u, k, rows=False)
@@ -363,8 +342,7 @@ def realize_weight(w: np.ndarray) -> PhotonicLayer:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise ValueError(f"weight must be 2-D, got shape {w.shape}")
-    if not np.isfinite(w).all():
-        raise NonFiniteError("weight contains non-finite values")
+    _require_finite("weight", w)
     u, s, vh = np.linalg.svd(w, full_matrices=False)
     scale = float(s[0]) if s.size and s[0] > 0.0 else 1.0
     return PhotonicLayer(

@@ -52,6 +52,20 @@ def mzi_reference(theta: float, phi: float) -> np.ndarray:
     return 1j * np.exp(0.5j * theta) * np.array([[ephi * s, c], [ephi * c, -s]])
 
 
+def reference_transfer(prog: MeshProgram) -> np.ndarray:
+    """Dense transfer of a mesh built from ``mzi_reference``, independent of the module.
+
+    Each 2x2 is embedded at its mode pair and left-multiplied in list order,
+    phase screen last.
+    """
+    t = np.eye(prog.n, dtype=complex)
+    for m, theta, phi in zip(prog.modes, prog.thetas, prog.phis):
+        e = np.eye(prog.n, dtype=complex)
+        e[m : m + 2, m : m + 2] = mzi_reference(theta, phi)
+        t = e @ t
+    return np.diag(np.exp(1j * prog.out_phases)) @ t
+
+
 def single_mzi(theta: float, phi: float) -> np.ndarray:
     """Transfer matrix of a 2-mode mesh holding one MZI and no output phase."""
     prog = MeshProgram(
@@ -235,16 +249,8 @@ class TestMeshProgram:
 
 class TestMeshForward:
     def test_matches_chained_embedded_transfers(self):
-        # Independent dense reference: embed each 2x2 at its mode pair and
-        # left-multiply in list order, phase screen last.
         prog = random_program(4, seed=5)
-        expected = np.eye(4, dtype=complex)
-        for m, theta, phi in zip(prog.modes, prog.thetas, prog.phis):
-            e = np.eye(4, dtype=complex)
-            e[m : m + 2, m : m + 2] = mzi_reference(theta, phi)
-            expected = e @ expected
-        expected = np.diag(np.exp(1j * prog.out_phases)) @ expected
-        np.testing.assert_allclose(transfer_matrix(prog), expected, atol=1e-13)
+        np.testing.assert_allclose(transfer_matrix(prog), reference_transfer(prog), atol=1e-13)
 
     def test_energy_is_conserved(self):
         rng = np.random.default_rng(6)
@@ -354,11 +360,14 @@ class TestRealizationProperties:
     @given(st.one_of(low_rank_weights(), integer_weights), st.integers(0, 2**32 - 1))
     def test_realized_matrix_is_the_forward_of_the_identity(self, w, seed):
         # The read-back takes k rows of mesh_v and k columns of mesh_u; the
-        # forward pass pushes every input mode through both meshes.  It must
-        # agree for any program: the nulled meshes, the same meshes under
-        # phase noise, and MZIs in random order, which start the read-back
-        # vectors in any order.
+        # reference pushes every mode through both meshes' dense transfers,
+        # scale * T_u [diag(sigma) 0] T_v.  It must agree for any program:
+        # the nulled meshes, the same meshes under phase noise, and MZIs in
+        # random order, which start the read-back vectors in any order.
         layer = realize_weight(w)
+        k = layer.sigma.shape[0]
+        attenuation = np.zeros((layer.out_dim, layer.in_dim))
+        attenuation[range(k), range(k)] = layer.sigma
         rng = np.random.default_rng(seed)
 
         def scrambled(n):
@@ -373,7 +382,8 @@ class TestRealizationProperties:
             (scrambled(layer.in_dim), scrambled(layer.out_dim)),
         ):
             other = PhotonicLayer(mesh_v, layer.sigma, mesh_u, layer.scale)
-            expected = other.forward(np.eye(other.in_dim))
+            t_u, t_v = reference_transfer(mesh_u), reference_transfer(mesh_v)
+            expected = other.scale * t_u @ attenuation @ t_v
             assert np.abs(other.realized_matrix - expected).max() <= 1e-13 * max(1.0, other.scale)
 
     @PROPERTY_SETTINGS
@@ -492,15 +502,6 @@ class TestRealizeWeight:
             assert unitarity_residual(layer.mesh_u) < 1e-10
             assert unitarity_residual(layer.mesh_v) < 1e-10
 
-    def test_forward_equals_matrix_action(self):
-        rng = np.random.default_rng(13)
-        w = rng.normal(size=(4, 6))
-        layer = realize_weight(w)
-        x = rng.normal(size=6)
-        np.testing.assert_allclose(layer.forward(x).real, w @ x, atol=1e-10)
-        batch = rng.normal(size=(6, 5))
-        np.testing.assert_allclose(layer.forward(batch).real, w @ batch, atol=1e-10)
-
     def test_meshes_hold_only_the_used_modes(self):
         # 16x2 and 1x16 are the XOR layers: 29 + 1 and 0 + 15 MZIs, against
         # 120 + 1 and 0 + 120 for full meshes.
@@ -577,7 +578,7 @@ class TestApplyPhaseNoise:
             apply_phase_noise(random_program(2, seed=17), sigma, seed=0)
 
 
-class TestMeshBackend:
+class TestRealizeNetwork:
     """The photonic backend: forward passes through ``realize_network(net)``."""
 
     def make_net(self, seed=0):
