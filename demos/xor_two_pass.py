@@ -42,9 +42,9 @@ def main() -> None:
     print(f"architecture 2-{HIDDEN}-1, square activations, {cfg.epochs} epochs")
     trained, history = train(net, data, proj, cfg)
 
-    for record in history.records[:: len(history) // 12]:
+    for record in history[:: len(history) // 12]:
         print(f"  iteration {record.iteration:4d}  mse {record.mse:.6f}")
-    last = history.records[-1]
+    last = history[-1]
     print(f"  iteration {last.iteration:4d}  mse {last.mse:.6f}")
 
     result = evaluate(trained, data)

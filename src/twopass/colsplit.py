@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import Activation, Layer, LayerSpec, Network, forward, init_weights
 from .data import Dataset
-from .trainer import EvalResult, MetricsHistory, TrainConfig, evaluate, train
+from .trainer import EvalResult, MetricRecord, TrainConfig, evaluate, train
 
 __all__ = [
     "SplitMode",
@@ -85,14 +85,6 @@ class ColumnSplitNet:
     @property
     def column_out(self) -> int:
         return self.network.layers[0].blocks.shape[1]
-
-    @property
-    def in_dim(self) -> int:
-        return self.network.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.network.out_dim
 
 
 def build_colsplit_net(
@@ -173,7 +165,7 @@ def colsplit_train(
     proj: np.ndarray,
     cfg: TrainConfig,
     realize=None,
-) -> tuple[ColumnSplitNet, MetricsHistory]:
+) -> tuple[ColumnSplitNet, tuple[MetricRecord, ...]]:
     """Train the composed network; its block-diagonal stage 1 keeps the column split."""
     trained, history = train(net.network, _columnized(data, net.mode), proj, cfg, realize=realize)
     return ColumnSplitNet(trained, net.mode), history

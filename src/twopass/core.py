@@ -16,6 +16,7 @@ like the blocks.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -59,6 +60,12 @@ class NonFiniteError(ValueError):
 def _require_finite(name: str, arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains non-finite values")
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def activation_apply(kind: Activation, z: np.ndarray) -> np.ndarray:
@@ -233,6 +240,8 @@ class Network:
         layers = []
         for entry in doc["layers"]:
             k, out_dim, in_dim = entry["blocks"], entry["out_dim"], entry["in_dim"]
+            _check_int("in_dim", in_dim, 1)
+            _check_int("out_dim", out_dim, 1)
             if isinstance(k, bool) or not isinstance(k, int) or k < 1 or out_dim % k or in_dim % k:
                 raise ValueError(
                     f"blocks must be an integer >= 1 dividing {out_dim}x{in_dim}, got {k!r}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,8 +79,12 @@ def _open_maybe_gzip(path: Path):
 def load_idx(path) -> np.ndarray:
     """Parse one IDX file into a uint8 array of its declared dimensions."""
     path = Path(path)
-    with _open_maybe_gzip(path) as fh:
-        raw = fh.read()
+    try:
+        with _open_maybe_gzip(path) as fh:
+            raw = fh.read()
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        # A truncated or damaged .gz file is bad data, like a bad header.
+        raise ValueError(f"corrupt gzip file {path}: {exc}") from exc
     if len(raw) < 4:
         raise ValueError(f"unrecognized IDX magic in {path}: file too short")
     (magic,) = struct.unpack(">I", raw[:4])

@@ -31,11 +31,11 @@ from .colsplit import (
     colsplit_train,
     confusion_matrix,
 )
-from .core import Activation, LayerSpec, Network, NonFiniteError, build_network
+from .core import Activation, LayerSpec, Network, NonFiniteError, _check_int, build_network
 from .data import Dataset, load_mnist, xor_dataset
 from .modulation import sample_projection
 from .photonic import realize_network
-from .trainer import MetricsHistory, TrainConfig, _check_int, _check_positive, evaluate, train
+from .trainer import MetricRecord, TrainConfig, _check_positive, evaluate, train
 
 __all__ = [
     "Task",
@@ -80,7 +80,8 @@ class ExperimentConfig(TrainConfig):
     """One run: the :class:`TrainConfig` fields plus the experiment's own.
 
     ``seed`` is the run seed.  The network, projection and shuffle seeds are
-    drawn from it, and ``train`` receives ``train_config(shuffle_seed)``.
+    drawn from it, and ``train`` receives this config with the shuffle seed
+    as its ``seed``.
     """
 
     task: Task
@@ -120,11 +121,6 @@ class ExperimentConfig(TrainConfig):
             raise ValueError("config must set 'task'")
         return cls(**doc)
 
-    def train_config(self, shuffle_seed: int) -> TrainConfig:
-        """These training settings, with the shuffle seed in place of the run seed."""
-        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(TrainConfig)}
-        return TrainConfig(**{**values, "seed": shuffle_seed})
-
 
 @dataclass(frozen=True)
 class RunReport:
@@ -134,7 +130,7 @@ class RunReport:
     final_mse: float
     final_accuracy: float | None
     wall_time_s: float
-    history: MetricsHistory
+    history: tuple[MetricRecord, ...]
     confusion: tuple[tuple[int, ...], ...] | None
 
     def to_json(self) -> str:
@@ -146,7 +142,7 @@ class RunReport:
             "wall_time_s": self.wall_time_s,
             "history": [
                 {"iteration": r.iteration, "mse": r.mse, "accuracy": r.accuracy}
-                for r in self.history.records
+                for r in self.history
             ],
             "confusion": None if self.confusion is None else [list(row) for row in self.confusion],
         }
@@ -191,8 +187,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         int(s) for s in np.random.SeedSequence(cfg.seed).generate_state(3)
     )
     model = _build_model(cfg, net_seed, train_data)
-    proj = sample_projection(model.in_dim, model.out_dim, seed=proj_seed, scale=cfg.projection_scale)
-    tc = cfg.train_config(shuffle_seed)
+    in_dim, out_dim = train_data.inputs.shape[1], train_data.targets.shape[1]
+    proj = sample_projection(in_dim, out_dim, seed=proj_seed, scale=cfg.projection_scale)
+    tc = dataclasses.replace(cfg, seed=shuffle_seed)
 
     realize = realize_network if cfg.backend is Backend.PHOTONIC else None
     # train/evaluate are looked up here, at call time, so that wrappers
@@ -225,7 +222,7 @@ def emit_metrics(report: RunReport, out_dir) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["iteration,mse,accuracy"]
-    for r in report.history.records:
+    for r in report.history:
         acc = "" if r.accuracy is None else repr(float(r.accuracy))
         lines.append(f"{r.iteration},{float(r.mse)!r},{acc}")
     metrics_path = out / "metrics.csv"
@@ -282,6 +279,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
+        out_dir = cfg.out_dir or str(Path("runs") / f"{cfg.task.value}_{cfg.algorithm.value}")
+        # Made before any data is read, so an unusable path costs no run.
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     except (_UsageError, OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -295,7 +295,6 @@ def main(argv=None) -> int:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
 
-    out_dir = cfg.out_dir or str(Path("runs") / f"{cfg.task.value}_{cfg.algorithm.value}")
     emit_metrics(report, out_dir)
     acc = "n/a" if report.final_accuracy is None else f"{report.final_accuracy:.4f}"
     print(

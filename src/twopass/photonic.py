@@ -50,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Layer, Network, _require_finite
+from .core import Layer, Network, _check_int, _require_finite
 
 __all__ = [
     "MeshProgram",
@@ -149,6 +149,7 @@ class MeshProgram:
     @classmethod
     def from_json(cls, text: str) -> "MeshProgram":
         doc = json.loads(text)
+        _check_int("n", doc["n"], 1)
         mzis = doc["mzis"]
         return cls(
             n=doc["n"],

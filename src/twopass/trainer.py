@@ -22,6 +22,7 @@ from .core import (
     ForwardTrace,
     Network,
     NonFiniteError,
+    _check_int,
     activation_derivative,
     forward,
     softmax_backward,
@@ -33,7 +34,6 @@ __all__ = [
     "Algorithm",
     "TrainConfig",
     "MetricRecord",
-    "MetricsHistory",
     "EvalResult",
     "two_pass_updates",
     "backprop_updates",
@@ -55,12 +55,6 @@ LR_DECAY_AT = 2.0 / 3.0
 
 # Samples per forward pass in evaluate (perfbench/run.py's EVAL_CHUNK).
 EVAL_BATCH = 2000
-
-
-def _check_int(name: str, value, minimum: int) -> None:
-    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _check_positive(name: str, value) -> None:
@@ -90,21 +84,6 @@ class MetricRecord:
     iteration: int
     mse: float
     accuracy: float | None
-
-
-@dataclass(frozen=True)
-class MetricsHistory:
-    """Per-iteration training metrics, iteration index strictly increasing."""
-
-    records: tuple[MetricRecord, ...]
-
-    def __post_init__(self) -> None:
-        its = [r.iteration for r in self.records]
-        if any(b <= a for a, b in zip(its, its[1:])):
-            raise ValueError("iteration indices must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 @dataclass(frozen=True)
@@ -181,7 +160,7 @@ def apply_updates(
     return Network(tuple(layer.step(dw, learning_rate) for layer, dw in zip(net.layers, updates)))
 
 
-def _batch(inputs: np.ndarray, idx) -> np.ndarray:
+def _batch(inputs: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Rows ``idx`` of ``inputs`` as a new C-ordered float64 ``(d, B)`` batch.
 
     uint8 bytes are divided by 255 (see Dataset), exactly as
@@ -193,10 +172,7 @@ def _batch(inputs: np.ndarray, idx) -> np.ndarray:
     if inputs.dtype == np.uint8:
         xb = inputs[idx].T
         return np.divide(xb, 255.0, out=np.empty(xb.shape))
-    # One copy of a float batch: take gathers index rows straight into C
-    # order, and a slice's rows are a view to copy.
-    if isinstance(idx, slice):
-        return np.array(inputs[idx].T, order="C")
+    # One copy of a float batch: take gathers the rows straight into C order.
     return inputs.T.take(idx, axis=1)
 
 
@@ -219,9 +195,11 @@ def train(
     proj: np.ndarray,
     cfg: TrainConfig,
     realize=None,
-) -> tuple[Network, MetricsHistory]:
-    """Train ``net`` on ``data``; returns the trained network and metrics.
+) -> tuple[Network, tuple[MetricRecord, ...]]:
+    """Train ``net`` on ``data``; returns the trained network and one record per step.
 
+    Only ``cfg``'s :class:`TrainConfig` fields are read, so the experiment
+    runner passes its ``ExperimentConfig`` with the shuffle seed as ``seed``.
     Deterministic for a fixed config: each epoch visits the samples in the
     order ``rng.permutation(n)``, ``rng`` seeded with cfg.seed, in batches
     taken (byte inputs scaled) by :func:`_batch`, and each update is applied
@@ -282,7 +260,7 @@ def train(
                 else None
             )
             records.append(MetricRecord(iteration, mse, accuracy))
-    return net, MetricsHistory(tuple(records))
+    return net, tuple(records)
 
 
 def evaluate(net: Network, data: Dataset, realize=None) -> EvalResult:
@@ -304,7 +282,7 @@ def evaluate(net: Network, data: Dataset, realize=None) -> EvalResult:
     with np.errstate(over="ignore", invalid="ignore"):
         run = net if realize is None else realize(net)
         for start in range(0, n, EVAL_BATCH):
-            rows = slice(start, start + EVAL_BATCH)
+            rows = np.arange(start, min(start + EVAL_BATCH, n))
             xb = _batch(data.inputs, rows)
             tb = data.targets[rows].T
             trace = forward(run, xb)

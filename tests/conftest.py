@@ -1,3 +1,4 @@
+import gzip
 import inspect
 import os
 from pathlib import Path
@@ -71,6 +72,16 @@ def spy_on(monkeypatch, module, name: str) -> list[dict]:
 
     monkeypatch.setattr(module, name, spy)
     return calls
+
+
+def corrupt_gzip(damage: str) -> bytes:
+    """A gzipped 200-label IDX file cut in half ("truncated") or with its
+    first compressed byte inverted ("flipped")."""
+    blob = gzip.compress(b"\x00\x00\x08\x01" + (200).to_bytes(4, "big") + bytes(200), mtime=0)
+    if damage == "truncated":
+        return blob[: len(blob) // 2]
+    # Without a stored file name the gzip header is 10 bytes long.
+    return blob[:10] + bytes([blob[10] ^ 0xFF]) + blob[11:]
 
 
 MNIST_FILES = (

@@ -294,8 +294,8 @@ class TestPhotonicMnistShapeEquivalence:
             for realize in (None, realize_network)
         }
         (dense_net, dense_hist), (mesh_net, mesh_hist) = runs[None], runs[realize_network]
-        assert len(mesh_hist.records) == 4
-        for a, b in zip(dense_hist.records, mesh_hist.records):
+        assert len(mesh_hist) == 4
+        for a, b in zip(dense_hist, mesh_hist):
             assert abs(b.mse - a.mse) <= 1e-9
         composed = compose(mesh_net)
         np.testing.assert_allclose(

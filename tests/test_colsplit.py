@@ -221,7 +221,7 @@ class TestColumnSplitNetValidation:
             assert colnet.depth == 1 and colnet.layers[0].activation is Activation.RELU
             np.testing.assert_array_equal(colnet.layers[0].blocks, block[None])
         assert net.aggregator.layers == net.network.layers[1:]
-        assert (net.column_out, net.in_dim, net.out_dim) == (3, 784, 10)
+        assert (net.column_out, net.network.in_dim, net.network.out_dim) == (3, 784, 10)
 
 
 class TestBuildColsplitNet:
@@ -276,7 +276,7 @@ class TestColsplitTraining:
         trained, history = colsplit_train(net, perfect, proj, cfg)
         for la, lb in zip(compose(net).layers, compose(trained).layers):
             np.testing.assert_array_equal(la.weight, lb.weight)
-        assert all(r.mse == 0.0 for r in history.records)
+        assert all(r.mse == 0.0 for r in history)
 
     def test_off_block_weights_stay_exactly_zero(self):
         net = build_colsplit_net(seed=8, column_out=2)
@@ -314,7 +314,7 @@ class TestColsplitTraining:
         on_block = block_mask(2)
         x_in, t_all = columnize(data.inputs, mode), data.targets.T
         for start in range(0, 12, 4):
-            xb = trainer._batch(x_in, slice(start, start + 4))
+            xb = trainer._batch(x_in, np.arange(start, start + 4))
             tb = t_all[:, start : start + 4]
             clean = forward(blocked, xb)
             gamma = output_error(clean.output, tb)

@@ -299,6 +299,15 @@ class TestNetworkTypes:
         with pytest.raises(ValueError, match=match):
             Network.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("value", [True, 2.0, 0, "2"], ids=repr)
+    @pytest.mark.parametrize("field", ["in_dim", "out_dim"])
+    def test_json_rejects_dims_that_are_not_positive_integers(self, field, value):
+        # Without the integer check, True passes as 1 and 2.0 reaches reshape.
+        doc = json.loads(Network((Layer(np.ones((1, 2)), Activation.RELU),)).to_json())
+        doc["layers"][0][field] = value
+        with pytest.raises(ValueError, match=rf"{field} must be an integer >= 1, got {value!r}"):
+            Network.from_json(json.dumps(doc))
+
 
 @st.composite
 def blocks_and_inputs(draw):

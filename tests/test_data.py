@@ -1,5 +1,6 @@
 import gzip
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from twopass import (
 )
 from twopass import trainer
 
-from conftest import MNIST_FILES, spy_on
+from conftest import MNIST_FILES, corrupt_gzip, spy_on
 
 
 def seen_by_trainer(monkeypatch, data: Dataset) -> np.ndarray:
@@ -88,6 +89,19 @@ class TestLoadIdx:
         with gzip.open(path, "wb") as fh:
             fh.write(idx_bytes(0x00000801, (3,), bytes([9, 0, 4])))
         np.testing.assert_array_equal(load_idx(path), np.array([9, 0, 4], dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "damage, cause",
+        [("truncated", EOFError), ("flipped", zlib.error)],
+        ids=["truncated", "flipped"],
+    )
+    def test_corrupt_gzip_is_a_value_error_naming_the_file(self, tmp_path, damage, cause):
+        path = tmp_path / "labels-idx1-ubyte.gz"
+        path.write_bytes(corrupt_gzip(damage))
+        with pytest.raises(ValueError, match="corrupt gzip file") as info:
+            load_idx(path)
+        assert str(path) in str(info.value)
+        assert isinstance(info.value.__cause__, cause)
 
 
 class TestWriteIdx:

@@ -12,12 +12,10 @@ from twopass import (
     ExperimentConfig,
     Layer,
     MetricRecord,
-    MetricsHistory,
     Network,
     NonFiniteError,
     RunReport,
     Task,
-    TrainConfig,
     emit_metrics,
     evaluate,
     forward,
@@ -27,7 +25,7 @@ from twopass import (
 from twopass import colsplit, harness, trainer
 from twopass.harness import resolve_data_dir
 
-from conftest import REPO_ROOT, spy_on
+from conftest import MNIST_FILES, REPO_ROOT, corrupt_gzip, spy_on
 
 
 def xor_config(**overrides) -> ExperimentConfig:
@@ -95,20 +93,23 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="hidden"):
             ExperimentConfig(task=Task.XOR, hidden=0)
 
-    def test_train_config_mapping(self):
-        cfg = xor_config(learning_rate=0.25, epochs=9, batch_size=2, algorithm="backprop")
-        tc = cfg.train_config(shuffle_seed=77)
+    def test_train_config_mapping(self, monkeypatch):
+        # train receives the run's training settings with the shuffle seed,
+        # the third seed drawn from the run seed, in place of the run seed.
+        calls = spy_on(monkeypatch, harness, "train")
+        cfg = xor_config(learning_rate=0.25, epochs=9, batch_size=2, algorithm="backprop", seed=77)
+        run_experiment(cfg)
+        [args] = calls
+        tc = args["cfg"]
         assert tc.learning_rate == 0.25
         assert tc.epochs == 9
         assert tc.batch_size == 2
-        assert tc.seed == 77
+        assert tc.seed == int(np.random.SeedSequence(77).generate_state(3)[2])
         assert tc.algorithm is Algorithm.BACKPROP
 
 
 def make_report(with_confusion: bool) -> RunReport:
-    history = MetricsHistory(
-        records=(MetricRecord(1, 0.5, None), MetricRecord(2, 0.25, None))
-    )
+    history = (MetricRecord(1, 0.5, None), MetricRecord(2, 0.25, None))
     confusion = None
     if with_confusion:
         rows = np.diag(np.arange(10)).tolist()
@@ -132,7 +133,7 @@ def assert_report_document(doc: dict, report: RunReport) -> None:
     assert doc["wall_time_s"] == report.wall_time_s
     assert doc["history"] == [
         {"iteration": r.iteration, "mse": r.mse, "accuracy": r.accuracy}
-        for r in report.history.records
+        for r in report.history
     ]
     expected = None if report.confusion is None else [list(row) for row in report.confusion]
     assert doc["confusion"] == expected
@@ -174,7 +175,7 @@ class TestRunExperiment:
         report = run_experiment(xor_config())
         # 4 samples, batch 1, 2 epochs
         assert len(report.history) == 8
-        assert [r.iteration for r in report.history.records] == list(range(1, 9))
+        assert [r.iteration for r in report.history] == list(range(1, 9))
         assert report.final_accuracy is None
         assert report.confusion is None
         assert report.wall_time_s > 0.0
@@ -182,13 +183,13 @@ class TestRunExperiment:
     def test_seed_changes_trajectory(self):
         a = run_experiment(xor_config(seed=0))
         b = run_experiment(xor_config(seed=1))
-        assert a.history.records[0].mse != b.history.records[0].mse
+        assert a.history[0].mse != b.history[0].mse
 
     def test_photonic_backend_matches_dense(self):
         dense = run_experiment(xor_config(epochs=1))
         photonic = run_experiment(xor_config(epochs=1, backend="photonic"))
         assert photonic.final_mse == pytest.approx(dense.final_mse, abs=1e-5)
-        for rd, rp in zip(dense.history.records, photonic.history.records):
+        for rd, rp in zip(dense.history, photonic.history):
             assert rp.mse == pytest.approx(rd.mse, abs=1e-5)
 
     def test_evaluation_overflow_reports_divergence(self):
@@ -249,20 +250,30 @@ class TestBenchmarkHookPoints:
             f"{m.__name__.rsplit('.', 1)[1]}.{name}": spy_on(monkeypatch, m, name)
             for m, name in hooks
         }
-        run_experiment(xor_config())
-        run_experiment(
-            ExperimentConfig(
-                task=Task.MNIST_COLSPLIT, hidden=2, data_dir=str(synthetic_mnist_dir)
-            )
+        colsplit_cfg = ExperimentConfig(
+            task=Task.MNIST_COLSPLIT, hidden=2, seed=5, data_dir=str(synthetic_mnist_dir)
         )
+        run_experiment(xor_config())
+        run_experiment(colsplit_cfg)
         for name, seen in calls.items():
             assert seen, f"{name} was never called"
         for name in ("harness.train", "harness.colsplit_train", "colsplit.train"):
             for args in calls[name]:
                 assert isinstance(args["data"], Dataset)
-                # An ExperimentConfig is a TrainConfig too; train must get
-                # the derived config that carries the shuffle seed.
-                assert type(args["cfg"]) is TrainConfig
+
+        # The column-split train gets the same training settings and shuffle
+        # seed as train does in test_train_config_mapping.
+        def settings(cfg, seed):
+            return (cfg.learning_rate, cfg.epochs, cfg.batch_size, cfg.algorithm, seed)
+
+        def expected(cfg):
+            return settings(cfg, int(np.random.SeedSequence(cfg.seed).generate_state(3)[2]))
+
+        def received(name):
+            return [settings(args["cfg"], args["cfg"].seed) for args in calls[name]]
+
+        for name in ("harness.colsplit_train", "colsplit.train"):
+            assert received(name) == [expected(colsplit_cfg)]
         for name in ("harness.evaluate", "harness.colsplit_evaluate"):
             for args in calls[name]:
                 assert isinstance(args["data"], Dataset)
@@ -343,7 +354,7 @@ class TestEmitMetrics:
         assert sum(sum(r) for r in parsed) == sum(range(10))
 
     def test_accuracy_column_populated_for_classification(self, tmp_path):
-        history = MetricsHistory(records=(MetricRecord(1, 0.5, 0.125),))
+        history = (MetricRecord(1, 0.5, 0.125),)
         report = RunReport(
             config=xor_config(),
             final_mse=0.5,
@@ -499,7 +510,8 @@ class TestMain:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_missing_mnist_returns_data_error(self, tmp_path, capsys):
+    def test_missing_mnist_returns_data_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the default out dir is made under the working directory
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["--task", "mnist_mlp", "--data-dir", str(empty)]) == 2
@@ -510,6 +522,7 @@ class TestMain:
     def test_env_var_supplies_data_dir(self, tmp_path, capsys, monkeypatch):
         env_dir = tmp_path / "from_env"
         env_dir.mkdir()
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("TWOPASS_DATA_DIR", str(env_dir))
         assert main(["--task", "mnist_mlp"]) == 2
         assert str(env_dir) in capsys.readouterr().err
@@ -518,10 +531,33 @@ class TestMain:
         monkeypatch.setenv("TWOPASS_DATA_DIR", str(tmp_path / "from_env"))
         explicit = tmp_path / "explicit"
         explicit.mkdir()
+        monkeypatch.chdir(tmp_path)
         assert main(["--task", "mnist_mlp", "--data-dir", str(explicit)]) == 2
         err = capsys.readouterr().err
         assert str(explicit) in err
         assert "from_env" not in err
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped"])
+    def test_corrupt_gzip_returns_data_error(self, damage, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        bad = data_dir / f"{MNIST_FILES[0]}.gz"
+        bad.write_bytes(corrupt_gzip(damage))
+        out = str(tmp_path / "out")
+        assert main(["--task", "mnist_mlp", "--data-dir", str(data_dir), "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(bad) in err
+
+    def test_uncreatable_out_dir_is_a_config_error_before_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = spy_on(monkeypatch, harness, "run_experiment")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["--task", "xor", "--epochs", "1", "--out-dir", str(blocker / "sub")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert calls == []
 
     def test_divergent_run_returns_exit_code_three(self, tmp_path, capsys):
         cfg = write_config(

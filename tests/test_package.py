@@ -17,8 +17,9 @@ from conftest import REPO_ROOT
 # MZISetting, mzi_transfer, MeshBackend, the Clements decomposition, the
 # intensity detector, BlockLayer (now one Layer type), reassemble, the
 # ProjectionMatrix and UpdateSet wrappers and DivergenceError, now plain
-# arrays, tuples and NonFiniteError, and normalize, now done per batch by the
-# trainer), plus realize_network.
+# arrays, tuples and NonFiniteError, normalize, now done per batch by the
+# trainer, and MetricsHistory, now a plain tuple of MetricRecord), plus
+# realize_network.
 PUBLIC_NAMES = {
     "Activation",
     "Algorithm",
@@ -33,7 +34,6 @@ PUBLIC_NAMES = {
     "LayerSpec",
     "MeshProgram",
     "MetricRecord",
-    "MetricsHistory",
     "Network",
     "NonFiniteError",
     "PhotonicLayer",

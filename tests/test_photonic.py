@@ -196,6 +196,15 @@ class TestMeshProgram:
         prog = MeshProgram.from_json(doc({"i": 1.0, "theta": 0.5, "phi": 0.0}))
         assert prog.modes.tolist() == [1]
 
+    @pytest.mark.parametrize("n", [True, 1.0, 0, "1"], ids=repr)
+    def test_from_json_rejects_a_mode_count_that_is_not_a_positive_integer(self, n):
+        import json
+
+        # The phase screen's shape check alone lets these through: (True,) == (1.0,) == (1,).
+        text = json.dumps({"n": n, "mzis": [], "out_phases": [0.0]})
+        with pytest.raises(ValueError, match=rf"n must be an integer >= 1, got {n!r}"):
+            MeshProgram.from_json(text)
+
     def test_phases_wrap_into_principal_range(self):
         prog = MeshProgram(
             n=2,
@@ -648,7 +657,7 @@ class TestRealizeNetwork:
         mesh_net, mesh_hist = train(fresh_net(), data, proj, cfg, realize=realize_network)
         for a, b in zip(dense_net.layers, mesh_net.layers):
             np.testing.assert_allclose(b.weight, a.weight, atol=1e-8)
-        for ra, rb in zip(dense_hist.records, mesh_hist.records):
+        for ra, rb in zip(dense_hist, mesh_hist):
             assert rb.mse == pytest.approx(ra.mse, abs=1e-8)
 
     def test_two_pass_update_through_mesh_matches_dense(self):
