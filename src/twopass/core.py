@@ -68,6 +68,23 @@ def _check_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _json_fields(where: str, doc, *keys: str) -> list:
+    """The values of ``keys`` in the JSON object ``doc``; ValueError naming what is wrong."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{where} has no {key!r} field")
+    return [doc[key] for key in keys]
+
+
+def _json_list(name: str, value) -> list:
+    """``value`` if it is a JSON list; ValueError naming the field otherwise."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name!r} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def activation_apply(kind: Activation, z: np.ndarray) -> np.ndarray:
     """Apply ``kind`` to pre-activations ``z`` ((d,) vector or (d, B) batch)."""
     z = np.asarray(z, dtype=float)
@@ -236,10 +253,12 @@ class Network:
 
     @classmethod
     def from_json(cls, text: str) -> "Network":
-        doc = json.loads(text)
+        (entries,) = _json_fields("network", json.loads(text), "layers")
         layers = []
-        for entry in doc["layers"]:
-            k, out_dim, in_dim = entry["blocks"], entry["out_dim"], entry["in_dim"]
+        for entry in _json_list("layers", entries):
+            k, out_dim, in_dim, weights, activation = _json_fields(
+                "layer", entry, "blocks", "out_dim", "in_dim", "weights", "activation"
+            )
             _check_int("in_dim", in_dim, 1)
             _check_int("out_dim", out_dim, 1)
             if isinstance(k, bool) or not isinstance(k, int) or k < 1 or out_dim % k or in_dim % k:
@@ -247,10 +266,10 @@ class Network:
                     f"blocks must be an integer >= 1 dividing {out_dim}x{in_dim}, got {k!r}"
                 )
             o, i = out_dim // k, in_dim // k
-            w = np.asarray(entry["weights"], dtype=float)
+            w = np.asarray(_json_list("weights", weights), dtype=float)
             if w.size != k * o * i:
                 raise ValueError(f"{k} blocks of {o}x{i} need {k * o * i} weights, got {w.size}")
-            layers.append(Layer(w.reshape(k, o, i), Activation(entry["activation"])))
+            layers.append(Layer(w.reshape(k, o, i), Activation(activation)))
         return cls(tuple(layers))
 
 

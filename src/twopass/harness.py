@@ -7,6 +7,8 @@ directory.  Identical config and seed give byte-identical metrics.csv at a
 fixed BLAS thread count (the MNIST MLP's bits depend on it).
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 training divergence.
+A run that exits 2 or 3 removes the output directories it made, if they are
+still empty.
 """
 
 from __future__ import annotations
@@ -274,6 +276,28 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc)
 
 
+def _make_dirs(path: Path) -> list[Path]:
+    """Make ``path`` and its missing parents; return the ones made, deepest first."""
+    missing = []
+    for p in (path, *path.parents):
+        if p.exists():
+            break
+        missing.append(p)
+    path.mkdir(parents=True, exist_ok=True)
+    return missing
+
+
+def _fail(message: str, code: int, created: list[Path]) -> int:
+    """Report a failed run and remove the directories it made that are still empty."""
+    print(message, file=sys.stderr)
+    for d in created:
+        try:
+            d.rmdir()
+        except OSError:  # not empty, so neither are its parents
+            break
+    return code
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -281,7 +305,7 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         out_dir = cfg.out_dir or str(Path("runs") / f"{cfg.task.value}_{cfg.algorithm.value}")
         # Made before any data is read, so an unusable path costs no run.
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        created = _make_dirs(Path(out_dir))
     except (_UsageError, OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -289,11 +313,9 @@ def main(argv=None) -> int:
     try:
         report = run_experiment(cfg)
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"data error: {exc}", 2, created)
     except NonFiniteError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 3
+        return _fail(f"divergence: {exc}", 3, created)
 
     emit_metrics(report, out_dir)
     acc = "n/a" if report.final_accuracy is None else f"{report.final_accuracy:.4f}"

@@ -28,12 +28,15 @@ Re-programming the meshes and reading them back is what a photonic step
 costs, and at these sizes that is Python overhead per MZI, so both run on
 Python complex scalars with no numpy call per MZI.  Nulling carries every
 row as scalars; each MZI updates the row it nulls and the rows below it.
+The programs it builds skip the checks :class:`MeshProgram` applies to
+outside input, which hold by construction; only their phases are wrapped.
 Read-back takes only the k modes between the meshes: the first k rows of
 mesh(V^H), swept backwards through its MZIs, and the first k columns of
 mesh(U), swept forwards.  :func:`mesh_forward` propagates a field through a
-mesh with one 2x2 transfer per MZI, built once per program.  Both take an
-MZI's entries from one formula (:func:`_mzi_transfer`); only the nulling
-applies T^H, from the conjugate factors in its own product order.
+mesh with one 2x2 transfer per MZI.  Both take a program's 2x2 entries from
+one helper call (:func:`_mzi_transfers`); only the nulling applies T^H, from
+the conjugate factors in its own product order.  Every MZI evaluates one
+complex exponential for theta/2 and reads sin and cos off it.
 
 Everything here works at transfer-matrix fidelity: phase settings stand in
 for the physical permittivities, and nonlinearities between meshes are
@@ -50,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Layer, Network, _check_int, _require_finite
+from .core import Layer, Network, _check_int, _json_fields, _json_list, _require_finite
 
 __all__ = [
     "MeshProgram",
@@ -73,17 +76,25 @@ def _mzi_factors(theta: float, phi: float, sign: int = 1) -> tuple[complex, comp
     each, which applied to a pair of columns is right-multiplication by T^H.
     The conjugate factors are computed directly rather than by conjugation:
     the two differ in the sign of a zero real part at theta = 0, and the
-    nulling angles of later MZIs depend on it.
+    nulling angles of later MZIs depend on it.  sin and cos of theta/2 are
+    read off e^{i sign theta/2}, which ``cmath.exp`` builds from exactly those
+    two values, so the trig is evaluated once; for theta >= +0.0 they equal
+    ``math.sin`` and ``math.cos`` of ``0.5 * theta`` bit for bit.
     """
-    half = 0.5 * theta
-    pref = sign * 1j * cmath.exp(sign * 0.5j * theta)
-    return pref, cmath.exp(sign * 1j * phi), math.sin(half), math.cos(half)
+    eh = cmath.exp(sign * 0.5j * theta)
+    return sign * 1j * eh, cmath.exp(sign * 1j * phi), sign * eh.imag, eh.real
 
 
-def _mzi_transfer(theta: float, phi: float) -> tuple[complex, complex, complex, complex]:
-    """The entries (t00, t01, t10, t11) of T(theta, phi): every propagation's MZI."""
-    pref, ephi, s, c = _mzi_factors(theta, phi)
-    return pref * ephi * s, pref * c, pref * ephi * c, -pref * s
+def _mzi_transfers(
+    thetas: list[float], phis: list[float]
+) -> list[tuple[complex, complex, complex, complex]]:
+    """The entries (t00, t01, t10, t11) of T(theta, phi) for each MZI: every propagation's MZIs."""
+    transfers = []
+    for theta, phi in zip(thetas, phis):
+        pref, ephi, s, c = _mzi_factors(theta, phi)
+        pe = pref * ephi
+        transfers.append((pe * s, pref * c, pe * c, -pref * s))
+    return transfers
 
 
 @dataclass(frozen=True)
@@ -125,15 +136,37 @@ class MeshProgram:
         phases = np.concatenate((thetas, phis, out), axis=None)
         if not np.isfinite(phases).all():
             raise ValueError("phases must be finite")
-        # Wrap into [0, 2pi).  np.mod rounds a tiny negative phase up to
-        # exactly 2pi; the second mod maps that to 0 and leaves the rest as is.
-        np.mod(np.mod(phases, TWO_PI, out=phases), TWO_PI, out=phases)
-        t, p = thetas.size, phis.size
-        thetas, phis, out = phases[:t], phases[t : t + p], phases[t + p :]
         if modes.size and (modes.min() < 0 or modes.max() > self.n - 2):
             raise ValueError("MZI mode indices out of range")
-        for name, arr in (("modes", modes), ("thetas", thetas), ("phis", phis), ("out_phases", out)):
+        self._set_wrapped(modes, phases, thetas.size, phis.size)
+
+    def _set_wrapped(self, modes: np.ndarray, phases: np.ndarray, t: int, p: int) -> None:
+        """Store integer ``modes`` and ``phases``, wrapped into [0, 2pi) in place.
+
+        ``phases`` holds the t thetas, p phis and the screen end to end.
+        np.mod rounds a tiny negative phase up to exactly 2pi; the second mod
+        maps that to 0 and leaves the rest as is.
+        """
+        np.mod(np.mod(phases, TWO_PI, out=phases), TWO_PI, out=phases)
+        fields = (modes, phases[:t], phases[t : t + p], phases[t + p :])
+        for name, arr in zip(("modes", "thetas", "phis", "out_phases"), fields):
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _from_kernel(
+        cls, n: int, modes: list[int], thetas: list[float], phis: list[float], out_phases
+    ) -> "MeshProgram":
+        """A program the nulling kernel built, with its phases wrapped and nothing checked.
+
+        The kernel's modes are integers in range and its phases finite by
+        construction, so only the wrap of ``__post_init__`` is applied, and the
+        result equals ``MeshProgram(n, modes, thetas, phis, out_phases)``.
+        """
+        prog = object.__new__(cls)
+        object.__setattr__(prog, "n", n)
+        phases = np.concatenate((thetas, phis, out_phases), axis=None)
+        prog._set_wrapped(np.array(modes, dtype=int), phases, len(thetas), len(phis))
+        return prog
 
     def to_json(self) -> str:
         doc = {
@@ -149,15 +182,11 @@ class MeshProgram:
     @classmethod
     def from_json(cls, text: str) -> "MeshProgram":
         doc = json.loads(text)
-        _check_int("n", doc["n"], 1)
-        mzis = doc["mzis"]
-        return cls(
-            n=doc["n"],
-            modes=np.array([m["i"] for m in mzis]),
-            thetas=np.array([m["theta"] for m in mzis]),
-            phis=np.array([m["phi"] for m in mzis]),
-            out_phases=np.array(doc["out_phases"]),
-        )
+        n, mzis, out_phases = _json_fields("mesh program", doc, "n", "mzis", "out_phases")
+        _check_int("n", n, 1)
+        mzis = [_json_fields("MZI", m, "i", "theta", "phi") for m in _json_list("mzis", mzis)]
+        modes, thetas, phis = (np.array([mzi[j] for mzi in mzis]) for j in range(3))
+        return cls(n, modes, thetas, phis, np.array(_json_list("out_phases", out_phases)))
 
 
 def mesh_forward(prog: MeshProgram, field: np.ndarray) -> np.ndarray:
@@ -168,8 +197,7 @@ def mesh_forward(prog: MeshProgram, field: np.ndarray) -> np.ndarray:
     if field.shape[0] != prog.n:
         raise ValueError(f"field length {field.shape[0]} != mesh dimension {prog.n}")
     transfers = np.array(
-        [_mzi_transfer(t, p) for t, p in zip(prog.thetas.tolist(), prog.phis.tolist())],
-        dtype=complex,
+        _mzi_transfers(prog.thetas.tolist(), prog.phis.tolist()), dtype=complex
     ).reshape(-1, 2, 2)
     v = field.copy()
     for m, t in zip(prog.modes.tolist(), transfers):
@@ -196,14 +224,13 @@ def _leading(prog: MeshProgram, k: int, rows: bool) -> np.ndarray:
     vecs = np.eye(k, prog.n, dtype=complex).tolist()
     started = [False] * k
     live = []
-    for m, theta, phi in zip(
-        prog.modes[order].tolist(), prog.thetas[order].tolist(), prog.phis[order].tolist()
-    ):
-        for j in range(m, min(m + 2, k)):
-            if not started[j]:
-                started[j] = True
-                live.append(vecs[j])
-        t00, t01, t10, t11 = _mzi_transfer(theta, phi)
+    transfers = _mzi_transfers(prog.thetas[order].tolist(), prog.phis[order].tolist())
+    for m, (t00, t01, t10, t11) in zip(prog.modes[order].tolist(), transfers):
+        if m < k:
+            for j in range(m, min(m + 2, k)):
+                if not started[j]:
+                    started[j] = True
+                    live.append(vecs[j])
         if rows:
             t01, t10 = t10, t01
         for v in live:
@@ -239,17 +266,19 @@ def _null_rows(a: np.ndarray) -> tuple[list[int], list[float], list[float], list
     rows = a.astype(complex).tolist()
     modes, thetas, phis, d = [], [], [], []
     for r in range(k):
-        row, unnulled = rows[r], rows[r:]
+        row, below = rows[r], rows[r + 1 :]
         for m in range(n - 2, r - 1, -1):
             x, y = row[m], row[m + 1]
             theta = 2.0 * math.atan2(abs(x), abs(y))
             phi = cmath.phase(x * y.conjugate())
-            # rows <- rows @ T^H on columns (m, m+1), nulling rows[r][m+1].
+            # rows <- rows @ T^H on columns (m, m+1), nulling rows[r][m+1]
+            # (left unwritten: no later MZI reads it).
             # The product order is fixed: exact zeros keep their signs, which
             # the nulling angles of later MZIs can depend on.
             pref, ephi, s, c = _mzi_factors(theta, phi, -1)
             es, ec = ephi * s, ephi * c
-            for b in unnulled:
+            row[m] = pref * (es * x + c * y)
+            for b in below:
                 p, q = b[m], b[m + 1]
                 b[m], b[m + 1] = pref * (es * p + c * q), pref * (ec * p - s * q)
             modes.append(m)
@@ -265,7 +294,7 @@ def _input_isometry(vh: np.ndarray) -> MeshProgram:
     modes, thetas, phis, d = _null_rows(vh)
     out = np.zeros(n)
     out[:k] = np.angle(d)
-    return MeshProgram(n, modes, thetas, phis, out)
+    return MeshProgram._from_kernel(n, modes, thetas, phis, out)
 
 
 def _output_isometry(u: np.ndarray) -> MeshProgram:
@@ -287,7 +316,7 @@ def _output_isometry(u: np.ndarray) -> MeshProgram:
         b = phases[mode + 1]
         pushed.append(phases[mode] - b)
         phases[mode] = (phi + b) % TWO_PI
-    return MeshProgram(m, modes, thetas, pushed, phases)
+    return MeshProgram._from_kernel(m, modes, thetas, pushed, phases)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from twopass import (
     Activation,
     Layer,
     LayerSpec,
+    MeshProgram,
     Network,
     activation_apply,
     activation_derivative,
@@ -363,6 +364,44 @@ class TestJsonRoundTripProperty:
             assert a.blocks.shape == b.blocks.shape
             assert a.blocks.tobytes() == b.blocks.tobytes()
             assert a.activation is b.activation
+
+
+
+def _without(doc: dict, path: tuple, key: str) -> dict:
+    """A deep copy of ``doc`` with ``key`` removed from the object at ``path``."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for step in path:
+        target = target[step]
+    del target[key]
+    return doc
+
+
+_NETWORK_DOC = {
+    "layers": [
+        {"in_dim": 2, "out_dim": 1, "activation": "relu", "blocks": 1, "weights": [1.0, 2.0]}
+    ]
+}
+_MESH_DOC = {"n": 2, "mzis": [{"i": 0, "theta": 0.5, "phi": 0.0}], "out_phases": [0.0, 0.0]}
+
+
+class TestJsonDocumentShape:
+    @pytest.mark.parametrize(
+        "cls, doc, match",
+        [
+            (Network, {"layers": 5}, "'layers' must be a JSON list, got int"),
+            (Network, {}, "network has no 'layers' field"),
+            (Network, [], "network must be a JSON object, got list"),
+            (Network, _without(_NETWORK_DOC, ("layers", 0), "weights"), "layer has no 'weights'"),
+            (MeshProgram, {**_MESH_DOC, "mzis": 5}, "'mzis' must be a JSON list, got int"),
+            (MeshProgram, _without(_MESH_DOC, ("mzis", 0), "theta"), "MZI has no 'theta' field"),
+        ],
+        ids=["layers-int", "empty-object", "list", "no-weights", "mzis-int", "no-theta"],
+    )
+    def test_wrongly_shaped_document_is_a_value_error_naming_the_field(self, cls, doc, match):
+        assert cls.from_json(json.dumps(_NETWORK_DOC if cls is Network else _MESH_DOC))
+        with pytest.raises(ValueError, match=match):
+            cls.from_json(json.dumps(doc))
 
 
 class TestBuildNetwork:

@@ -566,6 +566,19 @@ class TestMain:
         assert main([cfg, "--out-dir", str(tmp_path / "out")]) == 3
         assert "divergence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("code", [2, 3])
+    def test_failed_run_removes_the_empty_directories_it_made(self, code, tmp_path, capsys):
+        kept = tmp_path / "kept"
+        (kept / "other").mkdir(parents=True)
+        if code == 2:
+            argv = ["--task", "mnist_mlp", "--data-dir", str(tmp_path / "nonexistent")]
+        else:
+            argv = [write_config(tmp_path, task="xor", learning_rate=1000.0, epochs=50)]
+        assert main(argv + ["--out-dir", str(kept / "a" / "b" / "c")]) == code
+        assert capsys.readouterr().err.startswith(("data error:", "divergence:"))
+        # Made by the run: a, b and c.  There before it: kept and kept/other.
+        assert sorted(p.name for p in kept.iterdir()) == ["other"]
+
 
 class TestResolveDataDir:
     def test_explicit_wins(self, monkeypatch):

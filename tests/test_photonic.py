@@ -1,5 +1,7 @@
 import cmath
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from twopass import (
 )
 from twopass.data import Dataset
 from twopass.modulation import modulate_input, output_error
-from twopass.photonic import _input_isometry, _null_rows
+from twopass.photonic import _input_isometry, _mzi_factors, _null_rows
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
@@ -103,6 +105,34 @@ class TestMZISetting:
         t = single_mzi(np.pi / 2.0, 0.0)
         out = t @ np.array([1.0, 0.0])
         np.testing.assert_allclose(np.abs(out) ** 2, [0.5, 0.5], rtol=1e-12)
+
+
+def reference_mzi_factors(theta: float, phi: float, sign: int = 1):
+    """The reference for ``_mzi_factors``: sin and cos of theta/2 taken from ``math``."""
+    half = 0.5 * theta
+    pref = sign * 1j * cmath.exp(sign * 0.5j * theta)
+    return pref, cmath.exp(sign * 1j * phi), math.sin(half), math.cos(half)
+
+
+def float_bits(values) -> bytes:
+    """The IEEE bits of a tuple of floats and complexes, so -0.0 differs from +0.0."""
+    parts = []
+    for v in values:
+        parts += [v.real, v.imag] if isinstance(v, complex) else [v]
+    return struct.pack(f"<{len(parts)}d", *parts)
+
+
+class TestMZIFactors:
+    def test_one_exponential_gives_the_math_module_factors_bit_for_bit(self):
+        rng = np.random.default_rng(40)
+        edge = [0.0, 5e-324, np.pi, np.nextafter(2 * np.pi, 0.0)]
+        thetas = edge + rng.uniform(0.0, 2 * np.pi, 2000).tolist()
+        phis = [0.0, -0.0, np.pi] + rng.uniform(-np.pi, 2 * np.pi, 50).tolist()
+        for i, theta in enumerate(thetas):
+            phi = phis[i % len(phis)]
+            for sign in (1, -1):
+                want = float_bits(reference_mzi_factors(theta, phi, sign))
+                assert float_bits(_mzi_factors(theta, phi, sign)) == want, (theta, phi, sign)
 
 
 class TestMeshProgram:
@@ -349,6 +379,49 @@ def low_rank_weights(draw) -> np.ndarray:
 integer_weights = st.tuples(st.integers(1, 16), st.integers(1, 16)).flatmap(
     lambda shape: arrays(np.float64, shape, elements=st.integers(-2, 2).map(float))
 )
+
+
+zero_weights = st.tuples(st.integers(1, 16), st.integers(1, 16)).map(np.zeros)
+
+
+@st.composite
+def signed_permutations(draw) -> np.ndarray:
+    """The first rows of an n x n permutation matrix with random signs."""
+    n = draw(st.integers(1, 16))
+    order = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    return (np.eye(n)[order] * np.array(signs)[:, None])[: draw(st.integers(1, n))]
+
+
+class TestKernelBuiltPrograms:
+    @PROPERTY_SETTINGS
+    @given(st.one_of(zero_weights, signed_permutations(), low_rank_weights()))
+    def test_equal_the_checked_construction_bit_for_bit(self, w):
+        # The kernel's programs skip the checks MeshProgram applies to outside
+        # input.  Each must be what the checked constructor builds, both from
+        # the kernel's unwrapped phases and from the program's own fields.
+        built = []
+        from_kernel = MeshProgram._from_kernel.__func__
+
+        def record(cls, *args):
+            prog = from_kernel(cls, *args)
+            built.append((args, prog))
+            return prog
+
+        with mock.patch.object(MeshProgram, "_from_kernel", classmethod(record)):
+            layer = realize_weight(w)
+        assert len(built) == 2
+        assert built[0][1] is layer.mesh_v and built[1][1] is layer.mesh_u
+        for args, prog in built:
+            fields = (prog.n, prog.modes, prog.thetas, prog.phis, prog.out_phases)
+            for checked in (MeshProgram(*args), MeshProgram(*fields)):
+                assert checked.n == prog.n
+                for name in ("modes", "thetas", "phis", "out_phases"):
+                    got, want = getattr(prog, name), getattr(checked, name)
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes()
+            for phases in (prog.thetas, prog.phis, prog.out_phases):
+                assert np.all((phases >= 0.0) & (phases < 2 * np.pi))
 
 
 class TestRealizationProperties:
