@@ -85,6 +85,14 @@ def _json_list(name: str, value) -> list:
     return value
 
 
+def _json_numbers(name: str, value) -> list:
+    """``value`` if it is a JSON list of numbers; ValueError naming the field otherwise."""
+    for x in _json_list(name, value):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f"{name!r} must hold JSON numbers, got {type(x).__name__}")
+    return value
+
+
 def activation_apply(kind: Activation, z: np.ndarray) -> np.ndarray:
     """Apply ``kind`` to pre-activations ``z`` ((d,) vector or (d, B) batch)."""
     z = np.asarray(z, dtype=float)
@@ -266,7 +274,7 @@ class Network:
                     f"blocks must be an integer >= 1 dividing {out_dim}x{in_dim}, got {k!r}"
                 )
             o, i = out_dim // k, in_dim // k
-            w = np.asarray(_json_list("weights", weights), dtype=float)
+            w = np.asarray(_json_numbers("weights", weights), dtype=float)
             if w.size != k * o * i:
                 raise ValueError(f"{k} blocks of {o}x{i} need {k * o * i} weights, got {w.size}")
             layers.append(Layer(w.reshape(k, o, i), Activation(activation)))

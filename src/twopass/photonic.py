@@ -26,10 +26,15 @@ through the result with the ordinary forward pass.
 
 Re-programming the meshes and reading them back is what a photonic step
 costs, and at these sizes that is Python overhead per MZI, so both run on
-Python complex scalars with no numpy call per MZI.  Nulling carries every
-row as scalars; each MZI updates the row it nulls and the rows below it.
-The programs it builds skip the checks :class:`MeshProgram` applies to
-outside input, which hold by construction; only their phases are wrapped.
+Python complex scalars with no numpy call per MZI.  Each block goes from its
+SVD to its read-back on Python lists (:func:`_programs`, :func:`_read_back`):
+:func:`realize_network` builds no :class:`MeshProgram` and no
+:class:`PhotonicLayer`, and :func:`realize_weight` hands the same lists to
+the checked ``MeshProgram`` constructor.  Nulling carries every row as
+scalars; each MZI updates the row it nulls and the rows below it.  The
+kernel's phases are wrapped in Python (:func:`_wrap`), bit for bit as
+``MeshProgram`` wraps them.  The finite-weight check, the orthonormality
+residual and the gain check run on both entry points.
 Read-back takes only the k modes between the meshes: the first k rows of
 mesh(V^H), swept backwards through its MZIs, and the first k columns of
 mesh(U), swept forwards.  :func:`mesh_forward` propagates a field through a
@@ -53,7 +58,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Layer, Network, _check_int, _json_fields, _json_list, _require_finite
+from .core import (
+    Layer,
+    Network,
+    _check_int,
+    _json_fields,
+    _json_list,
+    _json_numbers,
+    _require_finite,
+)
 
 __all__ = [
     "MeshProgram",
@@ -67,6 +80,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+_FIELDS = ("modes", "thetas", "phis", "out_phases")
+# A program as the kernel builds and the read-back takes it: (n, modes, thetas, phis, out_phases).
+_Program = tuple[int, list[int], list[float], list[float], list[float]]
 
 
 def _mzi_factors(theta: float, phi: float, sign: int = 1) -> tuple[complex, complex, float, float]:
@@ -126,6 +142,9 @@ class MeshProgram:
         thetas, phis, out = (
             np.asarray(a, dtype=float) for a in (self.thetas, self.phis, self.out_phases)
         )
+        for name, arr in zip(_FIELDS, (modes, thetas, phis, out)):
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
         if not len(modes) == len(thetas) == len(phis):
             raise ValueError(
                 f"modes, thetas and phis must have equal length, "
@@ -138,35 +157,17 @@ class MeshProgram:
             raise ValueError("phases must be finite")
         if modes.size and (modes.min() < 0 or modes.max() > self.n - 2):
             raise ValueError("MZI mode indices out of range")
-        self._set_wrapped(modes, phases, thetas.size, phis.size)
-
-    def _set_wrapped(self, modes: np.ndarray, phases: np.ndarray, t: int, p: int) -> None:
-        """Store integer ``modes`` and ``phases``, wrapped into [0, 2pi) in place.
-
-        ``phases`` holds the t thetas, p phis and the screen end to end.
-        np.mod rounds a tiny negative phase up to exactly 2pi; the second mod
-        maps that to 0 and leaves the rest as is.
-        """
+        # np.mod rounds a tiny negative phase up to exactly 2pi; the second
+        # mod maps that to 0 and leaves the rest as is.
         np.mod(np.mod(phases, TWO_PI, out=phases), TWO_PI, out=phases)
+        t, p = thetas.size, phis.size
         fields = (modes, phases[:t], phases[t : t + p], phases[t + p :])
-        for name, arr in zip(("modes", "thetas", "phis", "out_phases"), fields):
+        for name, arr in zip(_FIELDS, fields):
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def _from_kernel(
-        cls, n: int, modes: list[int], thetas: list[float], phis: list[float], out_phases
-    ) -> "MeshProgram":
-        """A program the nulling kernel built, with its phases wrapped and nothing checked.
-
-        The kernel's modes are integers in range and its phases finite by
-        construction, so only the wrap of ``__post_init__`` is applied, and the
-        result equals ``MeshProgram(n, modes, thetas, phis, out_phases)``.
-        """
-        prog = object.__new__(cls)
-        object.__setattr__(prog, "n", n)
-        phases = np.concatenate((thetas, phis, out_phases), axis=None)
-        prog._set_wrapped(np.array(modes, dtype=int), phases, len(thetas), len(phis))
-        return prog
+    def _lists(self) -> _Program:
+        """The program as the Python lists the read-back takes."""
+        return (self.n, *(getattr(self, name).tolist() for name in _FIELDS))
 
     def to_json(self) -> str:
         doc = {
@@ -185,8 +186,11 @@ class MeshProgram:
         n, mzis, out_phases = _json_fields("mesh program", doc, "n", "mzis", "out_phases")
         _check_int("n", n, 1)
         mzis = [_json_fields("MZI", m, "i", "theta", "phi") for m in _json_list("mzis", mzis)]
-        modes, thetas, phis = (np.array([mzi[j] for mzi in mzis]) for j in range(3))
-        return cls(n, modes, thetas, phis, np.array(_json_list("out_phases", out_phases)))
+        modes, thetas, phis = (
+            np.array(_json_numbers(key, [mzi[j] for mzi in mzis]))
+            for j, key in enumerate(("i", "theta", "phi"))
+        )
+        return cls(n, modes, thetas, phis, np.array(_json_numbers("out_phases", out_phases)))
 
 
 def mesh_forward(prog: MeshProgram, field: np.ndarray) -> np.ndarray:
@@ -211,21 +215,25 @@ def transfer_matrix(prog: MeshProgram) -> np.ndarray:
     return mesh_forward(prog, np.eye(prog.n, dtype=complex))
 
 
-def _leading(prog: MeshProgram, k: int, rows: bool) -> np.ndarray:
-    """The first k columns (n x k) of the mesh's transfer matrix, or its first k rows (k x n).
+def _leading(prog: _Program, k: int, rows: bool) -> np.ndarray:
+    """The first k rows of a program's MZI product M, or its first k columns as rows (k x n each).
 
-    Unit vectors e_0 .. e_{k-1} are carried as Python complex scalars: a
-    column forward through the MZIs (T e_j), a row backward through them
-    (e_j^T T, the transpose of T^T e_j).  The output phases are applied last.
-    Vector j stays e_j until an MZI reaches mode j, so an MZI updates only the
-    vectors started so far; in a nulled mesh that is about k/2 on average.
+    M is the transfer matrix without the output phase screen, which the
+    caller applies.  Unit vectors e_0 .. e_{k-1} are carried as Python complex
+    scalars: a column forward through the MZIs (M e_j), a row backward through
+    them (e_j^T M, the transpose of M^T e_j).  Vector j stays e_j until an MZI
+    reaches mode j, so an MZI updates only the vectors started so far; in a
+    nulled mesh that is about k/2 on average.
     """
-    order = slice(None, None, -1) if rows else slice(None)
-    vecs = np.eye(k, prog.n, dtype=complex).tolist()
+    n, modes, thetas, phis, _ = prog
+    if rows:
+        modes, thetas, phis = modes[::-1], thetas[::-1], phis[::-1]
+    vecs = [[0j] * n for _ in range(k)]
+    for j, v in enumerate(vecs):
+        v[j] = 1 + 0j
     started = [False] * k
     live = []
-    transfers = _mzi_transfers(prog.thetas[order].tolist(), prog.phis[order].tolist())
-    for m, (t00, t01, t10, t11) in zip(prog.modes[order].tolist(), transfers):
+    for m, (t00, t01, t10, t11) in zip(modes, _mzi_transfers(thetas, phis)):
         if m < k:
             for j in range(m, min(m + 2, k)):
                 if not started[j]:
@@ -236,9 +244,7 @@ def _leading(prog: MeshProgram, k: int, rows: bool) -> np.ndarray:
         for v in live:
             a, b = v[m], v[m + 1]
             v[m], v[m + 1] = t00 * a + t01 * b, t10 * a + t11 * b
-    vecs = np.array(vecs, dtype=complex).reshape(k, prog.n)
-    phases = np.exp(1j * prog.out_phases)
-    return phases[:k, None] * vecs if rows else phases[:, None] * vecs.T
+    return np.array(vecs, dtype=complex).reshape(k, n)
 
 
 def unitarity_residual(prog: MeshProgram) -> float:
@@ -288,17 +294,25 @@ def _null_rows(a: np.ndarray) -> tuple[list[int], list[float], list[float], list
     return modes, thetas, phis, d
 
 
-def _input_isometry(vh: np.ndarray) -> MeshProgram:
-    """Mesh whose first k output rows equal the k x n orthonormal rows vh."""
+def _wrap(n: int, modes: list[int], thetas: list[float], phis: list[float], out_phases) -> _Program:
+    """A program the kernel built, with its phases wrapped into [0, 2pi).
+
+    ``x % TWO_PI % TWO_PI`` is ``MeshProgram``'s double np.mod bit for bit:
+    the first can round a tiny negative phase up to exactly 2pi, the second
+    maps that to 0 and leaves the rest as is.
+    """
+    return (n, modes, *([x % TWO_PI % TWO_PI for x in p] for p in (thetas, phis, out_phases)))
+
+
+def _input_isometry(vh: np.ndarray) -> _Program:
+    """Program whose first k output rows equal the k x n orthonormal rows vh."""
     k, n = vh.shape
     modes, thetas, phis, d = _null_rows(vh)
-    out = np.zeros(n)
-    out[:k] = np.angle(d)
-    return MeshProgram._from_kernel(n, modes, thetas, phis, out)
+    return _wrap(n, modes, thetas, phis, np.angle(d).tolist() + [0.0] * (n - k))
 
 
-def _output_isometry(u: np.ndarray) -> MeshProgram:
-    """Mesh whose first k input columns equal the m x k orthonormal columns u.
+def _output_isometry(u: np.ndarray) -> _Program:
+    """Program whose first k input columns equal the m x k orthonormal columns u.
 
     Nulling u^T gives u = T_1^T ... T_L^T [diag(d); 0]: the phases d on the
     input, then the transposed MZIs in reverse order.  T(theta, phi)^T is
@@ -316,7 +330,55 @@ def _output_isometry(u: np.ndarray) -> MeshProgram:
         b = phases[mode + 1]
         pushed.append(phases[mode] - b)
         phases[mode] = (phi + b) % TWO_PI
-    return MeshProgram._from_kernel(m, modes, thetas, pushed, phases)
+    return _wrap(m, modes, thetas, pushed, phases)
+
+
+def _check_gain(sigma: np.ndarray, scale: float) -> None:
+    """Raise ValueError unless every attenuation lies in [0, 1] and the gain is finite and > 0."""
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and > 0, got {scale!r}")
+    if not all(0.0 <= a <= 1.0 + 1e-12 for a in sigma.tolist()):
+        raise ValueError(f"attenuations must lie in [0, 1], got {sigma}")
+
+
+def _programs(w: np.ndarray) -> tuple[_Program, np.ndarray, _Program, float]:
+    """A real matrix's thin-SVD realization: mesh_v's program, sigma, mesh_u's program, scale.
+
+    W = scale * U Sigma V^H.  ``scale`` is the largest singular value so the
+    attenuation column stays in [0, 1] (for the all-zero matrix the scale is
+    set to 1).  Only the k = min(m, n) modes between the meshes carry signal,
+    so mesh_v is programmed so that its first k rows are V^H and mesh_u so
+    that its first k columns are U; the other ports are left to whatever
+    completion the nulling gives.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 2:
+        raise ValueError(f"weight must be 2-D, got shape {w.shape}")
+    _require_finite("weight", w)
+    u, s, vh = np.linalg.svd(w, full_matrices=False)
+    # A finite block can still overflow its largest singular value: a diverging run.
+    _require_finite("singular values", s)
+    scale = float(s[0]) if s.size and s[0] > 0.0 else 1.0
+    sigma = s / scale
+    _check_gain(sigma, scale)
+    return _input_isometry(vh), sigma, _output_isometry(u), scale
+
+
+def _read_back(prog_v: _Program, sigma: np.ndarray, prog_u: _Program, scale: float) -> np.ndarray:
+    """Dense out_dim x in_dim matrix the meshes implement: scale (U_k sigma) V_k.
+
+    Only the first k modes pass the attenuations, so the matrix is read back
+    from k rows and k columns: V_k, the first k rows of mesh_v's transfer,
+    and U_k, mesh_u's transfer on the first k unit columns.  Both come from
+    the programmed phases, for any program.
+    """
+    k = sigma.shape[0]
+    m = prog_u[0]
+    # Both phase screens in one call: mesh_u's m phases and the k of mesh_v's that V_k reads.
+    screens = np.exp(1j * np.array(prog_u[4] + prog_v[4][:k]))
+    u_k = screens[:m, None] * _leading(prog_u, k, rows=False).T
+    v_k = screens[m:, None] * _leading(prog_v, k, rows=True)
+    return scale * (u_k * sigma) @ v_k
 
 
 @dataclass(frozen=True)
@@ -332,8 +394,7 @@ class PhotonicLayer:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.ndim != 1 or sigma.shape[0] != min(self.in_dim, self.out_dim):
             raise ValueError("sigma must have length min(out_dim, in_dim)")
-        if sigma.size and (sigma.min() < 0.0 or sigma.max() > 1.0 + 1e-12):
-            raise ValueError("attenuations must lie in [0, 1]")
+        _check_gain(sigma, self.scale)
         object.__setattr__(self, "sigma", sigma)
 
     @property
@@ -346,39 +407,24 @@ class PhotonicLayer:
 
     @cached_property
     def realized_matrix(self) -> np.ndarray:
-        """Dense out_dim x in_dim matrix the meshes implement: scale (U_k sigma) V_k.
+        """The matrix this layer's own programs implement (:func:`_read_back`).
 
-        Only the first k = min(out_dim, in_dim) modes pass the attenuations,
-        so the matrix is read back from k rows and k columns: V_k, the first
-        k rows of mesh_v's transfer, and U_k, mesh_u's transfer on the first
-        k unit columns.  Both come from the programmed phases, for any
-        program; a layer's output field is ``realized_matrix @ field``.
+        A layer's output field is ``realized_matrix @ field``.
         """
-        k = self.sigma.shape[0]
-        u_k = _leading(self.mesh_u, k, rows=False)
-        return self.scale * (u_k * self.sigma) @ _leading(self.mesh_v, k, rows=True)
+        return _read_back(self.mesh_v._lists(), self.sigma, self.mesh_u._lists(), self.scale)
 
 
 def realize_weight(w: np.ndarray) -> PhotonicLayer:
     """Realize a real matrix photonically via its thin SVD, W = scale * U Sigma V^H.
 
-    ``scale`` is the largest singular value so the attenuation column stays in
-    [0, 1] (for the all-zero matrix the scale is set to 1).  Only the
-    k = min(m, n) modes between the meshes carry signal, so ``mesh_v`` is
-    programmed so that its first k rows are V^H and ``mesh_u`` so that its
-    first k columns are U; the other ports are left to whatever completion
-    the nulling gives.
+    The meshes hold only the k = min(m, n) modes that carry signal; see
+    :func:`_programs` for how they are programmed and checked.
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2:
-        raise ValueError(f"weight must be 2-D, got shape {w.shape}")
-    _require_finite("weight", w)
-    u, s, vh = np.linalg.svd(w, full_matrices=False)
-    scale = float(s[0]) if s.size and s[0] > 0.0 else 1.0
+    prog_v, sigma, prog_u, scale = _programs(w)
     return PhotonicLayer(
-        mesh_v=_input_isometry(vh),
-        sigma=s / scale,
-        mesh_u=_output_isometry(u),
+        mesh_v=MeshProgram(*prog_v),
+        sigma=sigma,
+        mesh_u=MeshProgram(*prog_u),
         scale=scale,
     )
 
@@ -386,11 +432,11 @@ def realize_weight(w: np.ndarray) -> PhotonicLayer:
 def realize_network(net: Network) -> Network:
     """The network the meshes implement: the photonic backend, handed to the trainer.
 
-    Each block of each layer is realized on its own mesh pair by
-    :func:`realize_weight` and replaced by the real part of its realized
-    matrix (ideal detection); activations are unchanged.  A dense layer is
-    one block, and the off-block entries of a block-diagonal layer stay
-    exactly zero.
+    Each block of each layer is programmed on its own mesh pair, exactly as
+    :func:`realize_weight` programs it, and replaced by the real part of the
+    matrix read back from those programs (ideal detection); activations are
+    unchanged.  A dense layer is one block, and the off-block entries of a
+    block-diagonal layer stay exactly zero.
     """
     # .real of the complex block array is a strided view.  Taking .real per
     # block would make the weight contiguous, and the products would round
@@ -398,7 +444,7 @@ def realize_network(net: Network) -> Network:
     return Network(
         tuple(
             Layer(
-                np.array([realize_weight(b).realized_matrix for b in layer.blocks]).real,
+                np.array([_read_back(*_programs(b)) for b in layer.blocks]).real,
                 layer.activation,
             )
             for layer in net.layers

@@ -18,6 +18,7 @@ from twopass import (
     Dataset,
     ExperimentConfig,
     LayerSpec,
+    MeshProgram,
     NonFiniteError,
     TrainConfig,
     apply_updates,
@@ -332,7 +333,7 @@ class TestUnitaryRoundTrip:
             rng = np.random.default_rng(1000 + i)
             a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             q, _ = np.linalg.qr(a)
-            prog = _input_isometry(q)
+            prog = MeshProgram(*_input_isometry(q))
             err = float(np.linalg.norm(transfer_matrix(prog) - q))
             worst = max(worst, err)
         assert worst < 1e-8, f"worst reconstruction error {worst:.3e}"
@@ -362,8 +363,11 @@ class TestDeterminism:
         assert main([config_path, *extra, "--out-dir", str(out_b)]) == 0
         return out_a, out_b
 
-    def test_shipped_xor_config_is_byte_identical(self, tmp_path):
-        out_a, out_b = self.run_twice(str(CONFIG_DIR / "xor_twopass.json"), tmp_path)
+    @pytest.mark.parametrize("backend", ["dense", "photonic"])
+    def test_shipped_xor_config_is_byte_identical(self, tmp_path, backend):
+        out_a, out_b = self.run_twice(
+            str(CONFIG_DIR / "xor_twopass.json"), tmp_path, extra=("--backend", backend)
+        )
         assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
 
     @pytest.mark.slow

@@ -377,6 +377,16 @@ def _without(doc: dict, path: tuple, key: str) -> dict:
     return doc
 
 
+def _with(doc: dict, path: tuple, key: str, value) -> dict:
+    """A deep copy of ``doc`` with ``key`` set to ``value`` in the object at ``path``."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for step in path:
+        target = target[step]
+    target[key] = value
+    return doc
+
+
 _NETWORK_DOC = {
     "layers": [
         {"in_dim": 2, "out_dim": 1, "activation": "relu", "blocks": 1, "weights": [1.0, 2.0]}
@@ -395,8 +405,25 @@ class TestJsonDocumentShape:
             (Network, _without(_NETWORK_DOC, ("layers", 0), "weights"), "layer has no 'weights'"),
             (MeshProgram, {**_MESH_DOC, "mzis": 5}, "'mzis' must be a JSON list, got int"),
             (MeshProgram, _without(_MESH_DOC, ("mzis", 0), "theta"), "MZI has no 'theta' field"),
+            (Network, _with(_NETWORK_DOC, ("layers", 0), "weights", [[1, 2]]), "'weights' .* list"),
+            (Network, _with(_NETWORK_DOC, ("layers", 0), "weights", [{}, 2]), "'weights' .* dict"),
+            (MeshProgram, _with(_MESH_DOC, ("mzis", 0), "i", [0]), "'i' .* list"),
+            (MeshProgram, _with(_MESH_DOC, ("mzis", 0), "theta", {"a": 1}), "'theta' .* dict"),
+            (MeshProgram, _with(_MESH_DOC, (), "out_phases", [0.0, {}]), "'out_phases' .* dict"),
         ],
-        ids=["layers-int", "empty-object", "list", "no-weights", "mzis-int", "no-theta"],
+        ids=[
+            "layers-int",
+            "empty-object",
+            "list",
+            "no-weights",
+            "mzis-int",
+            "no-theta",
+            "nested-weights",
+            "object-weight",
+            "list-mode",
+            "object-theta",
+            "object-phase",
+        ],
     )
     def test_wrongly_shaped_document_is_a_value_error_naming_the_field(self, cls, doc, match):
         assert cls.from_json(json.dumps(_NETWORK_DOC if cls is Network else _MESH_DOC))

@@ -15,6 +15,7 @@ from twopass import (
     LayerSpec,
     MeshProgram,
     Network,
+    NonFiniteError,
     PhotonicLayer,
     TrainConfig,
     apply_phase_noise,
@@ -31,6 +32,7 @@ from twopass import (
     unitarity_residual,
     xor_dataset,
 )
+import twopass.photonic
 from twopass.data import Dataset
 from twopass.modulation import modulate_input, output_error
 from twopass.photonic import _input_isometry, _mzi_factors, _null_rows
@@ -43,8 +45,13 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
     return q
 
 
+def input_program(vh: np.ndarray) -> MeshProgram:
+    """The mesh the nulling kernel programs so that its first k output rows are ``vh``."""
+    return MeshProgram(*_input_isometry(vh))
+
+
 def random_program(n: int, seed: int) -> MeshProgram:
-    return _input_isometry(random_unitary(n, seed))
+    return input_program(random_unitary(n, seed))
 
 
 def mzi_reference(theta: float, phi: float) -> np.ndarray:
@@ -202,6 +209,15 @@ class TestMeshProgram:
         with pytest.raises(ValueError, match="finite"):
             MeshProgram(**args)
 
+    @pytest.mark.parametrize("field", ["modes", "thetas", "phis", "out_phases"])
+    def test_fields_that_are_not_one_dimensional_rejected(self, field):
+        args = dict(
+            n=2, modes=np.array([0]), thetas=np.zeros(1), phis=np.zeros(1), out_phases=np.zeros(2)
+        )
+        args[field] = args[field][None]
+        with pytest.raises(ValueError, match=rf"{field} must be 1-D, got shape \(1, \d\)"):
+            MeshProgram(**args)
+
     def test_fractional_mode_index_rejected(self):
         with pytest.raises(ValueError, match="integers"):
             MeshProgram(
@@ -330,35 +346,35 @@ class TestInputIsometry:
     """Square unitaries programmed by triangular nulling: full meshes of n(n-1)/2 MZIs."""
 
     def test_identity_reconstructs(self):
-        prog = _input_isometry(np.eye(4))
+        prog = input_program(np.eye(4))
         np.testing.assert_allclose(transfer_matrix(prog), np.eye(4), atol=1e-12)
 
     def test_one_by_one_is_pure_phase(self):
-        prog = _input_isometry(np.array([[np.exp(0.7j)]]))
+        prog = input_program(np.array([[np.exp(0.7j)]]))
         assert len(prog.modes) == 0
         np.testing.assert_allclose(prog.out_phases, [0.7], rtol=1e-12)
         np.testing.assert_allclose(transfer_matrix(prog), [[np.exp(0.7j)]], rtol=1e-12)
 
     def test_two_by_two_uses_single_mzi(self):
         u = random_unitary(2, seed=11)
-        prog = _input_isometry(u)
+        prog = input_program(u)
         assert len(prog.modes) == 1
         np.testing.assert_allclose(transfer_matrix(prog), u, atol=1e-13)
 
     def test_seeded_unitaries_round_trip(self):
         for n in range(1, 13):
             u = random_unitary(n, seed=100 + n)
-            prog = _input_isometry(u)
+            prog = input_program(u)
             assert len(prog.modes) == n * (n - 1) // 2
             np.testing.assert_allclose(transfer_matrix(prog), u, atol=1e-11)
 
     def test_permutation_matrix_round_trips(self):
         p = np.eye(5)[[3, 0, 4, 1, 2]]
-        np.testing.assert_allclose(transfer_matrix(_input_isometry(p)), p, atol=1e-12)
+        np.testing.assert_allclose(transfer_matrix(input_program(p)), p, atol=1e-12)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="rows are not orthonormal"):
-            _input_isometry(np.array([[1.0, 1.0], [0.0, 1.0]]))
+            input_program(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -397,22 +413,23 @@ class TestKernelBuiltPrograms:
     @PROPERTY_SETTINGS
     @given(st.one_of(zero_weights, signed_permutations(), low_rank_weights()))
     def test_equal_the_checked_construction_bit_for_bit(self, w):
-        # The kernel's programs skip the checks MeshProgram applies to outside
-        # input.  Each must be what the checked constructor builds, both from
-        # the kernel's unwrapped phases and from the program's own fields.
+        # realize_network reads back the kernel's lists with no MeshProgram
+        # check, so the lists, wrapped in Python, must be what the checked
+        # constructor builds from the kernel's unwrapped phases, and wrapping
+        # a program's own fields again must change nothing.
         built = []
-        from_kernel = MeshProgram._from_kernel.__func__
+        real_wrap = twopass.photonic._wrap
 
-        def record(cls, *args):
-            prog = from_kernel(cls, *args)
-            built.append((args, prog))
-            return prog
+        def record(*args):
+            wrapped = real_wrap(*args)
+            built.append((args, wrapped))
+            return wrapped
 
-        with mock.patch.object(MeshProgram, "_from_kernel", classmethod(record)):
+        with mock.patch.object(twopass.photonic, "_wrap", record):
             layer = realize_weight(w)
         assert len(built) == 2
-        assert built[0][1] is layer.mesh_v and built[1][1] is layer.mesh_u
-        for args, prog in built:
+        for (args, wrapped), prog in zip(built, (layer.mesh_v, layer.mesh_u)):
+            assert prog._lists() == wrapped
             fields = (prog.n, prog.modes, prog.thetas, prog.phis, prog.out_phases)
             for checked in (MeshProgram(*args), MeshProgram(*fields)):
                 assert checked.n == prog.n
@@ -422,6 +439,57 @@ class TestKernelBuiltPrograms:
                     assert got.tobytes() == want.tobytes()
             for phases in (prog.thetas, prog.phis, prog.out_phases):
                 assert np.all((phases >= 0.0) & (phases < 2 * np.pi))
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-1e3, 1e3),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from(
+                    [-0.0, -5e-324, -1e-17, 2 * np.pi, np.nextafter(2 * np.pi, 0.0), -2 * np.pi]
+                ),
+            ),
+            max_size=20,
+        )
+    )
+    def test_python_wrap_is_the_double_np_mod_bit_for_bit(self, phases):
+        _, _, thetas, phis, out = twopass.photonic._wrap(len(phases), [], phases, phases, phases)
+        want = np.mod(np.mod(np.array(phases, dtype=float), 2 * np.pi), 2 * np.pi)
+        for got in (thetas, phis, out):
+            assert np.array(got, dtype=float).tobytes() == want.tobytes()
+
+
+class TestRealizeEntryPoints:
+    @PROPERTY_SETTINGS
+    @given(
+        st.one_of(
+            zero_weights,
+            signed_permutations(),
+            low_rank_weights(),
+            integer_weights,
+            st.integers(1, 16).map(lambda n: np.arange(1.0, n + 1.0)[None, :]),
+            st.integers(1, 16).map(lambda n: np.arange(-1.0, -n - 1.0, -1.0)[:, None]),
+        )
+    )
+    def test_realize_network_blocks_equal_realize_weight_byte_for_byte(self, w):
+        # The backend programs and reads back each block itself; it must give
+        # what realize_weight's layer reads back, for blocks of either
+        # orientation and for layers of one and of three blocks.
+        dense = Network((Layer(w[None], Activation.IDENTITY),))
+        blocks = Network(
+            (
+                Layer(np.stack([w, -w, 2.0 * w]), Activation.RELU),
+                Layer(np.stack([w.T, w.T, 0.5 * w.T]), Activation.IDENTITY),
+            )
+        )
+        for net in (dense, blocks):
+            for layer, realized in zip(net.layers, realize_network(net).layers):
+                assert realized.blocks.shape == layer.blocks.shape
+                for got, block in zip(realized.blocks, layer.blocks):
+                    want = realize_weight(block).realized_matrix.real
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestRealizationProperties:
@@ -472,7 +540,7 @@ class TestRealizationProperties:
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_unitary_round_trip(self, n, seed):
         u = random_unitary(n, seed)
-        prog = _input_isometry(u)
+        prog = input_program(u)
         assert len(prog.modes) == n * (n - 1) // 2
         np.testing.assert_allclose(transfer_matrix(prog), u, rtol=0, atol=1e-12)
 
@@ -626,6 +694,49 @@ class TestRealizeWeight:
                 mesh_u=base.mesh_u,
                 scale=1.0,
             )
+
+    @pytest.mark.parametrize("sigma", [[np.nan, 0.5], [0.5, -0.1]], ids=["nan", "negative"])
+    def test_attenuations_that_are_nan_or_negative_rejected(self, sigma):
+        base = realize_weight(np.eye(2))
+        with pytest.raises(ValueError, match="attenuations"):
+            PhotonicLayer(base.mesh_v, np.array(sigma), base.mesh_u, 1.0)
+
+    def test_overflowing_gain_is_non_finite_on_both_entry_points(self):
+        # The largest singular value of this finite block overflows to inf.
+        w = np.full((2, 2), 1e308)
+        net = Network((Layer(w[None], Activation.RELU),))
+        for realize in (realize_weight, lambda _: realize_network(net)):
+            with pytest.raises(NonFiniteError, match="singular values"):
+                realize(w)
+
+    def test_attenuation_check_runs_on_the_backend_path(self):
+        # The SVD sorts its singular values, so only a faulty one can give an
+        # attenuation above 1; realize_network must still refuse it.
+        svd = np.linalg.svd
+
+        def unsorted_svd(w, full_matrices):
+            u, s, vh = svd(w, full_matrices=full_matrices)
+            return u[:, ::-1], s[::-1], vh[::-1]
+
+        net = Network((Layer(np.diag([2.0, 1.0])[None], Activation.IDENTITY),))
+        with mock.patch.object(np.linalg, "svd", unsorted_svd):
+            with pytest.raises(ValueError, match="attenuations must lie in"):
+                realize_network(net)
+
+    def test_overflowing_gain_in_training_is_divergence(self):
+        # The trainer reports a non-finite realization as a diverged run,
+        # which the command line turns into exit code 3.
+        net = Network((Layer(np.full((1, 1, 2), 1.5e308), Activation.IDENTITY),))
+        proj = sample_projection(2, 1, seed=3)
+        with pytest.raises(NonFiniteError, match="diverged .* at iteration 1") as exc:
+            train(net, xor_dataset(), proj, TrainConfig(), realize=realize_network)
+        assert "singular values" in str(exc.value.__cause__)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -2.0, 0.0], ids=repr)
+    def test_gain_that_is_not_finite_and_positive_rejected(self, scale):
+        base = realize_weight(np.eye(2))
+        with pytest.raises(ValueError, match="scale must be finite and > 0"):
+            PhotonicLayer(base.mesh_v, base.sigma, base.mesh_u, scale)
 
 
 class TestApplyPhaseNoise:
