@@ -10,6 +10,11 @@ unchanged to it, and every product and update touches only the blocks, so
 the off-block entries of the equivalent 784-wide matrix are exactly zero by
 construction (they are never stored).  ``Network`` JSON keeps the blocks.
 
+The split itself copies no pixel: the trainer reads each sample in
+column-major order, so column-split training and evaluation read an
+``(N, 28, 28)`` reshape of the dataset's row-major pixel bytes, in which
+piece j is image column j.  :func:`columnize` is that same order as a copy.
+
 Row-wise splitting is available through the library's ``mode`` argument
 (:class:`SplitMode`); column-wise is the default, because it separates better
 in practice, and the only split the experiment runner builds.
@@ -152,8 +157,18 @@ def stagewise_forward(net: ColumnSplitNet, image: np.ndarray) -> np.ndarray:
 
 
 def _columnized(data: Dataset, mode: SplitMode) -> Dataset:
+    """``data`` as the composed network reads it, without copying a pixel.
+
+    The trainer reads each sample in column-major order (see Dataset), so
+    the ``(N, 28, 28)`` view of the row-major rows is :func:`columnize`'s
+    column order, and the ``(N, 784)`` rows themselves are its row order.
+    """
+    if data.inputs.shape[1:] != (SIDE * SIDE,):
+        raise ValueError(f"expected shape (N, {SIDE * SIDE}), got {data.inputs.shape}")
+    if SplitMode(mode) is SplitMode.ROW:
+        return data
     return Dataset(
-        inputs=columnize(data.inputs, mode),
+        inputs=data.inputs.reshape(len(data), SIDE, SIDE),
         targets=data.targets,
         labels=data.labels,
     )

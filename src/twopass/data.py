@@ -31,12 +31,17 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass(frozen=True)
 class Dataset:
-    """Row-per-sample inputs, finite targets, and integer labels.
+    """Per-sample inputs, finite targets, and integer labels.
 
-    ``inputs`` are either uint8 bytes, each meaning ``byte / 255``, or floats
-    in [0, 1].  Bytes are kept as they are (8x smaller than floats) and need
-    no range check; any other dtype is converted to float and checked.  The
-    scaling by 1/255 happens only in ``trainer._batch``, where ``train`` and
+    ``inputs`` has shape ``(N, *sample)``: one row per sample, or one N-D
+    array per sample, which enters a network as its entries in column-major
+    order (a 1-D sample as it is).  So the ``(N, 28, 28)`` view of row-major
+    28x28 rows gives pixel (r, c) the index 28c + r, the column split's order,
+    without a copy.  Entries are either uint8 bytes, each meaning
+    ``byte / 255``, or floats in [0, 1].  Bytes are kept as they are (8x
+    smaller than floats) and need no range check; any other dtype is
+    converted to float and checked.  The scaling by 1/255 and the reading
+    order are applied only in ``trainer._batch``, where ``train`` and
     ``evaluate`` take a batch: ``columnize``, ``split_columns`` and
     ``forward`` use the values as given.
     """

@@ -182,7 +182,11 @@ def _build_model(
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Wire data, projection, trainer, and backend for one configured run."""
+    """Wire data, projection, trainer, and backend for one configured run.
+
+    The run drops its training set as soon as training returns, so that
+    evaluation holds only the test set (XOR uses one set for both).
+    """
     start = time.perf_counter()
     train_data, test_data = _load_task_data(cfg)
     net_seed, proj_seed, shuffle_seed = (
@@ -197,11 +201,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     # train/evaluate are looked up here, at call time, so that wrappers
     # installed on this module's attributes (profilers, tests) see the calls.
     if cfg.task is Task.MNIST_COLSPLIT:
-        model, history = colsplit_train(model, train_data, proj, tc, realize=realize)
-        result = colsplit_evaluate(model, test_data, realize=realize)
+        fit, score = colsplit_train, colsplit_evaluate
     else:
-        model, history = train(model, train_data, proj, tc, realize=realize)
-        result = evaluate(model, test_data, realize=realize)
+        fit, score = train, evaluate
+    model, history = fit(model, train_data, proj, tc, realize=realize)
+    # Nothing below reads the training set, so its pixels are freed before
+    # evaluation allocates its batches.
+    del train_data
+    result = score(model, test_data, realize=realize)
 
     confusion = None
     if result.accuracy is not None:

@@ -161,26 +161,33 @@ def apply_updates(
 
 
 def _batch(inputs: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Rows ``idx`` of ``inputs`` as a new C-ordered float64 ``(d, B)`` batch.
+    """Samples ``idx`` of ``inputs`` as a new C-ordered float64 ``(d, B)`` batch.
 
-    uint8 bytes are divided by 255 (see Dataset), exactly as
-    ``inputs[idx].T / 255.0`` would.  The layout is fixed because matmul
-    rounding may depend on it: the modulated input ``xb + F gamma`` comes
-    out C-ordered, so a C-ordered clean batch makes both passes bitwise
-    identical whenever gamma is zero (the exact fixed point at zero error).
+    Column b holds sample ``idx[b]``'s entries in column-major order (see
+    Dataset); for 1-D samples that is ``inputs[idx].T``.  uint8 bytes are
+    divided by 255, exactly as ``inputs[idx].T / 255.0`` would.  Only the
+    batch's samples are gathered, as contiguous rows, and ``.T`` reorders
+    them in the one pass that writes the output.  The layout is fixed
+    because matmul rounding may depend on it: the modulated input
+    ``xb + F gamma`` comes out C-ordered, so a C-ordered clean batch makes
+    both passes bitwise identical whenever gamma is zero (the exact fixed
+    point at zero error).
     """
+    rows = inputs.take(idx, axis=0).T
+    out = np.empty((math.prod(inputs.shape[1:]), rows.shape[-1]))
     if inputs.dtype == np.uint8:
-        xb = inputs[idx].T
-        return np.divide(xb, 255.0, out=np.empty(xb.shape))
-    # One copy of a float batch: take gathers the rows straight into C order.
-    return inputs.T.take(idx, axis=1)
+        np.divide(rows, 255.0, out=out.reshape(rows.shape))
+    else:
+        np.copyto(out.reshape(rows.shape), rows)
+    return out
 
 
 def _validate_setup(net: Network, data: Dataset, proj: np.ndarray) -> None:
     if data.inputs.shape[0] == 0:
         raise ValueError("dataset is empty")
-    if data.inputs.shape[1] != net.in_dim:
-        raise ValueError(f"data dim {data.inputs.shape[1]} != network in_dim {net.in_dim}")
+    d = math.prod(data.inputs.shape[1:])
+    if d != net.in_dim:
+        raise ValueError(f"data dim {d} != network in_dim {net.in_dim}")
     if data.targets.shape[1] != net.out_dim:
         raise ValueError(f"target dim {data.targets.shape[1]} != network out_dim {net.out_dim}")
     if proj.shape != (net.in_dim, net.out_dim):
@@ -283,13 +290,13 @@ def evaluate(net: Network, data: Dataset, realize=None) -> EvalResult:
         run = net if realize is None else realize(net)
         for start in range(0, n, EVAL_BATCH):
             rows = np.arange(start, min(start + EVAL_BATCH, n))
-            xb = _batch(data.inputs, rows)
-            tb = data.targets[rows].T
-            trace = forward(run, xb)
-            gamma = output_error(trace.output, tb)
+            # Only the output outlives the pass, so the next chunk's batch
+            # and trace are never alive together with this chunk's.
+            output = forward(run, _batch(data.inputs, rows)).output
+            gamma = output_error(output, data.targets[rows].T)
             sq_sum += float(np.sum(gamma * gamma))
             count += gamma.size
-            preds[rows] = np.argmax(trace.output, axis=0)
+            preds[rows] = np.argmax(output, axis=0)
     mse = sq_sum / count
     accuracy = float(np.mean(preds == data.labels)) if classification else None
     return EvalResult(mse=mse, accuracy=accuracy, predictions=preds)

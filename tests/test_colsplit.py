@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,15 +26,18 @@ from twopass import (
     compose,
     confusion_matrix,
     forward,
+    load_mnist,
     modulate_input,
     one_hot,
     output_error,
     sample_projection,
     split_columns,
     stagewise_forward,
+    train,
     two_pass_updates,
 )
 from twopass import trainer
+from twopass.colsplit import _columnized
 
 from conftest import block_diag, reference_forward, reference_updates
 
@@ -367,6 +371,78 @@ class TestColsplitTraining:
             img = data.inputs[i].reshape(28, 28)
             assert result.predictions[i] == int(np.argmax(stagewise_forward(net, img)))
         assert result.accuracy is not None and 0.0 <= result.accuracy <= 1.0
+
+
+def byte_dataset(seed: int, n: int) -> Dataset:
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 10, n)
+    pixels = rng.integers(0, 256, (n, 784), dtype=np.uint8)
+    return Dataset(inputs=pixels, targets=one_hot(labels, 10), labels=labels)
+
+
+class TestSplitIsAView:
+    """The split is a reshape of the pixel bytes that reads as columnize's copy."""
+
+    @pytest.mark.parametrize("mode", list(SplitMode))
+    def test_columnized_data_shares_the_pixel_bytes(self, mode):
+        for data in (byte_dataset(22, 6), small_dataset(22, 6)):
+            split = _columnized(data, mode)
+            assert np.shares_memory(split.inputs, data.inputs)
+            assert split.targets is data.targets and split.labels is data.labels
+        narrow = Dataset(np.zeros((2, 783)), np.zeros((2, 10)), np.zeros(2, dtype=int))
+        with pytest.raises(ValueError, match="expected shape"):
+            _columnized(narrow, mode)
+
+    @pytest.mark.parametrize("mode", list(SplitMode))
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    @pytest.mark.parametrize(
+        "idx", [np.array([7, 0, 3, 3, 11]), np.arange(2, 9)], ids=["index", "run"]
+    )
+    def test_batches_of_the_view_equal_batches_of_columnize(self, mode, dtype, idx):
+        data = byte_dataset(23, 12)
+        if dtype == np.float64:
+            data = Dataset(data.inputs / 255.0, data.targets, data.labels)
+        copied = columnize(data.inputs, mode)
+        got = trainer._batch(_columnized(data, mode).inputs, idx)
+        assert got.tobytes() == trainer._batch(copied, idx).tobytes()
+        reference = copied[idx].T / 255.0 if dtype == np.uint8 else copied[idx].T
+        assert got.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_training_on_the_view_equals_training_on_columnize(
+        self, algorithm, synthetic_mnist_dir
+    ):
+        images, _ = load_mnist(synthetic_mnist_dir)
+        data = Dataset(images.inputs[:256], images.targets[:256], images.labels[:256])
+        net = build_colsplit_net(seed=24, column_out=3)
+        proj = sample_projection(784, 10, seed=24)
+        # 96 + 96 + 64 samples: three steps, the last one short.
+        cfg = TrainConfig(learning_rate=0.05, batch_size=96, seed=24, algorithm=algorithm)
+        trained, history = colsplit_train(net, data, proj, cfg)
+        copied = Dataset(columnize(data.inputs), data.targets, data.labels)
+        reference, reference_history = train(net.network, copied, proj, cfg)
+        assert len(history) == 3
+        assert [repr(r) for r in history] == [repr(r) for r in reference_history]
+        for got, want in zip(trained.network.layers, reference.layers):
+            assert got.blocks.tobytes() == want.blocks.tobytes()
+        assert np.any(trained.network.layers[0].blocks != net.network.layers[0].blocks)
+
+    def test_evaluate_holds_one_chunk_at_a_time(self):
+        # At column_out 28 stage 1 is 784 wide, so a chunk's batch, z1 and x1
+        # are 12 MiB apiece.  tracemalloc counts numpy's allocations exactly.
+        net = build_colsplit_net(seed=25, column_out=28)
+        data = byte_dataset(25, 3 * trainer.EVAL_BATCH)
+        rows = np.arange(trainer.EVAL_BATCH)
+        trace = forward(net.network, trainer._batch(_columnized(data, net.mode).inputs, rows))
+        chunk = trace.x0.nbytes + sum(a.nbytes for a in trace.zs + trace.xs)
+        del trace
+        tracemalloc.start()
+        try:
+            colsplit_evaluate(net, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * chunk, f"peak {peak / 2**20:.1f} MiB, chunk {chunk / 2**20:.1f} MiB"
 
 
 class TestBlockPreservationProperty:

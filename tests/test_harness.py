@@ -1,5 +1,6 @@
 import json
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -326,6 +327,36 @@ class TestBenchmarkHookPoints:
             ref = colsplit.stagewise_forward(trained, images[r].reshape(28, 28))
             x = colsplit.columnize(images[r : r + 1], trained.mode)[0]
             np.testing.assert_allclose(forward(composed, x).output, ref, rtol=0, atol=1e-12)
+
+
+class TestTrainingSetRelease:
+    @pytest.mark.parametrize(
+        "task, fit, score",
+        [
+            (Task.MNIST_COLSPLIT, "colsplit_train", "colsplit_evaluate"),
+            (Task.MNIST_MLP, "train", "evaluate"),
+        ],
+    )
+    def test_training_set_is_freed_before_evaluation(
+        self, monkeypatch, synthetic_mnist_dir, task, fit, score
+    ):
+        # The spies hold the training set only weakly, so once training has
+        # returned, run_experiment's own reference is the one left to drop.
+        refs, alive = [], []
+        real_fit, real_score = getattr(harness, fit), getattr(harness, score)
+
+        def spy_fit(net, data, *args, **kwargs):
+            refs.append(weakref.ref(data))
+            return real_fit(net, data, *args, **kwargs)
+
+        def spy_score(*args, **kwargs):
+            alive.append(refs[0]() is not None)
+            return real_score(*args, **kwargs)
+
+        monkeypatch.setattr(harness, fit, spy_fit)
+        monkeypatch.setattr(harness, score, spy_score)
+        run_experiment(ExperimentConfig(task=task, hidden=2, data_dir=str(synthetic_mnist_dir)))
+        assert len(refs) == 1 and alive == [False]
 
 
 class TestEmitMetrics:

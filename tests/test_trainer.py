@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -698,6 +700,39 @@ class TestBatch:
         modulated = modulate_input(xb, proj, np.zeros((2, 3)))
         assert modulated.flags.c_contiguous
         assert modulated.tobytes() == xb.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_nd_samples_are_read_in_column_major_order(self, dtype):
+        rng = np.random.default_rng(7)
+        pixels = rng.integers(0, 256, (6, 3, 4), dtype=np.uint8)
+        inputs = pixels if dtype == np.uint8 else pixels / 255.0
+        idx = np.array([5, 1, 2])
+        # Sample b's entry (r, c) goes to row 3c + r of column b.
+        flat = inputs[idx].transpose(0, 2, 1).reshape(3, 12).T
+        expected = flat / 255.0 if dtype == np.uint8 else flat
+        xb = trainer._batch(inputs, idx)
+        assert xb.dtype == np.float64 and xb.shape == (12, 3)
+        assert xb.flags.c_contiguous and xb.flags.owndata
+        assert xb.tobytes() == expected.tobytes()
+        assert xb[3 * 2 + 1, 0] == inputs[5, 1, 2] / (255.0 if dtype == np.uint8 else 1.0)
+
+    @pytest.mark.parametrize("sample", [(784,), (28, 28)], ids=["flat", "image"])
+    def test_float_batch_copies_only_its_rows(self, sample):
+        # The set is 120 MiB of floats; a 64-sample batch and its gathered
+        # rows are 0.8 MiB.  Transposing the set before gathering would copy
+        # all of it.  tracemalloc counts numpy's allocations exactly.
+        inputs = np.zeros((20000, *sample))
+        idx = np.random.default_rng(8).choice(20000, 64, replace=False)
+        inputs[idx] = np.random.default_rng(9).random((64, *sample))
+        tracemalloc.start()
+        try:
+            xb = trainer._batch(inputs, idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+        expected = inputs[idx].reshape(64, -1, order="F").T
+        assert xb.tobytes() == expected.tobytes()
 
 
 class TestConfigAndRecords:
