@@ -4,11 +4,21 @@ IDX layout (big-endian): a 4-byte magic number, one 4-byte unsigned count per
 dimension, then the raw unsigned payload bytes.  Magic 0x00000803 marks a
 3-dimensional image file and 0x00000801 a 1-dimensional label file.  Files
 ending in ``.gz`` are decompressed transparently.
+
+Each payload is held once.  A raw file is mapped read-only, so its pixels
+are read from disk only when first touched, and the returned array is a view
+of the mapping: the file must not be truncated or rewritten in place while
+the array lives (``write_idx`` replaces a file by renaming a new one over
+it, which is safe).  A ``.gz`` payload is decompressed in bounded chunks
+straight into the returned array.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
+import mmap
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -75,47 +85,99 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def _open_maybe_gzip(path: Path):
-    if path.suffix == ".gz":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+# Bytes decompressed per read of a .gz payload.  Each read holds about three
+# chunk-sized temporaries (the decompressor's output buffers and the copy
+# that GzipFile returns) besides the array it fills.
+_GZIP_CHUNK = 1 << 18
 
 
-def load_idx(path) -> np.ndarray:
-    """Parse one IDX file into a uint8 array of its declared dimensions."""
-    path = Path(path)
-    try:
-        with _open_maybe_gzip(path) as fh:
-            raw = fh.read()
-    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        # A truncated or damaged .gz file is bad data, like a bad header.
-        raise ValueError(f"corrupt gzip file {path}: {exc}") from exc
-    if len(raw) < 4:
+def _read_header(path: Path, fh) -> tuple[int, ...]:
+    """Read the magic and dimension header from ``fh``; returns the dimensions."""
+    head = fh.read(4)
+    if len(head) < 4:
         raise ValueError(f"unrecognized IDX magic in {path}: file too short")
-    (magic,) = struct.unpack(">I", raw[:4])
+    (magic,) = struct.unpack(">I", head)
     if magic == IDX_IMAGES_MAGIC:
         ndim = 3
     elif magic == IDX_LABELS_MAGIC:
         ndim = 1
     else:
         raise ValueError(f"unrecognized IDX magic 0x{magic:08x} in {path}")
-    header_len = 4 + 4 * ndim
-    if len(raw) < header_len:
+    head = fh.read(4 * ndim)
+    if len(head) < 4 * ndim:
         raise ValueError(f"size mismatch in {path}: truncated dimension header")
-    dims = struct.unpack(f">{ndim}I", raw[4:header_len])
-    expected = int(np.prod(dims))
-    actual = len(raw) - header_len
-    if actual != expected:
-        raise ValueError(
-            f"size mismatch in {path}: expected {expected} payload bytes, got {actual}"
-        )
-    return np.frombuffer(raw, dtype=np.uint8, offset=header_len).reshape(dims)
+    return struct.unpack(f">{ndim}I", head)
+
+
+def _size_mismatch(path: Path, expected: int, actual: int) -> ValueError:
+    return ValueError(
+        f"size mismatch in {path}: expected {expected} payload bytes, got {actual}"
+    )
+
+
+def _load_mapped(path: Path) -> np.ndarray:
+    with open(path, "rb") as fh:
+        dims = _read_header(path, fh)
+        header_len = fh.tell()
+        # The header is at least 8 bytes, so the file is not empty, which
+        # mmap refuses.  The mapping outlives the file descriptor.
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    expected = math.prod(dims)
+    if len(mapped) - header_len != expected:
+        raise _size_mismatch(path, expected, len(mapped) - header_len)
+    return np.frombuffer(mapped, dtype=np.uint8, offset=header_len).reshape(dims)
+
+
+def _load_gzip(path: Path) -> np.ndarray:
+    try:
+        with gzip.open(path, "rb") as fh:
+            dims = _read_header(path, fh)
+            expected = math.prod(dims)
+            try:
+                out = np.empty(expected, dtype=np.uint8)
+            except (MemoryError, ValueError) as exc:
+                raise ValueError(
+                    f"size mismatch in {path}: cannot allocate the declared "
+                    f"{expected} payload bytes"
+                ) from exc
+            # An unbounded read would build the whole payload as bytes first.
+            view = memoryview(out)
+            filled = 0
+            while filled < expected:
+                got = fh.readinto(view[filled : filled + _GZIP_CHUNK])
+                if not got:
+                    raise _size_mismatch(path, expected, filled)
+                filled += got
+            trailing = 0
+            while chunk := fh.read(_GZIP_CHUNK):
+                trailing += len(chunk)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        # A truncated or damaged .gz file is bad data, like a bad header.
+        raise ValueError(f"corrupt gzip file {path}: {exc}") from exc
+    if trailing:
+        raise _size_mismatch(path, expected, expected + trailing)
+    return out.reshape(dims)
+
+
+def load_idx(path) -> np.ndarray:
+    """Parse one IDX file into a uint8 array of its declared dimensions.
+
+    A raw file is mapped, not read: the result is a read-only view of the
+    file's pages, which are read in as they are first touched.  A ``.gz``
+    file is decompressed once, chunk by chunk, into the returned array.
+    """
+    path = Path(path)
+    if path.suffix == ".gz":
+        return _load_gzip(path)
+    return _load_mapped(path)
 
 
 def write_idx(path, array: np.ndarray) -> None:
     """Write a uint8 array as an IDX file (gzipped when path ends in .gz).
 
-    3-D arrays get the image magic, 1-D arrays the label magic.
+    3-D arrays get the image magic, 1-D arrays the label magic.  The file is
+    written beside ``path`` under a temporary name and then renamed over it,
+    so an earlier version that a run has mapped keeps its contents.
     """
     array = np.asarray(array, dtype=np.uint8)
     if array.ndim == 3:
@@ -125,14 +187,23 @@ def write_idx(path, array: np.ndarray) -> None:
     else:
         raise ValueError(f"IDX writer supports 1-D or 3-D arrays, got {array.ndim}-D")
     path = Path(path)
-    blob = struct.pack(">I", magic)
-    blob += struct.pack(f">{array.ndim}I", *array.shape)
-    blob += array.tobytes()
-    if path.suffix == ".gz":
-        with gzip.open(path, "wb") as fh:
-            fh.write(blob)
-    else:
-        path.write_bytes(blob)
+    header = struct.pack(f">I{array.ndim}I", magic, *array.shape)
+    payload = np.ascontiguousarray(array).data
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as raw:
+            if path.suffix == ".gz":
+                # Named after the target, which the gzip header records.
+                with gzip.GzipFile(filename=path.name, mode="wb", fileobj=raw) as fh:
+                    fh.write(header)
+                    fh.write(payload)
+            else:
+                raw.write(header)
+                raw.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:

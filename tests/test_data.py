@@ -1,5 +1,7 @@
 import gzip
+import os
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -60,10 +62,12 @@ class TestLoadIdx:
         with pytest.raises(ValueError, match="unrecognized IDX magic"):
             load_idx(path)
 
-    def test_file_shorter_than_magic_rejected(self, tmp_path):
+    # mmap refuses an empty file with its own error; the loader must not.
+    @pytest.mark.parametrize("content", [b"\x00\x00", b""], ids=["two-bytes", "empty"])
+    def test_file_shorter_than_magic_rejected(self, tmp_path, content):
         path = tmp_path / "tiny"
-        path.write_bytes(b"\x00\x00")
-        with pytest.raises(ValueError, match="unrecognized IDX magic"):
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="unrecognized IDX magic.*file too short"):
             load_idx(path)
 
     def test_truncated_dimension_header_rejected(self, tmp_path):
@@ -81,6 +85,54 @@ class TestLoadIdx:
     def test_oversized_payload_rejected(self, tmp_path):
         path = tmp_path / "oversized"
         path.write_bytes(idx_bytes(0x00000801, (2,), bytes([1, 2, 3])))
+        with pytest.raises(ValueError, match="size mismatch"):
+            load_idx(path)
+
+    def test_raw_payload_is_mapped_not_copied(self, tmp_path):
+        path = tmp_path / "images-idx3-ubyte"
+        images = np.arange(512 * 64 * 64).astype(np.uint8).reshape(512, 64, 64)
+        write_idx(path, images)
+        tracemalloc.start()
+        try:
+            arr = load_idx(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, f"peak {peak} bytes for a {images.nbytes}-byte payload"
+        assert not arr.flags.writeable
+        np.testing.assert_array_equal(arr, images)
+
+    @pytest.mark.parametrize(
+        "payload, got",
+        [(bytes([0, 255, 128]), 3), (bytes([0, 255, 128, 64, 7, 7]), 6)],
+        ids=["short", "trailing"],
+    )
+    def test_gzipped_payload_of_wrong_size_rejected(self, tmp_path, payload, got):
+        path = tmp_path / "images-idx3-ubyte.gz"
+        path.write_bytes(gzip.compress(idx_bytes(0x00000803, (1, 2, 2), payload)))
+        with pytest.raises(ValueError, match=f"size mismatch.*expected 4 payload bytes, got {got}"):
+            load_idx(path)
+
+    def test_gzipped_payload_is_decompressed_once(self, tmp_path):
+        # Reading the stream whole and then copying it would hold it twice.
+        path = tmp_path / "images-idx3-ubyte.gz"
+        images = np.arange(1024 * 64 * 64).astype(np.uint8).reshape(1024, 64, 64)
+        write_idx(path, images)
+        tracemalloc.start()
+        try:
+            arr = load_idx(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < images.nbytes + 2 * 2**20, f"peak {peak / 2**20:.1f} MiB for 4 MiB"
+        np.testing.assert_array_equal(arr, images)
+
+    # The first header declares more bytes than an array can hold, the
+    # second more than memory, yet each file is a few dozen bytes long.
+    @pytest.mark.parametrize("dims", [(2**32 - 1,) * 3, (2**16,) * 3], ids=["intp", "256TiB"])
+    def test_gzipped_absurd_declared_size_rejected(self, tmp_path, dims):
+        path = tmp_path / "images-idx3-ubyte.gz"
+        path.write_bytes(gzip.compress(idx_bytes(0x00000803, dims, bytes(16))))
         with pytest.raises(ValueError, match="size mismatch"):
             load_idx(path)
 
@@ -118,6 +170,32 @@ class TestWriteIdx:
         images = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
         write_idx(tmp_path / "imgs.gz", images)
         np.testing.assert_array_equal(load_idx(tmp_path / "imgs.gz"), images)
+
+    @pytest.mark.parametrize("name", ["imgs", "imgs.gz"])
+    def test_rewrite_leaves_a_loaded_array_intact(self, tmp_path, name):
+        # A mapped file rewritten in place would change under the array, or
+        # fault when shortened; the writer renames a new file over it instead.
+        path = tmp_path / name
+        old = np.arange(2 * 64 * 64).astype(np.uint8).reshape(2, 64, 64)
+        write_idx(path, old)
+        loaded = load_idx(path)
+        write_idx(path, np.full((1, 3, 3), 9, dtype=np.uint8))
+        np.testing.assert_array_equal(loaded, old)
+        np.testing.assert_array_equal(load_idx(path), np.full((1, 3, 3), 9, dtype=np.uint8))
+        assert os.listdir(tmp_path) == [name]
+
+    def test_failed_write_leaves_target_and_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "labs"
+        write_idx(path, np.array([1, 2], dtype=np.uint8))
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_idx(path, np.array([3], dtype=np.uint8))
+        assert os.listdir(tmp_path) == ["labs"]
+        np.testing.assert_array_equal(load_idx(path), np.array([1, 2], dtype=np.uint8))
 
     def test_two_dimensional_arrays_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="1-D or 3-D"):

@@ -611,13 +611,29 @@ class TestEvaluate:
             targets=np.eye(3)[rng.integers(0, 3, 25)],
             labels=rng.integers(0, 3, 25),
         )
+        # 25 samples in chunks of 4 end with a 1-sample chunk.
         monkeypatch.setattr(trainer, "EVAL_BATCH", 4)
         a = evaluate(net, data)
         monkeypatch.setattr(trainer, "EVAL_BATCH", 1000)
         b = evaluate(net, data)
-        assert a.mse == pytest.approx(b.mse, rel=1e-12)
+        assert a.mse == b.mse
         assert a.accuracy == b.accuracy
         np.testing.assert_array_equal(a.predictions, b.predictions)
+
+    def test_mse_is_the_same_bits_for_every_chunk_size(self, monkeypatch):
+        # An identity layer makes every output exact, so only the order of
+        # the squared-error sums can move the mse.  At 10 outputs numpy sums a
+        # contiguous run pairwise and a strided one in order, so a per-chunk
+        # np.sum would change with the chunking.
+        rng = np.random.default_rng(23)
+        net = Network((Layer(np.eye(10), Activation.IDENTITY),))
+        labels = rng.integers(0, 10, 97)
+        data = Dataset(inputs=rng.random((97, 10)), targets=one_hot(labels, 10), labels=labels)
+        mses = set()
+        for chunk in (1, 2, 7, 256):
+            monkeypatch.setattr(trainer, "EVAL_BATCH", chunk)
+            mses.add(evaluate(net, data).mse)
+        assert len(mses) == 1, sorted(mses)
 
     def test_empty_dataset_rejected(self):
         net = Network((Layer(np.eye(2), Activation.IDENTITY),))
