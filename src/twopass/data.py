@@ -54,6 +54,12 @@ class Dataset:
     order are applied only in ``trainer._batch``, where ``train`` and
     ``evaluate`` take a batch: ``columnize``, ``split_columns`` and
     ``forward`` use the values as given.
+
+    ``targets`` has shape ``(N, outputs)``.  uint8 targets (MNIST's one-hot
+    bytes) are kept as given, and become exact floats where the output
+    error is taken; any other dtype is converted to float and must be
+    finite.  ``labels`` has shape ``(N,)`` and an integer dtype, which is
+    kept.
     """
 
     inputs: np.ndarray
@@ -67,16 +73,20 @@ class Dataset:
             # Written so that NaN fails it: NaN propagates through min and max.
             if inputs.size and not (inputs.min() >= 0.0 and inputs.max() <= 1.0):
                 raise ValueError("inputs must lie in [0, 1]")
-        targets = np.asarray(self.targets, dtype=float)
-        labels = np.asarray(self.labels, dtype=int)
+        targets = np.asarray(self.targets)
+        if targets.dtype != np.uint8:
+            targets = targets.astype(float, copy=False)
+            if not np.isfinite(targets).all():
+                raise ValueError("targets must be finite")
+        if targets.ndim != 2:
+            raise ValueError(f"targets must be 2-D (samples, outputs), got shape {targets.shape}")
+        labels = _integer_labels(self.labels)
         n = inputs.shape[0]
         if targets.shape[0] != n or labels.shape[0] != n:
             raise ValueError(
                 f"inconsistent sample counts: {n} inputs, "
                 f"{targets.shape[0]} targets, {labels.shape[0]} labels"
             )
-        if not np.isfinite(targets).all():
-            raise ValueError("targets must be finite")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "labels", labels)
@@ -206,13 +216,29 @@ def write_idx(path, array: np.ndarray) -> None:
         raise
 
 
+def _integer_labels(labels) -> np.ndarray:
+    """``labels`` as a 1-D integer array, in its own dtype; ValueError otherwise."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
+    # Converting floats would truncate 1.9 to 1 and turn NaN into -2**63.
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    return labels
+
+
 def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
-    """One row per label, a single 1 at the label's index."""
-    labels = np.asarray(labels, dtype=int)
+    """One uint8 row per label, a single 1 at the label's index.
+
+    Bytes, as ``Dataset`` keeps them: 10 classes take 10 bytes a sample, not
+    80 as floats, and each batch's targets become exact floats where the
+    output error is taken.
+    """
+    labels = _integer_labels(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= classes):
         raise ValueError(f"labels must lie in 0..{classes - 1}")
-    out = np.zeros((labels.shape[0], classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
+    out = np.zeros((labels.shape[0], classes), dtype=np.uint8)
+    out[np.arange(labels.shape[0]), labels] = 1
     return out
 
 
@@ -251,8 +277,8 @@ def _load_split(data_dir: Path, split: str) -> Dataset:
         raise ValueError(f"{split}: expected 28x28 images, got {images.shape[1:]}")
     if labels.size and labels.max() > 9:
         raise ValueError(f"{split}: labels outside 0..9")
-    labels = labels.astype(int)
     # Raw bytes (see Dataset), flattened row-major: pixel (r, c) -> 28r + c.
+    # Targets and labels are bytes too.
     inputs = images.reshape(images.shape[0], -1)
     return Dataset(inputs=inputs, targets=one_hot(labels, 10), labels=labels)
 
@@ -261,7 +287,8 @@ def load_mnist(data_dir, strict_counts: bool = True) -> tuple[Dataset, Dataset]:
     """Load the train/test splits from IDX files under ``data_dir``.
 
     Inputs are the files' uint8 pixel bytes, one flattened ``(N, 784)`` row
-    per image; the trainer scales them to [0, 1] batch by batch.  With
+    per image; the trainer scales them to [0, 1] batch by batch.  Labels are
+    the label file's bytes and targets their uint8 one-hot rows.  With
     ``strict_counts`` the standard 60000/10000 split sizes are enforced.
     """
     data_dir = Path(data_dir)

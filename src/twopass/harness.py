@@ -14,6 +14,7 @@ still empty.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
@@ -305,6 +306,31 @@ def _fail(message: str, code: int, created: list[Path]) -> int:
     return code
 
 
+# glibc's mallopt parameter numbers (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _reuse_freed_heap() -> None:
+    """Have glibc keep freed heap memory for reuse instead of returning it.
+
+    Each training step and evaluation chunk frees its float arrays (0.4 to
+    1.6 MB apiece at width 784) just before the next one allocates the same
+    sizes again.  glibc's default thresholds adapt to the largest block
+    freed so far, and when they sit below those sizes, the arrays are mapped
+    afresh or trimmed off the top of the heap on every step, so that every
+    page faults in again.  Fixed thresholds well above one step's arrays
+    keep them on the heap.  Other C libraries are left as they are.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -317,6 +343,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
+    _reuse_freed_heap()
     try:
         report = run_experiment(cfg)
     except DataError as exc:

@@ -221,8 +221,6 @@ def train(
     """
     _validate_setup(net, data, proj)
 
-    t_all = data.targets.T
-    labels = data.labels
     classification = data.targets.shape[1] >= 2
     n = data.inputs.shape[0]
     rng = np.random.default_rng(cfg.seed)
@@ -235,42 +233,57 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb = _batch(data.inputs, idx)
-            tb = t_all[:, idx]
             iteration += 1
             # Divergence shows up as non-finite values; those are detected and
             # reported, so the intermediate overflow warnings are just noise.
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    run = net if realize is None else realize(net)
-                    clean = forward(run, xb)
-                    gamma = output_error(clean.output, tb)
-                    mse = float(np.mean(gamma * gamma))
-                    if not np.isfinite(mse):
-                        raise NonFiniteError("non-finite loss")
-                    if cfg.algorithm is Algorithm.TWO_PASS:
-                        # Second pass under the same frozen weights: no
-                        # update is applied until both passes are done.
-                        x_err0 = modulate_input(xb, proj, gamma)
-                        modulated = forward(run, x_err0)
-                        updates = two_pass_updates(net, clean, modulated, gamma)
-                    else:
-                        updates = backprop_updates(net, clean, gamma)
-                    # Applying the update is validated here too: on the run's
-                    # last batch there is no later forward pass to trip on an
-                    # overflowed weight subtraction.
-                    net = apply_updates(net, updates, lr)
+                    net, mse, output = _step(net, data, idx, proj, cfg.algorithm, lr, realize)
             except NonFiniteError as exc:
                 raise NonFiniteError(
                     f"training diverged (non-finite values) at iteration {iteration}"
                 ) from exc
             accuracy = (
-                float(np.mean(np.argmax(clean.output, axis=0) == labels[idx]))
+                float(np.mean(np.argmax(output, axis=0) == data.labels[idx]))
                 if classification
                 else None
             )
             records.append(MetricRecord(iteration, mse, accuracy))
     return net, tuple(records)
+
+
+def _step(
+    net: Network,
+    data: Dataset,
+    idx: np.ndarray,
+    proj: np.ndarray,
+    algorithm: Algorithm,
+    lr: float,
+    realize,
+) -> tuple[Network, float, np.ndarray]:
+    """One training step on samples ``idx``: the updated network, the mse, the output.
+
+    The step's batch, traces and updates are locals, so they are freed when
+    it returns and are never alive together with the next step's.
+    """
+    xb = _batch(data.inputs, idx)
+    run = net if realize is None else realize(net)
+    clean = forward(run, xb)
+    gamma = output_error(clean.output, data.targets.T[:, idx])
+    mse = float(np.mean(gamma * gamma))
+    if not np.isfinite(mse):
+        raise NonFiniteError("non-finite loss")
+    if algorithm is Algorithm.TWO_PASS:
+        # Second pass under the same frozen weights: no update is applied
+        # until both passes are done.
+        modulated = forward(run, modulate_input(xb, proj, gamma))
+        updates = two_pass_updates(net, clean, modulated, gamma)
+    else:
+        updates = backprop_updates(net, clean, gamma)
+    # Applying the update is validated here too: on the run's last batch
+    # there is no later forward pass to trip on an overflowed weight
+    # subtraction.
+    return apply_updates(net, updates, lr), mse, clean.output
 
 
 def evaluate(net: Network, data: Dataset, realize=None) -> EvalResult:
@@ -280,7 +293,10 @@ def evaluate(net: Network, data: Dataset, realize=None) -> EvalResult:
     taken (byte inputs scaled) by :func:`_batch`, through ``realize(net)``
     when ``realize`` is given.  The mse is summed in an order that does not
     depend on the chunk size: each sample's squared errors over the outputs
-    in order, then those per-sample sums once over the dataset.  Weights
+    in order, then those per-sample sums once over the dataset.  The
+    outputs themselves may: BLAS can round a sample's column differently
+    when a pass holds fewer columns, so the mse's last bits are fixed only
+    for a fixed ``EVAL_BATCH`` (predictions and accuracy do not move).  Weights
     that are finite but so large that a forward pass overflows raise
     :class:`~twopass.core.NonFiniteError`, as divergence does in training.
     """

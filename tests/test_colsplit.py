@@ -272,7 +272,7 @@ class TestColsplitTraining:
         # Take the first epoch's batch as the trainer does, so the stored
         # targets match its forward pass bit for bit.
         order = np.random.default_rng(cfg.seed).permutation(6)
-        outputs = np.empty_like(data.targets)
+        outputs = np.empty(data.targets.shape)
         xb = trainer._batch(columnize(data.inputs), order)
         outputs[order] = forward(composed, xb).output.T
         perfect = Dataset(inputs=data.inputs, targets=outputs, labels=data.labels)
@@ -443,6 +443,24 @@ class TestSplitIsAView:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * chunk, f"peak {peak / 2**20:.1f} MiB, chunk {chunk / 2**20:.1f} MiB"
+
+    def test_train_holds_one_step_at_a_time(self):
+        # A two-pass step on the 784-wide net builds seven full-width arrays:
+        # the clean x0, z1 and x1, the modulated x0, z1 and x1, and the
+        # layer-1 activation difference.  A step whose arrays outlive it
+        # keeps up to six of them alive while the next step builds its own.
+        net = build_colsplit_net(seed=26, column_out=28)
+        data = byte_dataset(26, 4 * 64)
+        cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=64, seed=26)
+        proj = sample_projection(784, 10, seed=26)
+        step = 7 * 784 * 64 * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            colsplit_train(net, data, proj, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * step, f"peak {peak / step:.2f}x one step's arrays"
 
 
 class TestBlockPreservationProperty:

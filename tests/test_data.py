@@ -205,6 +205,7 @@ class TestWriteIdx:
 class TestOneHot:
     def test_basic_encoding(self):
         out = one_hot(np.array([0, 2, 1]), 3)
+        assert out.dtype == np.uint8
         np.testing.assert_array_equal(
             out, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         )
@@ -279,15 +280,49 @@ class TestDataset:
         data = Dataset(inputs=pixels, targets=np.array([[0.0]]), labels=np.array([0]))
         assert data.inputs is pixels
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_target_rejected_as_data_not_divergence(self, bad):
+    def test_non_finite_target_rejected_as_data_not_divergence(self, bad, dtype):
         with pytest.raises(ValueError, match="targets must be finite") as exc:
             Dataset(
                 inputs=np.array([[0.0, 0.5]]),
-                targets=np.array([[bad]]),
+                targets=np.array([[bad]], dtype=dtype),
                 labels=np.array([0]),
             )
         assert not isinstance(exc.value, NonFiniteError)
+
+    def test_byte_targets_are_kept_as_given(self):
+        targets = np.array([[0, 1]], dtype=np.uint8)
+        data = Dataset(inputs=np.array([[0.0]]), targets=targets, labels=np.array([1]))
+        assert data.targets is targets
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.uint16])
+    def test_other_targets_become_floats(self, dtype):
+        data = Dataset(
+            inputs=np.array([[0.0]]), targets=np.array([[1]], dtype=dtype), labels=np.array([0])
+        )
+        assert data.targets.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
+    def test_integer_labels_keep_their_dtype(self, dtype):
+        labels = np.array([0, 1], dtype=dtype)
+        data = Dataset(inputs=np.zeros((2, 1)), targets=np.zeros((2, 1)), labels=labels)
+        assert data.labels is labels
+
+    def test_fractional_labels_rejected_not_truncated(self):
+        # Converting to int would read 0.7 and 1.9 as the classes 0 and 1.
+        with pytest.raises(ValueError, match="labels must be integers"):
+            Dataset(inputs=np.zeros((2, 1)), targets=np.zeros((2, 1)), labels=[0.7, 1.9])
+
+    def test_nan_label_rejected(self):
+        # Converting to int would read NaN as -2**63, with only a warning.
+        with pytest.raises(ValueError, match="labels must be integers"):
+            Dataset(inputs=np.zeros((2, 1)), targets=np.zeros((2, 1)), labels=[0, np.nan])
+
+    def test_one_dimensional_targets_rejected(self):
+        # train and evaluate read targets.shape[1], an IndexError on 1-D targets.
+        with pytest.raises(ValueError, match="targets must be 2-D"):
+            Dataset(inputs=np.zeros((2, 1)), targets=np.zeros(2), labels=[0, 1])
 
 
 class TestLoadMnist:
@@ -319,6 +354,16 @@ class TestLoadMnist:
         np.testing.assert_array_equal(train.inputs, raw)
         np.testing.assert_array_equal(seen_by_trainer(monkeypatch, train), raw / 255.0)
         np.testing.assert_array_equal(train.targets.argmax(axis=1), train.labels)
+
+    def test_targets_and_labels_are_bytes(self, tmp_path):
+        self.write_split(tmp_path, n_train=30, n_test=5)
+        for split, labels_name in zip(
+            load_mnist(tmp_path, strict_counts=False), MNIST_FILES[1::2]
+        ):
+            raw = load_idx(tmp_path / labels_name)
+            assert split.labels.dtype == np.uint8 and split.targets.dtype == np.uint8
+            np.testing.assert_array_equal(split.labels, raw)
+            assert split.targets.astype(float).tobytes() == np.eye(10)[raw].tobytes()
 
     def test_row_major_flattening(self, tmp_path, monkeypatch):
         # pixel (r, c) of a 28x28 image lands at flat index 28*r + c
