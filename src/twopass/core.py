@@ -93,39 +93,63 @@ def _json_numbers(name: str, value) -> list:
     return value
 
 
-def activation_apply(kind: Activation, z: np.ndarray) -> np.ndarray:
-    """Apply ``kind`` to pre-activations ``z`` ((d,) vector or (d, B) batch)."""
+def activation_apply(kind: Activation, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply ``kind`` to pre-activations ``z`` ((d,) vector or (d, B) batch).
+
+    Without ``out`` the result is a new array (IDENTITY returns ``z``
+    itself) and ``z`` is not changed.  With ``out``, an array shaped like
+    ``z``, the result is written into ``out`` and returned; ``out`` may be
+    ``z``, which applies the activation in place.  The bits are the same
+    either way.
+    """
     z = np.asarray(z, dtype=float)
     _require_finite("activation input", z)
+    if out is not None and out.shape != z.shape:
+        raise ValueError(f"out shape {out.shape} != input shape {z.shape}")
     if kind is Activation.IDENTITY:
-        return z
+        return z if out is None else _into(out, z)
     if kind is Activation.RELU:
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if kind is Activation.SQUARE:
-        return z * z
+        return np.multiply(z, z, out=out)
     if kind is Activation.SIGMOID:
         e = np.exp(-np.abs(z))
-        return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        x = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return x if out is None else _into(out, x)
     if kind is Activation.SOFTMAX:
-        e = np.exp(z - z.max(axis=0, keepdims=True))
-        return e / e.sum(axis=0, keepdims=True)
+        # Without out, the shifted z is a new array, so exp and the division
+        # can reuse it.
+        e = np.subtract(z, z.max(axis=0, keepdims=True), out=out)
+        np.exp(e, out=e)
+        return np.divide(e, e.sum(axis=0, keepdims=True), out=e)
     raise ValueError(f"unknown activation kind: {kind!r}")
 
 
-def activation_derivative(kind: Activation, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _into(out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    np.copyto(out, x)
+    return out
+
+
+def activation_derivative(
+    kind: Activation, z: np.ndarray, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Elementwise derivative f'(z), given z and x = f(z).
 
     ReLU uses subgradient 0 at z = 0.  SOFTMAX has a full Jacobian rather than
-    an elementwise derivative; use :func:`softmax_backward` for it.
+    an elementwise derivative; use :func:`softmax_backward` for it.  With
+    ``out``, an array shaped like ``z`` (``z`` itself included), the result
+    is written into it and ``out`` is returned; the bits are the same.
     """
+    if out is not None and out.shape != z.shape:
+        raise ValueError(f"out shape {out.shape} != input shape {z.shape}")
     if kind is Activation.IDENTITY:
-        return np.ones_like(z)
+        return np.ones_like(z) if out is None else _into(out, 1.0)
     if kind is Activation.RELU:
-        return (z > 0.0).astype(float)
+        return (z > 0.0).astype(float) if out is None else np.greater(z, 0.0, out=out)
     if kind is Activation.SQUARE:
-        return 2.0 * z
+        return np.multiply(2.0, z, out=out)
     if kind is Activation.SIGMOID:
-        return x * (1.0 - x)
+        return np.multiply(x, np.subtract(1.0, x, out=out), out=out)
     raise ValueError(f"{kind!r} has no elementwise derivative")
 
 
@@ -190,10 +214,21 @@ class Layer:
         dense[diag, :, diag, :] = self.blocks
         return dense.reshape(k * o, k * i)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``W @ x`` for a (in_dim,) vector or an (in_dim, B) batch, block by block."""
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``W @ x`` for a (in_dim,) vector or an (in_dim, B) batch, block by block.
+
+        With ``out``, a C-contiguous array of the result's shape, the product
+        is written into it and ``out`` is returned.
+        """
         k, o, i = self.blocks.shape
-        return (self.blocks @ x.reshape(k, i, -1)).reshape((k * o,) + x.shape[1:])
+        shape = (k * o,) + x.shape[1:]
+        if out is None:
+            return (self.blocks @ x.reshape(k, i, -1)).reshape(shape)
+        # Reshaping a C-contiguous array gives a view, so the product lands in out.
+        if out.shape != shape or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous array of shape {shape}, got {out.shape}")
+        np.matmul(self.blocks, x.reshape(k, i, -1), out=out.reshape(k, o, -1))
+        return out
 
     def rmatvec(self, delta: np.ndarray) -> np.ndarray:
         """``W.T @ delta`` for a (out_dim,) vector or an (out_dim, B) batch."""
@@ -201,17 +236,27 @@ class Layer:
         out = np.matmul(self.blocks.transpose(0, 2, 1), delta.reshape(k, o, -1))
         return out.reshape((k * i,) + delta.shape[1:])
 
-    def avg_outer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Batch-mean outer product ``a_i b_i^T``, computed only inside the blocks."""
-        k, o, i = self.blocks.shape
-        prod = np.matmul(a.reshape(k, o, -1), b.reshape(k, i, -1).transpose(0, 2, 1))
-        return prod / (1 if a.ndim == 1 else a.shape[1])
+    def avg_outer(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Batch-mean outer product ``a_i b_i^T``, computed only inside the blocks.
 
-    def step(self, dw: np.ndarray, learning_rate: float) -> "Layer":
-        """The layer with blocks ``B - learning_rate * dw``; ``dw`` is block-shaped."""
+        With ``out``, an array of the blocks' shape, the result is written
+        into it and ``out`` is returned.
+        """
+        k, o, i = self.blocks.shape
+        prod = np.matmul(a.reshape(k, o, -1), b.reshape(k, i, -1).transpose(0, 2, 1), out=out)
+        prod /= 1 if a.ndim == 1 else a.shape[1]
+        return prod
+
+    def step(self, dw: np.ndarray, learning_rate: float, overwrite_dw: bool = False) -> "Layer":
+        """The layer with blocks ``B - learning_rate * dw``; ``dw`` is block-shaped.
+
+        With ``overwrite_dw``, ``learning_rate * dw`` is computed in ``dw``'s
+        own memory instead of a new array.  The new blocks are always new.
+        """
         if dw.shape != self.blocks.shape:
             raise ValueError(f"update shape {dw.shape} != block shape {self.blocks.shape}")
-        return Layer(self.blocks - learning_rate * dw, self.activation)
+        scaled = np.multiply(dw, learning_rate, out=dw if overwrite_dw else None)
+        return Layer(self.blocks - scaled, self.activation)
 
 
 @dataclass(frozen=True)
@@ -302,21 +347,29 @@ class ForwardTrace:
         return self.x0 if layer == 0 else self.xs[layer - 1]
 
 
-def forward(net: Network, x0: np.ndarray) -> ForwardTrace:
+def forward(net: Network, x0: np.ndarray, out: ForwardTrace | None = None) -> ForwardTrace:
     """Run the clean forward pass z_l = W_l x_{l-1}, x_l = f_l(z_l).
 
     Pure: the network is unchanged and repeated calls give bit-identical
-    traces.
+    traces.  Without ``out`` every array of the trace but ``x0`` is new.
+    With ``out``, a trace of C-contiguous buffers shaped like the result
+    (its ``x0`` is not read), each layer's z and x are written into
+    ``out``'s arrays, and the returned trace holds ``x0`` and those arrays.
+    Where a layer's z and x buffers are one array, the activation is applied
+    in place, so that trace's z is the activation.  The bits are the same
+    either way.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape[0] != net.in_dim:
         raise ValueError(f"input length {x0.shape[0]} != network in_dim {net.in_dim}")
+    if out is not None and out.depth != net.depth:
+        raise ValueError(f"out trace depth {out.depth} != network depth {net.depth}")
     _require_finite("forward input", x0)
     zs, xs = [], []
     x = x0
-    for layer in net.layers:
-        z = layer.matvec(x)
-        x = activation_apply(layer.activation, z)
+    for l, layer in enumerate(net.layers):
+        z = layer.matvec(x, None if out is None else out.zs[l])
+        x = activation_apply(layer.activation, z, None if out is None else out.xs[l])
         zs.append(z)
         xs.append(x)
     return ForwardTrace(x0=x0, zs=tuple(zs), xs=tuple(xs))

@@ -51,11 +51,16 @@ def output_error(x_l: np.ndarray, target: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def modulate_input(x0: np.ndarray, proj: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+def modulate_input(
+    x0: np.ndarray, proj: np.ndarray, gamma: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Modulated input for the second pass: x0 + F @ gamma.
 
     Affine in gamma; x0 and gamma may be single vectors or (d, B) column
-    batches.
+    batches.  Without ``out`` the result is a new array.  With ``out``, an
+    array of x0's shape that shares no memory with x0, ``F @ gamma`` is
+    written into ``out``, x0 is added to it there, and ``out`` is returned;
+    the bits are the same.
     """
     x0 = np.asarray(x0, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -65,4 +70,9 @@ def modulate_input(x0: np.ndarray, proj: np.ndarray, gamma: np.ndarray) -> np.nd
         raise ValueError(f"input length {x0.shape[0]} != projection rows {proj.shape[0]}")
     if gamma.shape[0] != proj.shape[1]:
         raise ValueError(f"error length {gamma.shape[0]} != projection cols {proj.shape[1]}")
-    return x0 + proj @ gamma
+    if out is None:
+        return x0 + proj @ gamma
+    if out.shape != x0.shape or np.may_share_memory(out, x0):
+        raise ValueError(f"out must be a separate array of shape {x0.shape}")
+    np.matmul(proj, gamma, out=out)
+    return np.add(x0, out, out=out)

@@ -6,6 +6,16 @@ input space and added to the input, second forward pass under the *same*
 the two passes.  Updates are a tuple of arrays, one per layer, batch-averaged
 and applied once, only after both passes complete.  Non-finite values in a
 step or an evaluation raise :class:`~twopass.core.NonFiniteError`.
+
+``train`` allocates one workspace per call, and every step writes its batch,
+both passes, the modulated input, the activation differences and the updates
+into it; ``evaluate`` likewise reuses one chunk's batch and activations.  The
+step functions take these buffers through an optional ``out`` argument;
+without it they return new arrays and change no argument, with the same
+bits either way.  What a two-pass step still allocates is small (the 10xB
+error arrays, byte gathers and finiteness masks) or must be new: the updated
+weight blocks, since a network's layers are never changed in place.  A
+backprop step also allocates ``W.T @ delta`` for each layer but the first.
 """
 
 from __future__ import annotations
@@ -53,10 +63,9 @@ class Algorithm(str, Enum):
 LR_DECAY = 0.1
 LR_DECAY_AT = 2.0 / 3.0
 
-# Samples per forward pass in evaluate.  At 2000 rows a chunk's float
-# temporaries (12.5 MB at width 784) were mapped and returned to the system on
-# every chunk, faulting in fresh pages each time; at 256 rows the heap reuses
-# them, and 10,000 MNIST-sized samples evaluate about twice as fast.
+# Samples per forward pass in evaluate.  One chunk's batch and activations
+# are allocated once per call and reused by every chunk; at width 784 they
+# are 1.6 MB apiece.  The mse's last bits depend on this size (see evaluate).
 EVAL_BATCH = 256
 
 
@@ -101,7 +110,11 @@ def _batch_width(arr: np.ndarray) -> int:
 
 
 def two_pass_updates(
-    net: Network, clean: ForwardTrace, modulated: ForwardTrace, gamma: np.ndarray
+    net: Network,
+    clean: ForwardTrace,
+    modulated: ForwardTrace,
+    gamma: np.ndarray,
+    out: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, ...]:
     """Per-layer updates from the activation differences of the two passes.
 
@@ -110,6 +123,12 @@ def two_pass_updates(
     itself); the last layer uses the output error gamma.  Batched traces
     yield batch-averaged updates.  ``net`` is the network both passes ran
     under; each update is shaped like its layer's ``(k, o, i)`` blocks.
+
+    Without ``out`` the updates are new arrays and no argument changes.
+    With ``out``, one block-shaped array per layer, the updates are written
+    into it and ``out`` is returned; each clean activation but the output is
+    then overwritten by its difference from the modulated one.  The bits are
+    the same either way.
     """
     if clean.depth != modulated.depth:
         raise ValueError(f"trace depth mismatch: {clean.depth} != {modulated.depth}")
@@ -118,24 +137,42 @@ def two_pass_updates(
     if _batch_width(clean.x0) != _batch_width(modulated.x0):
         raise ValueError("clean and modulated traces have different batch widths")
     depth = net.depth
+    if out is None:
+        out = (None,) * depth
+    elif len(out) != depth:
+        raise ValueError(f"{len(out)} update buffers for {depth} layers")
     deltas = []
     for l in range(1, depth):
-        diff = clean.xs[l - 1] - modulated.xs[l - 1]
-        deltas.append(net.layers[l - 1].avg_outer(diff, modulated.activation(l - 1)))
-    deltas.append(net.layers[-1].avg_outer(gamma, modulated.activation(depth - 1)))
+        x = clean.xs[l - 1]
+        diff = np.subtract(x, modulated.xs[l - 1], out=None if out[l - 1] is None else x)
+        deltas.append(net.layers[l - 1].avg_outer(diff, modulated.activation(l - 1), out[l - 1]))
+    deltas.append(net.layers[-1].avg_outer(gamma, modulated.activation(depth - 1), out[-1]))
     return tuple(deltas)
 
 
 def backprop_updates(
-    net: Network, clean: ForwardTrace, gamma: np.ndarray
+    net: Network,
+    clean: ForwardTrace,
+    gamma: np.ndarray,
+    out: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, ...]:
     """Exact gradient of the loss 0.5*sum((x_L - target)^2), batch-averaged.
 
     gamma is x_L - target; the chain rule runs through every activation
     (ReLU subgradient 0 at 0, softmax via its full Jacobian).
+
+    Without ``out`` the updates are new arrays and no argument changes.
+    With ``out``, one block-shaped array per layer, the updates are written
+    into it and ``out`` is returned; the pre-activation of each layer with an
+    elementwise activation is then overwritten by the layer's delta.  The
+    bits are the same either way.
     """
     if clean.depth != net.depth:
         raise ValueError(f"trace depth {clean.depth} != network depth {net.depth}")
+    if out is None:
+        out = (None,) * net.depth
+    elif len(out) != net.depth:
+        raise ValueError(f"{len(out)} update buffers for {net.depth} layers")
     deltas: list[np.ndarray] = [np.empty(0)] * net.depth
     grad_x = gamma
     for l in reversed(range(net.depth)):
@@ -143,46 +180,139 @@ def backprop_updates(
         z, x = clean.zs[l], clean.xs[l]
         if layer.activation is Activation.SOFTMAX:
             delta = softmax_backward(x, grad_x)
-        else:
+        elif out[l] is None:
             delta = grad_x * activation_derivative(layer.activation, z, x)
-        deltas[l] = layer.avg_outer(delta, clean.activation(l))
+        else:
+            deriv = activation_derivative(layer.activation, z, x, out=z)
+            delta = np.multiply(grad_x, deriv, out=deriv)
+        deltas[l] = layer.avg_outer(delta, clean.activation(l), out[l])
         if l > 0:
             grad_x = layer.rmatvec(delta)
     return tuple(deltas)
 
 
 def apply_updates(
-    net: Network, updates: tuple[np.ndarray, ...], learning_rate: float
+    net: Network,
+    updates: tuple[np.ndarray, ...],
+    learning_rate: float,
+    overwrite_updates: bool = False,
 ) -> Network:
     """W_l(t+1) = W_l(t) - eta * dW_l, block by block.
 
-    Raises :class:`~twopass.core.NonFiniteError` if a new weight is not finite.
+    With ``overwrite_updates``, each ``eta * dW_l`` is computed in the
+    update's own memory (see :meth:`~twopass.core.Layer.step`); the new
+    weights are new arrays either way.  Raises
+    :class:`~twopass.core.NonFiniteError` if a new weight is not finite.
     """
     if len(updates) != net.depth:
         raise ValueError(f"{len(updates)} updates for {net.depth} layers")
-    return Network(tuple(layer.step(dw, learning_rate) for layer, dw in zip(net.layers, updates)))
+    return Network(
+        tuple(
+            layer.step(dw, learning_rate, overwrite_updates)
+            for layer, dw in zip(net.layers, updates)
+        )
+    )
 
 
-def _batch(inputs: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Samples ``idx`` of ``inputs`` as a new C-ordered float64 ``(d, B)`` batch.
+def _batch(inputs: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Samples ``idx`` of ``inputs`` as a C-ordered float64 ``(d, B)`` batch.
 
     Column b holds sample ``idx[b]``'s entries in column-major order (see
     Dataset); for 1-D samples that is ``inputs[idx].T``.  uint8 bytes are
     divided by 255, exactly as ``inputs[idx].T / 255.0`` would.  Only the
     batch's samples are gathered, as contiguous rows, and ``.T`` reorders
-    them in the one pass that writes the output.  The layout is fixed
-    because matmul rounding may depend on it: the modulated input
+    them in the one pass that writes the output: a new array, or ``out``
+    when it is given (a C-contiguous ``(d, B)`` float64 array).  The layout
+    is fixed because matmul rounding may depend on it: the modulated input
     ``xb + F gamma`` comes out C-ordered, so a C-ordered clean batch makes
     both passes bitwise identical whenever gamma is zero (the exact fixed
     point at zero error).
     """
     rows = inputs.take(idx, axis=0).T
-    out = np.empty((math.prod(inputs.shape[1:]), rows.shape[-1]))
+    shape = (math.prod(inputs.shape[1:]), rows.shape[-1])
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     if inputs.dtype == np.uint8:
         np.divide(rows, 255.0, out=out.reshape(rows.shape))
     else:
         np.copyto(out.reshape(rows.shape), rows)
     return out
+
+
+def _trace_buffers(net: Network, width: int, in_place: bool) -> ForwardTrace:
+    """Uninitialized buffers for a pass of ``width`` samples through ``net``.
+
+    With ``in_place`` each layer's z and x buffers are one array, so the
+    pass applies its activations in place (see :func:`~twopass.core.forward`).
+    """
+    xs = tuple(np.empty((layer.out_dim, width)) for layer in net.layers)
+    zs = xs if in_place else tuple(np.empty_like(x) for x in xs)
+    return ForwardTrace(x0=np.empty((net.in_dim, width)), zs=zs, xs=xs)
+
+
+def _prefix(memory: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The first ``rows * width`` entries of the flat ``memory`` as a ``(rows, width)`` view.
+
+    The view is C-contiguous, the layout of a new array, so products through
+    it round as products through a new array would.
+    """
+    return memory[: rows * width].reshape(rows, width)
+
+
+def _narrow(trace: ForwardTrace, width: int) -> ForwardTrace:
+    """``trace``'s buffers for a narrower batch: the :func:`_prefix` of each."""
+
+    def cut(a: np.ndarray) -> np.ndarray:
+        return _prefix(a.reshape(-1), a.shape[0], width)
+
+    xs = tuple(cut(x) for x in trace.xs)
+    zs = tuple(cx if z is x else cut(z) for z, x, cx in zip(trace.zs, trace.xs, xs))
+    return ForwardTrace(x0=cut(trace.x0), zs=zs, xs=xs)
+
+
+@dataclass(frozen=True)
+class _Workspace:
+    """One training step's float arrays, allocated once per ``train`` call.
+
+    ``clean.x0`` receives the batch and ``modulated.x0`` the modulated input
+    (two-pass only, else None); ``updates`` are block-shaped.  Two-pass reads
+    no pre-activation, so its passes apply their activations in place, and
+    once the modulated input is formed the step no longer reads the batch,
+    so the modulated pass's first activation overwrites the batch's memory:
+    one ``(d, B)`` array fewer for the step to keep in cache.  Backprop keeps
+    each z apart from its x: the activation derivative reads it, and the
+    layer's delta then overwrites it.
+    """
+
+    clean: ForwardTrace
+    modulated: ForwardTrace | None
+    updates: tuple[np.ndarray, ...]
+
+    @classmethod
+    def build(cls, net: Network, width: int, algorithm: Algorithm) -> "_Workspace":
+        updates = tuple(np.empty(layer.blocks.shape) for layer in net.layers)
+        if algorithm is Algorithm.BACKPROP:
+            return cls(_trace_buffers(net, width, in_place=False), None, updates)
+        d, h = net.in_dim, net.layers[0].out_dim
+        shared = np.empty(max(d, h) * width)
+        clean_xs = tuple(np.empty((layer.out_dim, width)) for layer in net.layers)
+        mod_xs = (_prefix(shared, h, width),) + tuple(
+            np.empty((layer.out_dim, width)) for layer in net.layers[1:]
+        )
+        return cls(
+            clean=ForwardTrace(_prefix(shared, d, width), clean_xs, clean_xs),
+            modulated=ForwardTrace(np.empty((d, width)), mod_xs, mod_xs),
+            updates=updates,
+        )
+
+    def narrow(self, width: int) -> "_Workspace":
+        return _Workspace(
+            clean=_narrow(self.clean, width),
+            modulated=None if self.modulated is None else _narrow(self.modulated, width),
+            updates=self.updates,
+        )
 
 
 def _validate_setup(net: Network, data: Dataset, proj: np.ndarray) -> None:
@@ -225,30 +355,34 @@ def train(
     n = data.inputs.shape[0]
     rng = np.random.default_rng(cfg.seed)
     decay_epoch = max(1, int(np.floor(cfg.epochs * LR_DECAY_AT)))
+    width = min(cfg.batch_size, n)
+    workspace = _Workspace.build(net, width, cfg.algorithm)
 
     records = []
     iteration = 0
-    for epoch in range(cfg.epochs):
-        lr = cfg.learning_rate * (LR_DECAY if epoch >= decay_epoch else 1.0)
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            iteration += 1
-            # Divergence shows up as non-finite values; those are detected and
-            # reported, so the intermediate overflow warnings are just noise.
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    net, mse, output = _step(net, data, idx, proj, cfg.algorithm, lr, realize)
-            except NonFiniteError as exc:
-                raise NonFiniteError(
-                    f"training diverged (non-finite values) at iteration {iteration}"
-                ) from exc
-            accuracy = (
-                float(np.mean(np.argmax(output, axis=0) == data.labels[idx]))
-                if classification
-                else None
-            )
-            records.append(MetricRecord(iteration, mse, accuracy))
+    # Divergence shows up as non-finite values; those are detected and
+    # reported, so the intermediate overflow warnings are just noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            lr = cfg.learning_rate * (LR_DECAY if epoch >= decay_epoch else 1.0)
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                iteration += 1
+                ws = workspace if len(idx) == width else workspace.narrow(len(idx))
+                try:
+                    net, mse, output = _step(net, data, idx, proj, cfg.algorithm, lr, realize, ws)
+                except NonFiniteError as exc:
+                    raise NonFiniteError(
+                        f"training diverged (non-finite values) at iteration {iteration}"
+                    ) from exc
+                # count/len is the bool mean np.mean would give, bit for bit.
+                accuracy = (
+                    np.count_nonzero(np.argmax(output, axis=0) == data.labels[idx]) / len(idx)
+                    if classification
+                    else None
+                )
+                records.append(MetricRecord(iteration, mse, accuracy))
     return net, tuple(records)
 
 
@@ -260,30 +394,35 @@ def _step(
     algorithm: Algorithm,
     lr: float,
     realize,
+    ws: _Workspace,
 ) -> tuple[Network, float, np.ndarray]:
     """One training step on samples ``idx``: the updated network, the mse, the output.
 
-    The step's batch, traces and updates are locals, so they are freed when
-    it returns and are never alive together with the next step's.
+    The batch, both passes, the modulated input, the activation differences
+    and the updates are written into ``ws``, sized for ``len(idx)`` samples;
+    the output returned is ``ws``'s and is overwritten by the next step.
     """
-    xb = _batch(data.inputs, idx)
+    xb = _batch(data.inputs, idx, out=ws.clean.x0)
     run = net if realize is None else realize(net)
-    clean = forward(run, xb)
-    gamma = output_error(clean.output, data.targets.T[:, idx])
-    mse = float(np.mean(gamma * gamma))
-    if not np.isfinite(mse):
+    clean = forward(run, xb, out=ws.clean)
+    gamma = output_error(clean.output, data.targets.take(idx, axis=0).T)
+    sq = gamma * gamma
+    # sum/size is np.mean's own reduction, bit for bit.
+    mse = float(sq.sum() / sq.size)
+    if not math.isfinite(mse):
         raise NonFiniteError("non-finite loss")
     if algorithm is Algorithm.TWO_PASS:
         # Second pass under the same frozen weights: no update is applied
         # until both passes are done.
-        modulated = forward(run, modulate_input(xb, proj, gamma))
-        updates = two_pass_updates(net, clean, modulated, gamma)
+        xm = modulate_input(xb, proj, gamma, out=ws.modulated.x0)
+        modulated = forward(run, xm, out=ws.modulated)
+        updates = two_pass_updates(net, clean, modulated, gamma, out=ws.updates)
     else:
-        updates = backprop_updates(net, clean, gamma)
+        updates = backprop_updates(net, clean, gamma, out=ws.updates)
     # Applying the update is validated here too: on the run's last batch
     # there is no later forward pass to trip on an overflowed weight
     # subtraction.
-    return apply_updates(net, updates, lr), mse, clean.output
+    return apply_updates(net, updates, lr, overwrite_updates=True), mse, clean.output
 
 
 def evaluate(net: Network, data: Dataset, realize=None) -> EvalResult:
@@ -308,11 +447,13 @@ def evaluate(net: Network, data: Dataset, realize=None) -> EvalResult:
     preds = np.empty(n, dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
         run = net if realize is None else realize(net)
+        width = min(EVAL_BATCH, n)
+        # One chunk's batch and activations, reused by every chunk.
+        buffers = _trace_buffers(run, width, in_place=True)
         for start in range(0, n, EVAL_BATCH):
             rows = np.arange(start, min(start + EVAL_BATCH, n))
-            # Only the output outlives the pass, so the next chunk's batch
-            # and trace are never alive together with this chunk's.
-            output = forward(run, _batch(data.inputs, rows)).output
+            trace = buffers if len(rows) == width else _narrow(buffers, len(rows))
+            output = forward(run, _batch(data.inputs, rows, out=trace.x0), out=trace).output
             gamma = output_error(output, data.targets[rows].T)
             sq = gamma * gamma
             # Row by row: np.sum(sq, axis=0) sums a 1-sample chunk pairwise.
