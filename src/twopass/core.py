@@ -247,16 +247,13 @@ class Layer:
         prod /= 1 if a.ndim == 1 else a.shape[1]
         return prod
 
-    def step(self, dw: np.ndarray, learning_rate: float, overwrite_dw: bool = False) -> "Layer":
-        """The layer with blocks ``B - learning_rate * dw``; ``dw`` is block-shaped.
-
-        With ``overwrite_dw``, ``learning_rate * dw`` is computed in ``dw``'s
-        own memory instead of a new array.  The new blocks are always new.
-        """
+    def step(self, dw: np.ndarray, learning_rate: float) -> "Layer":
+        """The layer with blocks ``B - learning_rate * dw``; ``dw`` is block-shaped."""
         if dw.shape != self.blocks.shape:
             raise ValueError(f"update shape {dw.shape} != block shape {self.blocks.shape}")
-        scaled = np.multiply(dw, learning_rate, out=dw if overwrite_dw else None)
-        return Layer(self.blocks - scaled, self.activation)
+        # One new array: learning_rate * dw, then B minus it in the same memory.
+        new = np.multiply(dw, learning_rate)
+        return Layer(np.subtract(self.blocks, new, out=new), self.activation)
 
 
 @dataclass(frozen=True)

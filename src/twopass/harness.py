@@ -14,7 +14,6 @@ still empty.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import json
 import os
@@ -306,35 +305,6 @@ def _fail(message: str, code: int, created: list[Path]) -> int:
     return code
 
 
-# glibc's mallopt parameter numbers (malloc.h).
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _reuse_freed_heap() -> None:
-    """Have glibc keep freed heap memory for reuse instead of returning it.
-
-    ``train`` and ``evaluate`` run in buffers allocated once per call, so a
-    step allocates little: the updated weight blocks (0.24 MB for the
-    column-split network, 1.6 MB for the 784-256-10 MLP), the small 10xB
-    error arrays, the finiteness masks and, under backprop, ``W.T @ delta``
-    for each layer but the first.  Each is freed just before the
-    next step allocates the same sizes again.  glibc's default thresholds
-    adapt to the largest block freed so far, and when they sit below those
-    sizes, a block is mapped afresh or trimmed off the top of the heap, and
-    its pages fault in again.  Fixed thresholds well above them keep them
-    on the heap; on a one-epoch ``mnist_mlp`` run that saves about one
-    fault per step.  Other C libraries are left as they are.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(_M_MMAP_THRESHOLD, 16 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -347,7 +317,6 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    _reuse_freed_heap()
     try:
         report = run_experiment(cfg)
     except DataError as exc:

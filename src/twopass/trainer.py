@@ -109,12 +109,23 @@ def _batch_width(arr: np.ndarray) -> int:
     return 1 if arr.ndim == 1 else arr.shape[1]
 
 
+def _buffers(name: str, buffers: tuple | None, count: int) -> tuple:
+    """``buffers``, or ``count`` Nones when it is None; it must hold ``count`` arrays."""
+    if buffers is None:
+        return (None,) * count
+    if len(buffers) != count:
+        raise ValueError(f"{len(buffers)} {name} buffers for {count} layers")
+    return buffers
+
+
 def two_pass_updates(
     net: Network,
     clean: ForwardTrace,
     modulated: ForwardTrace,
     gamma: np.ndarray,
     out: tuple[np.ndarray, ...] | None = None,
+    *,
+    diff_out: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, ...]:
     """Per-layer updates from the activation differences of the two passes.
 
@@ -124,11 +135,13 @@ def two_pass_updates(
     yield batch-averaged updates.  ``net`` is the network both passes ran
     under; each update is shaped like its layer's ``(k, o, i)`` blocks.
 
-    Without ``out`` the updates are new arrays and no argument changes.
-    With ``out``, one block-shaped array per layer, the updates are written
-    into it and ``out`` is returned; each clean activation but the output is
-    then overwritten by its difference from the modulated one.  The bits are
-    the same either way.
+    Without ``out`` the updates are new arrays; with ``out``, one
+    block-shaped array per layer, they are written into it and ``out`` is
+    returned.  The differences x_l - x_err,l are new arrays unless
+    ``diff_out`` gives one array per layer but the last, shaped like its
+    activation, to write them into; that may be ``clean.xs[:-1]`` itself,
+    which overwrites the clean trace.  No other argument changes, and the
+    bits are the same either way.
     """
     if clean.depth != modulated.depth:
         raise ValueError(f"trace depth mismatch: {clean.depth} != {modulated.depth}")
@@ -137,14 +150,11 @@ def two_pass_updates(
     if _batch_width(clean.x0) != _batch_width(modulated.x0):
         raise ValueError("clean and modulated traces have different batch widths")
     depth = net.depth
-    if out is None:
-        out = (None,) * depth
-    elif len(out) != depth:
-        raise ValueError(f"{len(out)} update buffers for {depth} layers")
+    out = _buffers("update", out, depth)
+    diff_out = _buffers("difference", diff_out, depth - 1)
     deltas = []
     for l in range(1, depth):
-        x = clean.xs[l - 1]
-        diff = np.subtract(x, modulated.xs[l - 1], out=None if out[l - 1] is None else x)
+        diff = np.subtract(clean.xs[l - 1], modulated.xs[l - 1], out=diff_out[l - 1])
         deltas.append(net.layers[l - 1].avg_outer(diff, modulated.activation(l - 1), out[l - 1]))
     deltas.append(net.layers[-1].avg_outer(gamma, modulated.activation(depth - 1), out[-1]))
     return tuple(deltas)
@@ -155,24 +165,26 @@ def backprop_updates(
     clean: ForwardTrace,
     gamma: np.ndarray,
     out: tuple[np.ndarray, ...] | None = None,
+    *,
+    delta_out: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, ...]:
     """Exact gradient of the loss 0.5*sum((x_L - target)^2), batch-averaged.
 
     gamma is x_L - target; the chain rule runs through every activation
     (ReLU subgradient 0 at 0, softmax via its full Jacobian).
 
-    Without ``out`` the updates are new arrays and no argument changes.
-    With ``out``, one block-shaped array per layer, the updates are written
-    into it and ``out`` is returned; the pre-activation of each layer with an
-    elementwise activation is then overwritten by the layer's delta.  The
-    bits are the same either way.
+    Without ``out`` the updates are new arrays; with ``out``, one
+    block-shaped array per layer, they are written into it and ``out`` is
+    returned.  Each layer's delta dL/dz is a new array unless ``delta_out``
+    gives one array per layer, shaped like its pre-activation, to write it
+    into (softmax layers excepted); that may be ``clean.zs`` itself, which
+    overwrites the clean trace.  No other argument changes, and the bits are
+    the same either way.
     """
     if clean.depth != net.depth:
         raise ValueError(f"trace depth {clean.depth} != network depth {net.depth}")
-    if out is None:
-        out = (None,) * net.depth
-    elif len(out) != net.depth:
-        raise ValueError(f"{len(out)} update buffers for {net.depth} layers")
+    out = _buffers("update", out, net.depth)
+    delta_out = _buffers("delta", delta_out, net.depth)
     deltas: list[np.ndarray] = [np.empty(0)] * net.depth
     grad_x = gamma
     for l in reversed(range(net.depth)):
@@ -180,10 +192,10 @@ def backprop_updates(
         z, x = clean.zs[l], clean.xs[l]
         if layer.activation is Activation.SOFTMAX:
             delta = softmax_backward(x, grad_x)
-        elif out[l] is None:
+        elif delta_out[l] is None:
             delta = grad_x * activation_derivative(layer.activation, z, x)
         else:
-            deriv = activation_derivative(layer.activation, z, x, out=z)
+            deriv = activation_derivative(layer.activation, z, x, out=delta_out[l])
             delta = np.multiply(grad_x, deriv, out=deriv)
         deltas[l] = layer.avg_outer(delta, clean.activation(l), out[l])
         if l > 0:
@@ -192,26 +204,15 @@ def backprop_updates(
 
 
 def apply_updates(
-    net: Network,
-    updates: tuple[np.ndarray, ...],
-    learning_rate: float,
-    overwrite_updates: bool = False,
+    net: Network, updates: tuple[np.ndarray, ...], learning_rate: float
 ) -> Network:
     """W_l(t+1) = W_l(t) - eta * dW_l, block by block.
 
-    With ``overwrite_updates``, each ``eta * dW_l`` is computed in the
-    update's own memory (see :meth:`~twopass.core.Layer.step`); the new
-    weights are new arrays either way.  Raises
-    :class:`~twopass.core.NonFiniteError` if a new weight is not finite.
+    Raises :class:`~twopass.core.NonFiniteError` if a new weight is not finite.
     """
     if len(updates) != net.depth:
         raise ValueError(f"{len(updates)} updates for {net.depth} layers")
-    return Network(
-        tuple(
-            layer.step(dw, learning_rate, overwrite_updates)
-            for layer, dw in zip(net.layers, updates)
-        )
-    )
+    return Network(tuple(layer.step(dw, learning_rate) for layer, dw in zip(net.layers, updates)))
 
 
 def _batch(inputs: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -252,20 +253,16 @@ def _trace_buffers(net: Network, width: int, in_place: bool) -> ForwardTrace:
     return ForwardTrace(x0=np.empty((net.in_dim, width)), zs=zs, xs=xs)
 
 
-def _prefix(memory: np.ndarray, rows: int, width: int) -> np.ndarray:
-    """The first ``rows * width`` entries of the flat ``memory`` as a ``(rows, width)`` view.
-
-    The view is C-contiguous, the layout of a new array, so products through
-    it round as products through a new array would.
-    """
-    return memory[: rows * width].reshape(rows, width)
-
-
 def _narrow(trace: ForwardTrace, width: int) -> ForwardTrace:
-    """``trace``'s buffers for a narrower batch: the :func:`_prefix` of each."""
+    """``trace``'s buffers for a narrower batch: C-contiguous prefixes of each.
+
+    Each ``(rows, width)`` view holds the first ``rows * width`` entries of
+    its buffer.  The views are C-contiguous, the layout of a new array, so
+    products through them round as products through new arrays would.
+    """
 
     def cut(a: np.ndarray) -> np.ndarray:
-        return _prefix(a.reshape(-1), a.shape[0], width)
+        return a.reshape(-1)[: a.shape[0] * width].reshape(a.shape[0], width)
 
     xs = tuple(cut(x) for x in trace.xs)
     zs = tuple(cx if z is x else cut(z) for z, x, cx in zip(trace.zs, trace.xs, xs))
@@ -278,12 +275,9 @@ class _Workspace:
 
     ``clean.x0`` receives the batch and ``modulated.x0`` the modulated input
     (two-pass only, else None); ``updates`` are block-shaped.  Two-pass reads
-    no pre-activation, so its passes apply their activations in place, and
-    once the modulated input is formed the step no longer reads the batch,
-    so the modulated pass's first activation overwrites the batch's memory:
-    one ``(d, B)`` array fewer for the step to keep in cache.  Backprop keeps
-    each z apart from its x: the activation derivative reads it, and the
-    layer's delta then overwrites it.
+    no pre-activation, so its passes apply their activations in place.
+    Backprop keeps each z apart from its x: the activation derivative reads
+    it, and the layer's delta then overwrites it.
     """
 
     clean: ForwardTrace
@@ -292,19 +286,11 @@ class _Workspace:
 
     @classmethod
     def build(cls, net: Network, width: int, algorithm: Algorithm) -> "_Workspace":
-        updates = tuple(np.empty(layer.blocks.shape) for layer in net.layers)
-        if algorithm is Algorithm.BACKPROP:
-            return cls(_trace_buffers(net, width, in_place=False), None, updates)
-        d, h = net.in_dim, net.layers[0].out_dim
-        shared = np.empty(max(d, h) * width)
-        clean_xs = tuple(np.empty((layer.out_dim, width)) for layer in net.layers)
-        mod_xs = (_prefix(shared, h, width),) + tuple(
-            np.empty((layer.out_dim, width)) for layer in net.layers[1:]
-        )
+        two_pass = algorithm is Algorithm.TWO_PASS
         return cls(
-            clean=ForwardTrace(_prefix(shared, d, width), clean_xs, clean_xs),
-            modulated=ForwardTrace(np.empty((d, width)), mod_xs, mod_xs),
-            updates=updates,
+            clean=_trace_buffers(net, width, in_place=two_pass),
+            modulated=_trace_buffers(net, width, in_place=True) if two_pass else None,
+            updates=tuple(np.empty(layer.blocks.shape) for layer in net.layers),
         )
 
     def narrow(self, width: int) -> "_Workspace":
@@ -416,13 +402,18 @@ def _step(
         # until both passes are done.
         xm = modulate_input(xb, proj, gamma, out=ws.modulated.x0)
         modulated = forward(run, xm, out=ws.modulated)
-        updates = two_pass_updates(net, clean, modulated, gamma, out=ws.updates)
+        # The clean hidden activations are not read again: the differences
+        # go there.
+        updates = two_pass_updates(
+            net, clean, modulated, gamma, out=ws.updates, diff_out=clean.xs[:-1]
+        )
     else:
-        updates = backprop_updates(net, clean, gamma, out=ws.updates)
+        # Each pre-activation is read once, by its own layer's delta.
+        updates = backprop_updates(net, clean, gamma, out=ws.updates, delta_out=clean.zs)
     # Applying the update is validated here too: on the run's last batch
     # there is no later forward pass to trip on an overflowed weight
     # subtraction.
-    return apply_updates(net, updates, lr, overwrite_updates=True), mse, clean.output
+    return apply_updates(net, updates, lr), mse, clean.output
 
 
 def evaluate(net: Network, data: Dataset, realize=None) -> EvalResult:

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 import warnings
 import weakref
 
@@ -360,52 +357,6 @@ class TestTrainingSetRelease:
         monkeypatch.setattr(harness, score, spy_score)
         run_experiment(ExperimentConfig(task=task, hidden=2, data_dir=str(synthetic_mnist_dir)))
         assert len(refs) == 1 and alive == [False]
-
-
-# Faults taken by 50 steps that each allocate and free three 1.6 MB arrays,
-# as an evaluation chunk at width 784 does, after ``main`` runs on argv[1:].
-_STEP_FAULTS = """
-import resource, sys
-import numpy as np
-from twopass import harness
-if sys.argv[1:]:
-    harness.main(sys.argv[1:])
-def step():
-    arrays = [np.ones(200_000) for _ in range(3)]
-    return sum(a[0] for a in arrays)
-step()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(50):
-    step()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-class TestFreedHeapReuse:
-    def step_faults(self, *argv) -> int:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", _STEP_FAULTS, *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return int(proc.stdout.split()[-1])
-
-    def test_cli_steps_reuse_freed_pages(self, tmp_path):
-        pytest.importorskip("resource")
-        default = self.step_faults()
-        if default < 1000:
-            pytest.skip(f"this C library kept the freed pages anyway ({default} faults)")
-        config = REPO_ROOT / "configs" / "xor_twopass.json"
-        after_cli = self.step_faults(str(config), "--epochs", "1", "--out-dir", str(tmp_path))
-        # 50 steps touch 58,650 pages; faulting them in again is the waste.
-        assert after_cli < 200, (after_cli, default)
 
 
 class TestEmitMetrics:

@@ -255,16 +255,14 @@ class TestOutArguments:
         with pytest.raises(ValueError, match="shape"):
             layer.matvec(x, out=np.empty((5, 6)))
 
-    def test_step_overwrites_the_update_only_when_asked(self):
+    def test_step_leaves_the_update_alone(self):
         rng = np.random.default_rng(5)
         layer = Layer(rng.normal(size=(3, 2, 4)), Activation.RELU)
         dw = rng.normal(size=(3, 2, 4))
-        kept = dw.copy()
-        want = layer.step(dw, 0.3)
-        assert dw.tobytes() == kept.tobytes()
-        got = layer.step(dw, 0.3, overwrite_dw=True)
-        assert got.blocks.tobytes() == want.blocks.tobytes()
-        assert dw.tobytes() == (0.3 * kept).tobytes()
+        kept, blocks = dw.copy(), layer.blocks.copy()
+        got = layer.step(dw, 0.3)
+        assert got.blocks.tobytes() == (blocks - 0.3 * kept).tobytes()
+        assert dw.tobytes() == kept.tobytes() and layer.blocks.tobytes() == blocks.tobytes()
         assert not np.shares_memory(got.blocks, dw)
 
     def test_modulate_input(self):
@@ -287,21 +285,60 @@ class TestOutArguments:
         gamma = output_error(clean.output, rng.random((4, 5)))
         modulated = forward(net, modulate_input(x0, proj, gamma))
         if algorithm is Algorithm.TWO_PASS:
-            want = two_pass_updates(net, clean, modulated, gamma)
+            updates = lambda **out: two_pass_updates(net, clean, modulated, gamma, **out)
         else:
-            want = backprop_updates(net, clean, gamma)
+            updates = lambda **out: backprop_updates(net, clean, gamma, **out)
+        want = updates()
+        bits = trace_bits(clean) + trace_bits(modulated)
         out = tuple(np.empty_like(layer.blocks) for layer in net.layers)
-        diffs = [(c - m).tobytes() for c, m in zip(clean.xs[:-1], modulated.xs[:-1])]
-        if algorithm is Algorithm.TWO_PASS:
-            got = two_pass_updates(net, clean, modulated, gamma, out=out)
-            # Each clean activation but the output now holds its difference.
-            assert [x.tobytes() for x in clean.xs[:-1]] == diffs
-        else:
-            got = backprop_updates(net, clean, gamma, out=out)
+        got = updates(out=out)
         assert all(g is o for g, o in zip(got, out))
         assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
-        with pytest.raises(ValueError, match="buffers"):
-            backprop_updates(net, clean, gamma, out=out[:2])
+        # Update buffers alone leave both traces as they were.
+        assert trace_bits(clean) + trace_bits(modulated) == bits
+        with pytest.raises(ValueError, match="update buffers"):
+            updates(out=out[:2])
+
+    def test_two_pass_differences_into_buffers(self):
+        net = block_net(7)
+        rng = np.random.default_rng(8)
+        proj, x0 = rng.normal(size=(6, 4)), rng.random((6, 5))
+        clean = forward(net, x0)
+        gamma = output_error(clean.output, rng.random((4, 5)))
+        modulated = forward(net, modulate_input(x0, proj, gamma))
+        want = two_pass_updates(net, clean, modulated, gamma)
+        diffs = [(c - m).tobytes() for c, m in zip(clean.xs[:-1], modulated.xs[:-1])]
+        scratch = tuple(np.empty_like(x) for x in clean.xs[:-1])
+        got = two_pass_updates(net, clean, modulated, gamma, diff_out=scratch)
+        assert [d.tobytes() for d in scratch] == diffs
+        assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
+        # The clean trace's own activations may take the differences.
+        got = two_pass_updates(net, clean, modulated, gamma, diff_out=clean.xs[:-1])
+        assert [x.tobytes() for x in clean.xs[:-1]] == diffs
+        assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
+        with pytest.raises(ValueError, match="difference buffers"):
+            two_pass_updates(net, clean, modulated, gamma, diff_out=scratch[:1])
+
+    def test_backprop_deltas_into_buffers(self):
+        net = block_net(7)
+        rng = np.random.default_rng(8)
+        clean = forward(net, rng.random((6, 5)))
+        gamma = output_error(clean.output, rng.random((4, 5)))
+        want = backprop_updates(net, clean, gamma)
+        softmax = [layer.activation is Activation.SOFTMAX for layer in net.layers]
+        zs = [z.tobytes() for z in clean.zs]
+        scratch = tuple(np.empty_like(z) for z in clean.zs)
+        got = backprop_updates(net, clean, gamma, delta_out=scratch)
+        assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
+        assert [z.tobytes() for z in clean.zs] == zs
+        # The clean trace's own pre-activations may take the deltas; a
+        # softmax layer's delta goes elsewhere and leaves its z alone.
+        got = backprop_updates(net, clean, gamma, delta_out=clean.zs)
+        assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
+        for z, d, kept, is_softmax in zip(clean.zs, scratch, zs, softmax):
+            assert z.tobytes() == (kept if is_softmax else d.tobytes())
+        with pytest.raises(ValueError, match="delta buffers"):
+            backprop_updates(net, clean, gamma, delta_out=scratch[:1])
 
     def test_batch_into_buffer(self):
         inputs = np.random.default_rng(9).integers(0, 256, (20, 4, 3), dtype=np.uint8)
@@ -406,8 +443,8 @@ def test_library_train_and_evaluate_do_not_fault_per_step(algorithm):
     )
     assert proc.returncode == 0, proc.stderr
     per_step, per_chunk = map(float, proc.stdout.split())
-    # Arrays allocated afresh for every step and chunk took 29-69 (two-pass)
-    # and 196-225 (backprop) faults per step, and 750-1,190 per chunk, under
+    # Arrays allocated afresh for every step and chunk took 29-74 (two-pass)
+    # and 158-225 (backprop) faults per step, and 750-1,190 per chunk, under
     # glibc's default thresholds; reused buffers take about 0.
     assert per_step < 8, per_step
     assert per_chunk < 40, per_chunk
