@@ -17,11 +17,11 @@ from twopass import (
     Layer,
     LayerSpec,
     Network,
-    PhotonicLayer,
     TrainConfig,
     apply_phase_noise,
     build_network,
     evaluate,
+    read_back,
     realize_weight,
     sample_projection,
     train,
@@ -37,13 +37,11 @@ def noisy_network(net: Network, sigma: float, seed: int) -> Network:
     layers = []
     for i, layer in enumerate(net.layers):
         ideal = realize_weight(layer.weight)
-        noisy = PhotonicLayer(
+        noisy = ideal._replace(
             mesh_v=apply_phase_noise(ideal.mesh_v, sigma, seed=seed * 1000 + 2 * i),
-            sigma=ideal.sigma,
             mesh_u=apply_phase_noise(ideal.mesh_u, sigma, seed=seed * 1000 + 2 * i + 1),
-            scale=ideal.scale,
         )
-        layers.append(Layer(noisy.realized_matrix.real, layer.activation))
+        layers.append(Layer(read_back(noisy).real, layer.activation))
     return Network(tuple(layers))
 
 

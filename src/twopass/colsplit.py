@@ -8,7 +8,7 @@ holds the 28 column weights as its ``(28, co, 28)`` block stack, so the
 column nets are views of its blocks.  Both training algorithms apply
 unchanged to it, and every product and update touches only the blocks, so
 the off-block entries of the equivalent 784-wide matrix are exactly zero by
-construction (they are never stored).  ``Network`` JSON keeps the blocks.
+construction (they are never stored).
 
 The split itself copies no pixel: the trainer reads each sample in
 column-major order, so column-split training and evaluation read an
@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Activation, Layer, LayerSpec, Network, forward, init_weights
+from .core import Activation, Layer, LayerSpec, Network, _check_int, forward, init_weights
 from .data import Dataset
 from .trainer import EvalResult, MetricRecord, TrainConfig, evaluate, train
 
@@ -98,8 +98,7 @@ def build_colsplit_net(
     mode: SplitMode = SplitMode.COLUMN,
 ) -> ColumnSplitNet:
     """Freshly initialized column nets (28->column_out, ReLU) and 10-way softmax aggregator."""
-    if column_out < 1:
-        raise ValueError("column_out must be >= 1")
+    _check_int("column_out", column_out, 1)
     children = np.random.SeedSequence(seed).generate_state(SIDE + 1)
     col_spec = LayerSpec(SIDE, column_out, Activation.RELU)
     stage1 = Layer(

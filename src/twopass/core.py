@@ -15,7 +15,6 @@ like the blocks.
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -66,31 +65,6 @@ def _check_int(name: str, value, minimum: int) -> None:
     """Raise ValueError unless ``value`` is an integer (not a bool) >= ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-def _json_fields(where: str, doc, *keys: str) -> list:
-    """The values of ``keys`` in the JSON object ``doc``; ValueError naming what is wrong."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
-    for key in keys:
-        if key not in doc:
-            raise ValueError(f"{where} has no {key!r} field")
-    return [doc[key] for key in keys]
-
-
-def _json_list(name: str, value) -> list:
-    """``value`` if it is a JSON list; ValueError naming the field otherwise."""
-    if not isinstance(value, list):
-        raise ValueError(f"{name!r} must be a JSON list, got {type(value).__name__}")
-    return value
-
-
-def _json_numbers(name: str, value) -> list:
-    """``value`` if it is a JSON list of numbers; ValueError naming the field otherwise."""
-    for x in _json_list(name, value):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ValueError(f"{name!r} must hold JSON numbers, got {type(x).__name__}")
-    return value
 
 
 def activation_apply(kind: Activation, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -167,8 +141,8 @@ class LayerSpec:
     activation: Activation
 
     def __post_init__(self) -> None:
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ValueError(f"layer dims must be >= 1, got {self.in_dim}x{self.out_dim}")
+        _check_int("in_dim", self.in_dim, 1)
+        _check_int("out_dim", self.out_dim, 1)
 
 
 @dataclass(frozen=True)
@@ -181,8 +155,7 @@ class Layer:
     with a 2-D ``w`` stores ``w[None]``.  Products and updates touch only the
     blocks (``k*o*i`` entries rather than ``k*o*k*i``), and every update is
     block-shaped.  The dense 2-D ``weight`` is built on each read, for
-    inspection only; serialization, the trainers and the photonic backend
-    never read it.
+    inspection only; the trainers and the photonic backend never read it.
     """
 
     blocks: np.ndarray
@@ -284,43 +257,6 @@ class Network:
     @property
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
-
-    def to_json(self) -> str:
-        """Serialize shapes, activation names, block counts and row-major blocks."""
-        doc = {
-            "layers": [
-                {
-                    "in_dim": layer.in_dim,
-                    "out_dim": layer.out_dim,
-                    "activation": layer.activation.value,
-                    "blocks": layer.blocks.shape[0],
-                    "weights": layer.blocks.ravel().tolist(),
-                }
-                for layer in self.layers
-            ]
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Network":
-        (entries,) = _json_fields("network", json.loads(text), "layers")
-        layers = []
-        for entry in _json_list("layers", entries):
-            k, out_dim, in_dim, weights, activation = _json_fields(
-                "layer", entry, "blocks", "out_dim", "in_dim", "weights", "activation"
-            )
-            _check_int("in_dim", in_dim, 1)
-            _check_int("out_dim", out_dim, 1)
-            if isinstance(k, bool) or not isinstance(k, int) or k < 1 or out_dim % k or in_dim % k:
-                raise ValueError(
-                    f"blocks must be an integer >= 1 dividing {out_dim}x{in_dim}, got {k!r}"
-                )
-            o, i = out_dim // k, in_dim // k
-            w = np.asarray(_json_numbers("weights", weights), dtype=float)
-            if w.size != k * o * i:
-                raise ValueError(f"{k} blocks of {o}x{i} need {k * o * i} weights, got {w.size}")
-            layers.append(Layer(w.reshape(k, o, i), Activation(activation)))
-        return cls(tuple(layers))
 
 
 @dataclass(frozen=True)

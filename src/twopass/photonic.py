@@ -18,30 +18,26 @@ just the isometry it is read through: sum_{r<k} (n-1-r) MZIs on the input
 side and sum_{r<k} (m-1-r) on the output side, instead of two full meshes of
 n(n-1)/2 and m(m-1)/2.
 
-The photonic backend is :func:`realize_network`: it maps a network to the
-network its meshes implement, each block of each layer realized on its own
-meshes and replaced by the real part of its realized matrix (a dense layer
-is one block).  The trainer realizes once per step and runs both passes
-through the result with the ordinary forward pass.
+A mesh has one representation, :class:`Mesh`: the kernel's Python lists of
+modes and phases, wrapped into [0, 2pi).  :func:`realize_weight` programs a
+matrix's two meshes (a :class:`Realization`) and :func:`read_back` gives the
+matrix they implement.  The photonic backend is :func:`realize_network`: it
+maps a network to the network its meshes implement, each block of each layer
+replaced by the real part of ``read_back(realize_weight(block))`` (a dense
+layer is one block), so the finite-weight check, the orthonormality residual
+and the gain check run on every block.  The trainer realizes once per step
+and runs both passes through the result with the ordinary forward pass.
 
 Re-programming the meshes and reading them back is what a photonic step
 costs, and at these sizes that is Python overhead per MZI, so both run on
-Python complex scalars with no numpy call per MZI.  Each block goes from its
-SVD to its read-back on Python lists (:func:`_programs`, :func:`_read_back`):
-:func:`realize_network` builds no :class:`MeshProgram` and no
-:class:`PhotonicLayer`, and :func:`realize_weight` hands the same lists to
-the checked ``MeshProgram`` constructor.  Nulling carries every row as
-scalars; each MZI updates the row it nulls and the rows below it.  The
-kernel's phases are wrapped in Python (:func:`_wrap`), bit for bit as
-``MeshProgram`` wraps them.  The finite-weight check, the orthonormality
-residual and the gain check run on both entry points.
+Python complex scalars with no numpy call per MZI.  Nulling carries every
+row as scalars; each MZI updates the row it nulls and the rows below it.
 Read-back takes only the k modes between the meshes: the first k rows of
 mesh(V^H), swept backwards through its MZIs, and the first k columns of
-mesh(U), swept forwards.  :func:`mesh_forward` propagates a field through a
-mesh with one 2x2 transfer per MZI.  Both take a program's 2x2 entries from
-one helper call (:func:`_mzi_transfers`); only the nulling applies T^H, from
-the conjugate factors in its own product order.  Every MZI evaluates one
-complex exponential for theta/2 and reads sin and cos off it.
+mesh(U), swept forwards, each MZI's 2x2 entries from one helper call
+(:func:`_mzi_transfers`); only the nulling applies T^H, from the conjugate
+factors in its own product order.  Every MZI evaluates one complex
+exponential for theta/2 and reads sin and cos off it.
 
 Everything here works at transfer-matrix fidelity: phase settings stand in
 for the physical permittivities, and nonlinearities between meshes are
@@ -51,38 +47,53 @@ applied as ideal real functions on the detected field.
 from __future__ import annotations
 
 import cmath
-import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    Layer,
-    Network,
-    _check_int,
-    _json_fields,
-    _json_list,
-    _json_numbers,
-    _require_finite,
-)
+from .core import Layer, Network, _require_finite
 
 __all__ = [
-    "MeshProgram",
-    "PhotonicLayer",
-    "mesh_forward",
-    "transfer_matrix",
-    "unitarity_residual",
+    "Mesh",
+    "Realization",
     "realize_weight",
+    "read_back",
     "realize_network",
     "apply_phase_noise",
 ]
 
 TWO_PI = 2.0 * np.pi
-_FIELDS = ("modes", "thetas", "phis", "out_phases")
-# A program as the kernel builds and the read-back takes it: (n, modes, thetas, phis, out_phases).
-_Program = tuple[int, list[int], list[float], list[float], list[float]]
+
+
+class Mesh(NamedTuple):
+    """An n-mode mesh: MZI k couples modes (modes[k], modes[k] + 1) with thetas[k], phis[k].
+
+    Python lists, in application order: the first MZI acts on the input
+    field first, the output phase screen (one phase per mode) last.  Any
+    number of MZIs is a mesh: the full mesh of an n x n unitary has
+    n(n-1)/2, a realized isometry fewer.  Meshes built here have every phase
+    wrapped into [0, 2pi).
+    """
+
+    n: int
+    modes: list[int]
+    thetas: list[float]
+    phis: list[float]
+    out_phases: list[float]
+
+
+class Realization(NamedTuple):
+    """A real matrix on chip: scale * mesh(U) . diag(sigma) . mesh(V^H).
+
+    Only the first k = len(sigma) modes pass the attenuations, which lie in
+    [0, 1]; ``scale`` is the electronic gain.
+    """
+
+    mesh_v: Mesh
+    sigma: np.ndarray
+    mesh_u: Mesh
+    scale: float
 
 
 def _mzi_factors(theta: float, phi: float, sign: int = 1) -> tuple[complex, complex, float, float]:
@@ -113,110 +124,8 @@ def _mzi_transfers(
     return transfers
 
 
-@dataclass(frozen=True)
-class MeshProgram:
-    """Ordered MZI settings plus a final output phase screen.
-
-    Stored as parallel arrays: MZI k couples modes (modes[k], modes[k] + 1)
-    with phases thetas[k], phis[k].  Any number of MZIs is a valid mesh: the
-    full mesh of an n x n unitary has n(n-1)/2, a realized isometry fewer.
-    Phases are wrapped into [0, 2pi) at construction.  Application order is
-    list order: the first setting acts on the input field first, the phase
-    screen last.
-    """
-
-    n: int
-    modes: np.ndarray
-    thetas: np.ndarray
-    phis: np.ndarray
-    out_phases: np.ndarray
-
-    def __post_init__(self) -> None:
-        modes = np.asarray(self.modes)
-        if modes.dtype.kind not in "iu":
-            with np.errstate(invalid="ignore"):
-                int_modes = modes.astype(int)
-            if not np.array_equal(int_modes, modes):
-                raise ValueError("MZI mode indices must be integers")
-            modes = int_modes
-        thetas, phis, out = (
-            np.asarray(a, dtype=float) for a in (self.thetas, self.phis, self.out_phases)
-        )
-        for name, arr in zip(_FIELDS, (modes, thetas, phis, out)):
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-        if not len(modes) == len(thetas) == len(phis):
-            raise ValueError(
-                f"modes, thetas and phis must have equal length, "
-                f"got {len(modes)}, {len(thetas)}, {len(phis)}"
-            )
-        if out.shape != (self.n,):
-            raise ValueError(f"output phase screen must have length {self.n}")
-        phases = np.concatenate((thetas, phis, out), axis=None)
-        if not np.isfinite(phases).all():
-            raise ValueError("phases must be finite")
-        if modes.size and (modes.min() < 0 or modes.max() > self.n - 2):
-            raise ValueError("MZI mode indices out of range")
-        # np.mod rounds a tiny negative phase up to exactly 2pi; the second
-        # mod maps that to 0 and leaves the rest as is.
-        np.mod(np.mod(phases, TWO_PI, out=phases), TWO_PI, out=phases)
-        t, p = thetas.size, phis.size
-        fields = (modes, phases[:t], phases[t : t + p], phases[t + p :])
-        for name, arr in zip(_FIELDS, fields):
-            object.__setattr__(self, name, arr)
-
-    def _lists(self) -> _Program:
-        """The program as the Python lists the read-back takes."""
-        return (self.n, *(getattr(self, name).tolist() for name in _FIELDS))
-
-    def to_json(self) -> str:
-        doc = {
-            "n": self.n,
-            "mzis": [
-                {"i": int(m), "theta": float(t), "phi": float(p)}
-                for m, t, p in zip(self.modes, self.thetas, self.phis)
-            ],
-            "out_phases": self.out_phases.tolist(),
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MeshProgram":
-        doc = json.loads(text)
-        n, mzis, out_phases = _json_fields("mesh program", doc, "n", "mzis", "out_phases")
-        _check_int("n", n, 1)
-        mzis = [_json_fields("MZI", m, "i", "theta", "phi") for m in _json_list("mzis", mzis)]
-        modes, thetas, phis = (
-            np.array(_json_numbers(key, [mzi[j] for mzi in mzis]))
-            for j, key in enumerate(("i", "theta", "phi"))
-        )
-        return cls(n, modes, thetas, phis, np.array(_json_numbers("out_phases", out_phases)))
-
-
-def mesh_forward(prog: MeshProgram, field: np.ndarray) -> np.ndarray:
-    """Propagate a complex field (length n, or (n, B) batch) through the mesh."""
-    field = np.asarray(field, dtype=complex)
-    if field.ndim not in (1, 2):
-        raise ValueError(f"field must be 1-D or 2-D, got shape {field.shape}")
-    if field.shape[0] != prog.n:
-        raise ValueError(f"field length {field.shape[0]} != mesh dimension {prog.n}")
-    transfers = np.array(
-        _mzi_transfers(prog.thetas.tolist(), prog.phis.tolist()), dtype=complex
-    ).reshape(-1, 2, 2)
-    v = field.copy()
-    for m, t in zip(prog.modes.tolist(), transfers):
-        v[m : m + 2] = np.dot(t, v[m : m + 2])
-    shape = (prog.n,) + (1,) * (v.ndim - 1)
-    return v * np.exp(1j * prog.out_phases).reshape(shape)
-
-
-def transfer_matrix(prog: MeshProgram) -> np.ndarray:
-    """Dense n x n matrix of the mesh's action (mesh applied to the identity)."""
-    return mesh_forward(prog, np.eye(prog.n, dtype=complex))
-
-
-def _leading(prog: _Program, k: int, rows: bool) -> np.ndarray:
-    """The first k rows of a program's MZI product M, or its first k columns as rows (k x n each).
+def _leading(mesh: Mesh, k: int, rows: bool) -> np.ndarray:
+    """The first k rows of a mesh's MZI product M, or its first k columns as rows (k x n each).
 
     M is the transfer matrix without the output phase screen, which the
     caller applies.  Unit vectors e_0 .. e_{k-1} are carried as Python complex
@@ -225,7 +134,7 @@ def _leading(prog: _Program, k: int, rows: bool) -> np.ndarray:
     reaches mode j, so an MZI updates only the vectors started so far; in a
     nulled mesh that is about k/2 on average.
     """
-    n, modes, thetas, phis, _ = prog
+    n, modes, thetas, phis, _ = mesh
     if rows:
         modes, thetas, phis = modes[::-1], thetas[::-1], phis[::-1]
     vecs = [[0j] * n for _ in range(k)]
@@ -245,12 +154,6 @@ def _leading(prog: _Program, k: int, rows: bool) -> np.ndarray:
             a, b = v[m], v[m + 1]
             v[m], v[m + 1] = t00 * a + t01 * b, t10 * a + t11 * b
     return np.array(vecs, dtype=complex).reshape(k, n)
-
-
-def unitarity_residual(prog: MeshProgram) -> float:
-    """Frobenius norm of T^H T - I for the mesh's transfer matrix T."""
-    t = transfer_matrix(prog)
-    return float(np.linalg.norm(t.conj().T @ t - np.eye(prog.n)))
 
 
 def _null_rows(a: np.ndarray) -> tuple[list[int], list[float], list[float], list[complex]]:
@@ -294,25 +197,31 @@ def _null_rows(a: np.ndarray) -> tuple[list[int], list[float], list[float], list
     return modes, thetas, phis, d
 
 
-def _wrap(n: int, modes: list[int], thetas: list[float], phis: list[float], out_phases) -> _Program:
-    """A program the kernel built, with its phases wrapped into [0, 2pi).
+def _wrap(n: int, modes: list[int], thetas: list[float], phis: list[float], out_phases) -> Mesh:
+    """The mesh with these MZIs and phases, every phase wrapped into [0, 2pi).
 
-    ``x % TWO_PI % TWO_PI`` is ``MeshProgram``'s double np.mod bit for bit:
-    the first can round a tiny negative phase up to exactly 2pi, the second
-    maps that to 0 and leaves the rest as is.
+    ``x % TWO_PI % TWO_PI`` is a double np.mod bit for bit: the first can
+    round a tiny negative phase up to exactly 2pi, the second maps that to 0
+    and leaves the rest as is.
     """
-    return (n, modes, *([x % TWO_PI % TWO_PI for x in p] for p in (thetas, phis, out_phases)))
+    return Mesh(
+        n,
+        modes,
+        [x % TWO_PI % TWO_PI for x in thetas],
+        [x % TWO_PI % TWO_PI for x in phis],
+        [x % TWO_PI % TWO_PI for x in out_phases],
+    )
 
 
-def _input_isometry(vh: np.ndarray) -> _Program:
-    """Program whose first k output rows equal the k x n orthonormal rows vh."""
+def _input_isometry(vh: np.ndarray) -> Mesh:
+    """Mesh whose first k output rows equal the k x n orthonormal rows vh."""
     k, n = vh.shape
     modes, thetas, phis, d = _null_rows(vh)
     return _wrap(n, modes, thetas, phis, np.angle(d).tolist() + [0.0] * (n - k))
 
 
-def _output_isometry(u: np.ndarray) -> _Program:
-    """Program whose first k input columns equal the m x k orthonormal columns u.
+def _output_isometry(u: np.ndarray) -> Mesh:
+    """Mesh whose first k input columns equal the m x k orthonormal columns u.
 
     Nulling u^T gives u = T_1^T ... T_L^T [diag(d); 0]: the phases d on the
     input, then the transposed MZIs in reverse order.  T(theta, phi)^T is
@@ -341,15 +250,16 @@ def _check_gain(sigma: np.ndarray, scale: float) -> None:
         raise ValueError(f"attenuations must lie in [0, 1], got {sigma}")
 
 
-def _programs(w: np.ndarray) -> tuple[_Program, np.ndarray, _Program, float]:
-    """A real matrix's thin-SVD realization: mesh_v's program, sigma, mesh_u's program, scale.
+def realize_weight(w: np.ndarray) -> Realization:
+    """Realize a real matrix photonically via its thin SVD, W = scale * U Sigma V^H.
 
-    W = scale * U Sigma V^H.  ``scale`` is the largest singular value so the
-    attenuation column stays in [0, 1] (for the all-zero matrix the scale is
-    set to 1).  Only the k = min(m, n) modes between the meshes carry signal,
-    so mesh_v is programmed so that its first k rows are V^H and mesh_u so
-    that its first k columns are U; the other ports are left to whatever
-    completion the nulling gives.
+    ``scale`` is the largest singular value so the attenuation column stays
+    in [0, 1] (for the all-zero matrix the scale is set to 1).  Only the
+    k = min(m, n) modes between the meshes carry signal, so mesh_v is
+    programmed so that its first k rows are V^H and mesh_u so that its first
+    k columns are U; the other ports are left to whatever completion the
+    nulling gives.  A non-finite weight or singular value raises
+    :class:`~twopass.core.NonFiniteError`.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
@@ -361,80 +271,33 @@ def _programs(w: np.ndarray) -> tuple[_Program, np.ndarray, _Program, float]:
     scale = float(s[0]) if s.size and s[0] > 0.0 else 1.0
     sigma = s / scale
     _check_gain(sigma, scale)
-    return _input_isometry(vh), sigma, _output_isometry(u), scale
+    return Realization(_input_isometry(vh), sigma, _output_isometry(u), scale)
 
 
-def _read_back(prog_v: _Program, sigma: np.ndarray, prog_u: _Program, scale: float) -> np.ndarray:
-    """Dense out_dim x in_dim matrix the meshes implement: scale (U_k sigma) V_k.
+def read_back(r: Realization) -> np.ndarray:
+    """Dense complex out_dim x in_dim matrix the meshes implement: scale (U_k sigma) V_k.
 
     Only the first k modes pass the attenuations, so the matrix is read back
     from k rows and k columns: V_k, the first k rows of mesh_v's transfer,
     and U_k, mesh_u's transfer on the first k unit columns.  Both come from
-    the programmed phases, for any program.
+    the meshes' phases, for any mesh, so a noisy realization reads back what
+    it holds.  Its action on a field is ``read_back(r) @ field``.
     """
+    mesh_v, sigma, mesh_u, scale = r
     k = sigma.shape[0]
-    m = prog_u[0]
     # Both phase screens in one call: mesh_u's m phases and the k of mesh_v's that V_k reads.
-    screens = np.exp(1j * np.array(prog_u[4] + prog_v[4][:k]))
-    u_k = screens[:m, None] * _leading(prog_u, k, rows=False).T
-    v_k = screens[m:, None] * _leading(prog_v, k, rows=True)
+    screens = np.exp(1j * np.array(mesh_u.out_phases + mesh_v.out_phases[:k]))
+    u_k = screens[: mesh_u.n, None] * _leading(mesh_u, k, rows=False).T
+    v_k = screens[mesh_u.n :, None] * _leading(mesh_v, k, rows=True)
     return scale * (u_k * sigma) @ v_k
-
-
-@dataclass(frozen=True)
-class PhotonicLayer:
-    """A real weight matrix realized as mesh(U) . attenuation . mesh(V^H), times a gain."""
-
-    mesh_v: MeshProgram
-    sigma: np.ndarray
-    mesh_u: MeshProgram
-    scale: float
-
-    def __post_init__(self) -> None:
-        sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.ndim != 1 or sigma.shape[0] != min(self.in_dim, self.out_dim):
-            raise ValueError("sigma must have length min(out_dim, in_dim)")
-        _check_gain(sigma, self.scale)
-        object.__setattr__(self, "sigma", sigma)
-
-    @property
-    def in_dim(self) -> int:
-        return self.mesh_v.n
-
-    @property
-    def out_dim(self) -> int:
-        return self.mesh_u.n
-
-    @cached_property
-    def realized_matrix(self) -> np.ndarray:
-        """The matrix this layer's own programs implement (:func:`_read_back`).
-
-        A layer's output field is ``realized_matrix @ field``.
-        """
-        return _read_back(self.mesh_v._lists(), self.sigma, self.mesh_u._lists(), self.scale)
-
-
-def realize_weight(w: np.ndarray) -> PhotonicLayer:
-    """Realize a real matrix photonically via its thin SVD, W = scale * U Sigma V^H.
-
-    The meshes hold only the k = min(m, n) modes that carry signal; see
-    :func:`_programs` for how they are programmed and checked.
-    """
-    prog_v, sigma, prog_u, scale = _programs(w)
-    return PhotonicLayer(
-        mesh_v=MeshProgram(*prog_v),
-        sigma=sigma,
-        mesh_u=MeshProgram(*prog_u),
-        scale=scale,
-    )
 
 
 def realize_network(net: Network) -> Network:
     """The network the meshes implement: the photonic backend, handed to the trainer.
 
-    Each block of each layer is programmed on its own mesh pair, exactly as
-    :func:`realize_weight` programs it, and replaced by the real part of the
-    matrix read back from those programs (ideal detection); activations are
+    Each block of each layer is programmed on its own mesh pair
+    (:func:`realize_weight`) and replaced by the real part of the matrix read
+    back from it (:func:`read_back`, ideal detection); activations are
     unchanged.  A dense layer is one block, and the off-block entries of a
     block-diagonal layer stay exactly zero.
     """
@@ -444,7 +307,7 @@ def realize_network(net: Network) -> Network:
     return Network(
         tuple(
             Layer(
-                np.array([_read_back(*_programs(b)) for b in layer.blocks]).real,
+                np.array([read_back(realize_weight(b)) for b in layer.blocks]).real,
                 layer.activation,
             )
             for layer in net.layers
@@ -452,19 +315,18 @@ def realize_network(net: Network) -> Network:
     )
 
 
-def apply_phase_noise(prog: MeshProgram, sigma_phase: float, seed: int) -> MeshProgram:
-    """Perturb every phase (thetas, phis, output screen) with i.i.d. Gaussian noise.
+def apply_phase_noise(mesh: Mesh, sigma_phase: float, seed: int) -> Mesh:
+    """The mesh with i.i.d. Gaussian noise on every phase (thetas, phis, output screen).
 
     Phase-only perturbations, so the result is exactly unitary again.
+    ``sigma_phase`` must be finite and >= 0; 0 returns the same phases.
     """
-    if sigma_phase < 0.0:
-        raise ValueError("sigma_phase must be >= 0")
+    if not 0.0 <= sigma_phase < math.inf:
+        raise ValueError(f"sigma_phase must be finite and >= 0, got {sigma_phase!r}")
     rng = np.random.default_rng(seed)
-    k = prog.modes.shape[0]
-    return MeshProgram(
-        n=prog.n,
-        modes=prog.modes,
-        thetas=prog.thetas + rng.normal(0.0, sigma_phase, k),
-        phis=prog.phis + rng.normal(0.0, sigma_phase, k),
-        out_phases=prog.out_phases + rng.normal(0.0, sigma_phase, prog.n),
+    k = len(mesh.modes)
+    thetas, phis, out_phases = (
+        np.add(phases, rng.normal(0.0, sigma_phase, size)).tolist()
+        for phases, size in ((mesh.thetas, k), (mesh.phis, k), (mesh.out_phases, mesh.n))
     )
+    return _wrap(mesh.n, mesh.modes, thetas, phis, out_phases)

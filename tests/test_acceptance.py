@@ -18,7 +18,6 @@ from twopass import (
     Dataset,
     ExperimentConfig,
     LayerSpec,
-    MeshProgram,
     NonFiniteError,
     TrainConfig,
     apply_updates,
@@ -39,14 +38,13 @@ from twopass import (
     run_experiment,
     sample_projection,
     train,
-    transfer_matrix,
     two_pass_updates,
-    unitarity_residual,
 )
 from twopass import harness
 from twopass.photonic import _input_isometry
 
 from conftest import REPO_ROOT, spy_on
+from test_photonic import transfer_matrix, unitarity_residual
 
 CONFIG_DIR = REPO_ROOT / "configs"
 
@@ -237,9 +235,9 @@ class TestProjectionStatistics:
 def realize_and_compare(trained, test_data):
     """Dense against realized evaluation of one trained MLP, plus per-layer mesh checks."""
     for layer in trained.layers:
-        photonic_layer = realize_weight(layer.weight)
-        assert unitarity_residual(photonic_layer.mesh_u) < 1e-10
-        assert unitarity_residual(photonic_layer.mesh_v) < 1e-10
+        r = realize_weight(layer.weight)
+        assert unitarity_residual(r.mesh_u) < 1e-10
+        assert unitarity_residual(r.mesh_v) < 1e-10
     return evaluate(trained, test_data), evaluate(trained, test_data, realize=realize_network)
 
 
@@ -333,8 +331,7 @@ class TestUnitaryRoundTrip:
             rng = np.random.default_rng(1000 + i)
             a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             q, _ = np.linalg.qr(a)
-            prog = MeshProgram(*_input_isometry(q))
-            err = float(np.linalg.norm(transfer_matrix(prog) - q))
+            err = float(np.linalg.norm(transfer_matrix(_input_isometry(q)) - q))
             worst = max(worst, err)
         assert worst < 1e-8, f"worst reconstruction error {worst:.3e}"
 

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -252,6 +251,12 @@ class TestBuildColsplitNet:
         with pytest.raises(ValueError, match="column_out"):
             build_colsplit_net(seed=0, column_out=0)
 
+    @pytest.mark.parametrize("value", [2.5, True, 2.0, "2"], ids=repr)
+    def test_column_out_that_is_not_an_integer_rejected(self, value):
+        # 2.5 used to reach init_weights and fail there with a TypeError.
+        with pytest.raises(ValueError, match=rf"column_out must be an integer >= 1, got {value!r}"):
+            build_colsplit_net(seed=0, column_out=value)
+
 
 def small_dataset(seed: int, n: int = 10) -> Dataset:
     rng = np.random.default_rng(seed)
@@ -471,7 +476,7 @@ class TestBlockPreservationProperty:
         algorithm=st.sampled_from(list(Algorithm)),
         seed=st.integers(0, 2**16),
     )
-    def test_training_keeps_blocks_stagewise_forward_and_json(self, co, mode, algorithm, seed):
+    def test_training_keeps_blocks_and_stagewise_forward(self, co, mode, algorithm, seed):
         net = build_colsplit_net(seed=seed, column_out=co, mode=mode)
         data = small_dataset(seed, n=8)
         cfg = TrainConfig(
@@ -487,7 +492,7 @@ class TestBlockPreservationProperty:
             got = forward(trained.network, columnize(data.inputs[i : i + 1], mode)[0]).output
             ref = stagewise_forward(trained, data.inputs[i].reshape(28, 28))
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
-        back = ColumnSplitNet(Network.from_json(trained.network.to_json()), mode)
+        back = ColumnSplitNet(trained.network, mode)
         assert back.mode is mode
         for la, lb in zip(trained.network.layers, back.network.layers):
             assert la.blocks.shape == lb.blocks.shape
@@ -495,10 +500,10 @@ class TestBlockPreservationProperty:
             assert la.activation is lb.activation
 
 
-class TestSerialization:
-    def test_round_trip_preserves_weights(self):
+class TestFromNetwork:
+    def test_network_keeps_weights(self):
         net = build_colsplit_net(seed=11, column_out=2)
-        back = ColumnSplitNet(Network.from_json(net.network.to_json()))
+        back = ColumnSplitNet(net.network)
         assert back.network.layers[0].blocks.shape == (28, 2, 28)
         for la, lb in zip(compose(net).layers, compose(back).layers):
             assert la.blocks.shape == lb.blocks.shape
@@ -506,9 +511,9 @@ class TestSerialization:
             assert la.activation is lb.activation
         assert back.mode is SplitMode.COLUMN
 
-    def test_round_trip_mode_argument(self):
+    def test_mode_argument(self):
         net = build_colsplit_net(seed=12, column_out=2, mode=SplitMode.ROW)
-        back = ColumnSplitNet(Network.from_json(net.network.to_json()), SplitMode.ROW)
+        back = ColumnSplitNet(net.network, "row")
         assert back.mode is SplitMode.ROW
 
     def test_dense_first_stage_rejected(self):
@@ -517,12 +522,12 @@ class TestSerialization:
             seed=0,
         )
         with pytest.raises(ValueError, match="28 column blocks"):
-            ColumnSplitNet(Network.from_json(dense.to_json()))
+            ColumnSplitNet(dense)
 
     def test_wrong_depth_rejected(self):
         stage1 = build_colsplit_net(seed=0, column_out=2).network.layers[0]
         with pytest.raises(ValueError, match="needs an aggregator"):
-            ColumnSplitNet(Network.from_json(Network((stage1,)).to_json()))
+            ColumnSplitNet(Network((stage1,)))
 
     def test_wrong_input_size_rejected(self):
         small = build_network(
@@ -530,13 +535,14 @@ class TestSerialization:
             seed=0,
         )
         with pytest.raises(ValueError, match="28 column blocks"):
-            ColumnSplitNet(Network.from_json(small.to_json()))
+            ColumnSplitNet(small)
 
-    def test_indivisible_stage_width_rejected(self):
-        doc = json.loads(build_colsplit_net(seed=0, column_out=2).network.to_json())
-        doc["layers"][0]["out_dim"] = 30
-        with pytest.raises(ValueError, match="dividing 30x784"):
-            ColumnSplitNet(Network.from_json(json.dumps(doc)))
+    def test_stage_of_other_blocks_rejected(self):
+        # 784 inputs and 30 outputs, but as 2 blocks of 15x392.
+        stage1 = Layer(np.ones((2, 15, 392)), Activation.RELU)
+        aggregator = Layer(np.ones((10, 30)), Activation.SOFTMAX)
+        with pytest.raises(ValueError, match=r"28 column blocks .* \(2, 15, 392\)"):
+            ColumnSplitNet(Network((stage1, aggregator)))
 
 
 class TestConfusionMatrix:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,6 @@ from twopass import (
     Activation,
     Layer,
     LayerSpec,
-    MeshProgram,
     Network,
     activation_apply,
     activation_derivative,
@@ -213,6 +210,14 @@ class TestNetworkTypes:
         with pytest.raises(ValueError):
             LayerSpec(3, 0, Activation.RELU)
 
+    @pytest.mark.parametrize("value", [2.5, True, 2.0, "2"], ids=repr)
+    @pytest.mark.parametrize("field", ["in_dim", "out_dim"])
+    def test_layer_spec_rejects_dims_that_are_not_integers(self, field, value):
+        # Without the integer check, 2.5 and True were accepted silently.
+        dims = {"in_dim": 2, "out_dim": 2, field: value}
+        with pytest.raises(ValueError, match=rf"{field} must be an integer >= 1, got {value!r}"):
+            LayerSpec(activation=Activation.RELU, **dims)
+
     def test_layer_requires_2d_finite_weight(self):
         with pytest.raises(ValueError):
             Layer(np.zeros(3), Activation.IDENTITY)
@@ -254,61 +259,6 @@ class TestNetworkTypes:
         )
         assert (net.in_dim, net.out_dim, net.depth) == (4, 2, 2)
 
-    def test_json_round_trip_preserves_weights_exactly(self):
-        net = build_network(
-            (LayerSpec(3, 4, Activation.RELU), LayerSpec(4, 2, Activation.SOFTMAX)), seed=21
-        )
-        restored = Network.from_json(net.to_json())
-        assert restored.depth == net.depth
-        for a, b in zip(net.layers, restored.layers):
-            np.testing.assert_array_equal(a.weight, b.weight)
-            assert a.activation is b.activation
-
-    def test_json_document_holds_shapes_activations_row_major_weights(self):
-        w = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        net = Network((Layer(w, Activation.RELU),))
-        doc = json.loads(net.to_json())
-        (entry,) = doc["layers"]
-        assert entry["in_dim"] == 2 and entry["out_dim"] == 3
-        assert entry["activation"] == "relu"
-        assert entry["blocks"] == 1
-        assert entry["weights"] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        # a block layer stores its block count and only its blocks, row-major
-        blocks = np.arange(1.0, 13.0).reshape(3, 2, 2)
-        (entry,) = json.loads(Network((Layer(blocks, Activation.RELU),)).to_json())["layers"]
-        assert (entry["in_dim"], entry["out_dim"], entry["blocks"]) == (6, 6, 3)
-        assert entry["weights"] == blocks.ravel().tolist()
-
-    @pytest.mark.parametrize(
-        "blocks, weights, match",
-        [
-            (0, 12, "integer >= 1 dividing 6x6, got 0"),
-            (-1, 12, "got -1"),
-            (2.5, 12, "got 2.5"),
-            (3.0, 12, "got 3.0"),
-            (True, 12, "got True"),
-            (4, 12, "dividing 6x6, got 4"),
-            (2, 12, "2 blocks of 3x3 need 18 weights, got 12"),
-            (3, 11, "3 blocks of 2x2 need 12 weights, got 11"),
-        ],
-    )
-    def test_json_rejects_bad_block_counts_and_weight_counts(self, blocks, weights, match):
-        net = Network((Layer(np.ones((3, 2, 2)), Activation.RELU),))
-        doc = json.loads(net.to_json())
-        doc["layers"][0]["blocks"] = blocks
-        doc["layers"][0]["weights"] = doc["layers"][0]["weights"][:weights]
-        with pytest.raises(ValueError, match=match):
-            Network.from_json(json.dumps(doc))
-
-    @pytest.mark.parametrize("value", [True, 2.0, 0, "2"], ids=repr)
-    @pytest.mark.parametrize("field", ["in_dim", "out_dim"])
-    def test_json_rejects_dims_that_are_not_positive_integers(self, field, value):
-        # Without the integer check, True passes as 1 and 2.0 reaches reshape.
-        doc = json.loads(Network((Layer(np.ones((1, 2)), Activation.RELU),)).to_json())
-        doc["layers"][0][field] = value
-        with pytest.raises(ValueError, match=rf"{field} must be an integer >= 1, got {value!r}"):
-            Network.from_json(json.dumps(doc))
-
 
 @st.composite
 def blocks_and_inputs(draw):
@@ -339,96 +289,6 @@ class TestLayerProductProperties:
                 assert g.tobytes() == ref.tobytes()
             else:
                 np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
-
-
-@st.composite
-def block_networks(draw):
-    """A network of a random (k, o, i) block layer and a dense layer after it."""
-    k, o, i, out = (draw(st.integers(1, 5)) for _ in range(4))
-    acts = st.sampled_from(list(Activation))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return Network(
-        (
-            Layer(rng.normal(size=(k, o, i)), draw(acts)),
-            Layer(rng.normal(size=(out, k * o)), draw(acts)),
-        )
-    )
-
-
-class TestJsonRoundTripProperty:
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(block_networks())
-    def test_round_trip_keeps_block_shapes_bits_and_activations(self, net):
-        back = Network.from_json(net.to_json())
-        for a, b in zip(net.layers, back.layers, strict=True):
-            assert a.blocks.shape == b.blocks.shape
-            assert a.blocks.tobytes() == b.blocks.tobytes()
-            assert a.activation is b.activation
-
-
-
-def _without(doc: dict, path: tuple, key: str) -> dict:
-    """A deep copy of ``doc`` with ``key`` removed from the object at ``path``."""
-    doc = json.loads(json.dumps(doc))
-    target = doc
-    for step in path:
-        target = target[step]
-    del target[key]
-    return doc
-
-
-def _with(doc: dict, path: tuple, key: str, value) -> dict:
-    """A deep copy of ``doc`` with ``key`` set to ``value`` in the object at ``path``."""
-    doc = json.loads(json.dumps(doc))
-    target = doc
-    for step in path:
-        target = target[step]
-    target[key] = value
-    return doc
-
-
-_NETWORK_DOC = {
-    "layers": [
-        {"in_dim": 2, "out_dim": 1, "activation": "relu", "blocks": 1, "weights": [1.0, 2.0]}
-    ]
-}
-_MESH_DOC = {"n": 2, "mzis": [{"i": 0, "theta": 0.5, "phi": 0.0}], "out_phases": [0.0, 0.0]}
-
-
-class TestJsonDocumentShape:
-    @pytest.mark.parametrize(
-        "cls, doc, match",
-        [
-            (Network, {"layers": 5}, "'layers' must be a JSON list, got int"),
-            (Network, {}, "network has no 'layers' field"),
-            (Network, [], "network must be a JSON object, got list"),
-            (Network, _without(_NETWORK_DOC, ("layers", 0), "weights"), "layer has no 'weights'"),
-            (MeshProgram, {**_MESH_DOC, "mzis": 5}, "'mzis' must be a JSON list, got int"),
-            (MeshProgram, _without(_MESH_DOC, ("mzis", 0), "theta"), "MZI has no 'theta' field"),
-            (Network, _with(_NETWORK_DOC, ("layers", 0), "weights", [[1, 2]]), "'weights' .* list"),
-            (Network, _with(_NETWORK_DOC, ("layers", 0), "weights", [{}, 2]), "'weights' .* dict"),
-            (MeshProgram, _with(_MESH_DOC, ("mzis", 0), "i", [0]), "'i' .* list"),
-            (MeshProgram, _with(_MESH_DOC, ("mzis", 0), "theta", {"a": 1}), "'theta' .* dict"),
-            (MeshProgram, _with(_MESH_DOC, (), "out_phases", [0.0, {}]), "'out_phases' .* dict"),
-        ],
-        ids=[
-            "layers-int",
-            "empty-object",
-            "list",
-            "no-weights",
-            "mzis-int",
-            "no-theta",
-            "nested-weights",
-            "object-weight",
-            "list-mode",
-            "object-theta",
-            "object-phase",
-        ],
-    )
-    def test_wrongly_shaped_document_is_a_value_error_naming_the_field(self, cls, doc, match):
-        assert cls.from_json(json.dumps(_NETWORK_DOC if cls is Network else _MESH_DOC))
-        with pytest.raises(ValueError, match=match):
-            cls.from_json(json.dumps(doc))
 
 
 class TestBuildNetwork:

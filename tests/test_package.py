@@ -18,8 +18,10 @@ from conftest import REPO_ROOT
 # intensity detector, BlockLayer (now one Layer type), reassemble, the
 # ProjectionMatrix and UpdateSet wrappers and DivergenceError, now plain
 # arrays, tuples and NonFiniteError, normalize, now done per batch by the
-# trainer, and MetricsHistory, now a plain tuple of MetricRecord), plus
-# realize_network.
+# trainer, MetricsHistory, now a plain tuple of MetricRecord, and the
+# second mesh representation, MeshProgram, PhotonicLayer, mesh_forward,
+# transfer_matrix and unitarity_residual, now one Mesh and the tests' own
+# helpers), plus realize_network, Mesh, Realization and read_back.
 PUBLIC_NAMES = {
     "Activation",
     "Algorithm",
@@ -32,11 +34,11 @@ PUBLIC_NAMES = {
     "ForwardTrace",
     "Layer",
     "LayerSpec",
-    "MeshProgram",
+    "Mesh",
     "MetricRecord",
     "Network",
     "NonFiniteError",
-    "PhotonicLayer",
+    "Realization",
     "RunReport",
     "SplitMode",
     "Task",
@@ -60,10 +62,10 @@ PUBLIC_NAMES = {
     "load_idx",
     "load_mnist",
     "main",
-    "mesh_forward",
     "modulate_input",
     "one_hot",
     "output_error",
+    "read_back",
     "realize_network",
     "realize_weight",
     "run_experiment",
@@ -72,9 +74,7 @@ PUBLIC_NAMES = {
     "split_columns",
     "stagewise_forward",
     "train",
-    "transfer_matrix",
     "two_pass_updates",
-    "unitarity_residual",
     "write_idx",
     "xor_dataset",
 }
@@ -93,11 +93,6 @@ class TestExports:
         assert PUBLIC_NAMES <= set(twopass.__all__)
 
 
-# Every demo but mnist_mlp, which needs the MNIST files, runs offline in
-# under a second.
-OFFLINE_DEMOS = [p for p in DEMOS if p.stem != "mnist_mlp"]
-
-
 def load_demo(path):
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
@@ -112,7 +107,7 @@ def test_demo_imports(path):
     assert callable(load_demo(path).main)
 
 
-@pytest.mark.parametrize("path", OFFLINE_DEMOS, ids=[p.stem for p in OFFLINE_DEMOS])
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
 def test_offline_demo_runs(path, capsys):
     # Running main() catches a demo that calls a deleted name at run time.
     load_demo(path).main()

@@ -13,29 +13,34 @@ from twopass import (
     Activation,
     Layer,
     LayerSpec,
-    MeshProgram,
+    Mesh,
     Network,
     NonFiniteError,
-    PhotonicLayer,
+    Realization,
     TrainConfig,
     apply_phase_noise,
     apply_updates,
     build_network,
     forward,
-    mesh_forward,
+    read_back,
     realize_network,
     realize_weight,
     sample_projection,
     train,
-    transfer_matrix,
     two_pass_updates,
-    unitarity_residual,
     xor_dataset,
 )
 import twopass.photonic
 from twopass.data import Dataset
 from twopass.modulation import modulate_input, output_error
-from twopass.photonic import _input_isometry, _mzi_factors, _null_rows
+from twopass.photonic import (
+    _check_gain,
+    _input_isometry,
+    _mzi_factors,
+    _mzi_transfers,
+    _null_rows,
+    _wrap,
+)
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
@@ -45,13 +50,9 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
     return q
 
 
-def input_program(vh: np.ndarray) -> MeshProgram:
-    """The mesh the nulling kernel programs so that its first k output rows are ``vh``."""
-    return MeshProgram(*_input_isometry(vh))
-
-
-def random_program(n: int, seed: int) -> MeshProgram:
-    return input_program(random_unitary(n, seed))
+def random_mesh(n: int, seed: int) -> Mesh:
+    """The full mesh the nulling kernel programs for a seeded n x n unitary."""
+    return _input_isometry(random_unitary(n, seed))
 
 
 def mzi_reference(theta: float, phi: float) -> np.ndarray:
@@ -61,30 +62,47 @@ def mzi_reference(theta: float, phi: float) -> np.ndarray:
     return 1j * np.exp(0.5j * theta) * np.array([[ephi * s, c], [ephi * c, -s]])
 
 
-def reference_transfer(prog: MeshProgram) -> np.ndarray:
+def reference_transfer(mesh: Mesh) -> np.ndarray:
     """Dense transfer of a mesh built from ``mzi_reference``, independent of the module.
 
     Each 2x2 is embedded at its mode pair and left-multiplied in list order,
     phase screen last.
     """
-    t = np.eye(prog.n, dtype=complex)
-    for m, theta, phi in zip(prog.modes, prog.thetas, prog.phis):
-        e = np.eye(prog.n, dtype=complex)
+    t = np.eye(mesh.n, dtype=complex)
+    for m, theta, phi in zip(mesh.modes, mesh.thetas, mesh.phis):
+        e = np.eye(mesh.n, dtype=complex)
         e[m : m + 2, m : m + 2] = mzi_reference(theta, phi)
         t = e @ t
-    return np.diag(np.exp(1j * prog.out_phases)) @ t
+    return np.diag(np.exp(1j * np.asarray(mesh.out_phases))) @ t
+
+
+def mesh_forward(mesh: Mesh, field: np.ndarray) -> np.ndarray:
+    """Propagate a complex field (length n, or (n, B) batch) through the mesh.
+
+    One 2x2 product per MZI, its entries from the module's ``_mzi_transfers``.
+    """
+    v = np.array(field, dtype=complex)
+    transfers = np.array(_mzi_transfers(mesh.thetas, mesh.phis), dtype=complex).reshape(-1, 2, 2)
+    for m, t in zip(mesh.modes, transfers):
+        v[m : m + 2] = np.dot(t, v[m : m + 2])
+    shape = (mesh.n,) + (1,) * (v.ndim - 1)
+    return v * np.exp(1j * np.asarray(mesh.out_phases)).reshape(shape)
+
+
+def transfer_matrix(mesh: Mesh) -> np.ndarray:
+    """Dense n x n matrix of the mesh's action (mesh applied to the identity)."""
+    return mesh_forward(mesh, np.eye(mesh.n, dtype=complex))
+
+
+def unitarity_residual(mesh: Mesh) -> float:
+    """Frobenius norm of T^H T - I for the mesh's transfer matrix T."""
+    t = transfer_matrix(mesh)
+    return float(np.linalg.norm(t.conj().T @ t - np.eye(mesh.n)))
 
 
 def single_mzi(theta: float, phi: float) -> np.ndarray:
     """Transfer matrix of a 2-mode mesh holding one MZI and no output phase."""
-    prog = MeshProgram(
-        n=2,
-        modes=np.array([0]),
-        thetas=np.array([theta]),
-        phis=np.array([phi]),
-        out_phases=np.zeros(2),
-    )
-    return transfer_matrix(prog)
+    return transfer_matrix(Mesh(2, [0], [theta], [phi], [0.0, 0.0]))
 
 
 class TestMZISetting:
@@ -142,239 +160,107 @@ class TestMZIFactors:
                 assert float_bits(_mzi_factors(theta, phi, sign)) == want, (theta, phi, sign)
 
 
-class TestMeshProgram:
-    def test_mzi_array_lengths_must_match(self):
-        for modes, thetas, phis in (
-            ([0, 1], [0.0], [0.0, 0.0]),
-            ([0], [0.0, 1.0], [0.0]),
-            ([0, 1], [0.0, 1.0], [0.0]),
-            ([], [0.0], []),
-        ):
-            with pytest.raises(ValueError, match="equal length"):
-                MeshProgram(
-                    n=3,
-                    modes=np.array(modes, dtype=int),
-                    thetas=np.array(thetas),
-                    phis=np.array(phis),
-                    out_phases=np.zeros(3),
-                )
+def phase_bits(mesh: Mesh) -> list[bytes]:
+    """The IEEE bits of a mesh's three phase lists."""
+    return [np.array(p, dtype=float).tobytes() for p in (mesh.thetas, mesh.phis, mesh.out_phases)]
 
+
+class TestMesh:
     def test_empty_and_partial_meshes_are_valid(self):
         # A mesh need not hold all n(n-1)/2 MZIs of a full unitary mesh.
-        empty = MeshProgram(
-            n=3, modes=np.array([], dtype=int), thetas=[], phis=[], out_phases=[0.5, 0.0, 1.0]
-        )
+        empty = Mesh(3, [], [], [], [0.5, 0.0, 1.0])
         np.testing.assert_allclose(
             transfer_matrix(empty), np.diag(np.exp(1j * np.array([0.5, 0.0, 1.0]))), rtol=1e-15
         )
-        partial = MeshProgram(
-            n=4,
-            modes=np.array([2, 0]),
-            thetas=np.array([0.3, 1.1]),
-            phis=np.array([2.0, 0.4]),
-            out_phases=np.zeros(4),
-        )
-        assert len(partial.modes) == 2
+        partial = Mesh(4, [2, 0], [0.3, 1.1], [2.0, 0.4], [0.0] * 4)
         assert unitarity_residual(partial) < 1e-14
-        back = MeshProgram.from_json(partial.to_json())
-        np.testing.assert_array_equal(back.thetas, partial.thetas)
-
-    def test_mode_range_enforced(self):
-        with pytest.raises(ValueError, match="out of range"):
-            MeshProgram(
-                n=2,
-                modes=np.array([1]),
-                thetas=np.zeros(1),
-                phis=np.zeros(1),
-                out_phases=np.zeros(2),
-            )
-
-    def test_phase_screen_length_enforced(self):
-        with pytest.raises(ValueError, match="phase screen"):
-            MeshProgram(
-                n=2,
-                modes=np.array([0]),
-                thetas=np.zeros(1),
-                phis=np.zeros(1),
-                out_phases=np.zeros(3),
-            )
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("field", ["thetas", "phis", "out_phases"])
-    def test_non_finite_phases_rejected(self, field, bad):
-        args = dict(
-            n=2, modes=np.array([0]), thetas=np.zeros(1), phis=np.zeros(1), out_phases=np.zeros(2)
+        np.testing.assert_allclose(
+            transfer_matrix(partial), reference_transfer(partial), rtol=0, atol=1e-15
         )
-        args[field][0] = bad
-        with pytest.raises(ValueError, match="finite"):
-            MeshProgram(**args)
-
-    @pytest.mark.parametrize("field", ["modes", "thetas", "phis", "out_phases"])
-    def test_fields_that_are_not_one_dimensional_rejected(self, field):
-        args = dict(
-            n=2, modes=np.array([0]), thetas=np.zeros(1), phis=np.zeros(1), out_phases=np.zeros(2)
-        )
-        args[field] = args[field][None]
-        with pytest.raises(ValueError, match=rf"{field} must be 1-D, got shape \(1, \d\)"):
-            MeshProgram(**args)
-
-    def test_fractional_mode_index_rejected(self):
-        with pytest.raises(ValueError, match="integers"):
-            MeshProgram(
-                n=3,
-                modes=np.array([0.0, 1.7]),
-                thetas=np.zeros(2),
-                phis=np.zeros(2),
-                out_phases=np.zeros(3),
-            )
-
-    def test_from_json_rejects_fractional_mode_and_non_finite_phase(self):
-        import json
-
-        def doc(mzi):
-            return json.dumps({"n": 3, "mzis": [mzi], "out_phases": [0.0, 0.0, 0.0]})
-
-        with pytest.raises(ValueError, match="integers"):
-            MeshProgram.from_json(doc({"i": 1.7, "theta": 0.0, "phi": 0.0}))
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="finite"):
-                MeshProgram.from_json(doc({"i": 1, "theta": bad, "phi": 0.0}))
-        prog = MeshProgram.from_json(doc({"i": 1.0, "theta": 0.5, "phi": 0.0}))
-        assert prog.modes.tolist() == [1]
-
-    @pytest.mark.parametrize("n", [True, 1.0, 0, "1"], ids=repr)
-    def test_from_json_rejects_a_mode_count_that_is_not_a_positive_integer(self, n):
-        import json
-
-        # The phase screen's shape check alone lets these through: (True,) == (1.0,) == (1,).
-        text = json.dumps({"n": n, "mzis": [], "out_phases": [0.0]})
-        with pytest.raises(ValueError, match=rf"n must be an integer >= 1, got {n!r}"):
-            MeshProgram.from_json(text)
 
     def test_phases_wrap_into_principal_range(self):
-        prog = MeshProgram(
-            n=2,
-            modes=np.array([0]),
-            thetas=np.array([-np.pi / 2.0]),
-            phis=np.array([5.0 * np.pi]),
-            out_phases=np.array([2.0 * np.pi, -0.25]),
-        )
-        np.testing.assert_allclose(prog.thetas, [1.5 * np.pi], rtol=1e-12)
-        np.testing.assert_allclose(prog.phis, [np.pi], rtol=1e-12)
-        np.testing.assert_allclose(prog.out_phases, [0.0, 2.0 * np.pi - 0.25], atol=1e-15)
+        mesh = _wrap(2, [0], [-np.pi / 2.0], [5.0 * np.pi], [2.0 * np.pi, -0.25])
+        np.testing.assert_allclose(mesh.thetas, [1.5 * np.pi], rtol=1e-12)
+        np.testing.assert_allclose(mesh.phis, [np.pi], rtol=1e-12)
+        np.testing.assert_allclose(mesh.out_phases, [0.0, 2.0 * np.pi - 0.25], atol=1e-15)
 
     def test_tiny_negative_phases_wrap_to_zero(self):
-        prog = MeshProgram(
-            n=2,
-            modes=np.array([0, 0]),
-            thetas=np.array([-1e-17, -5e-324]),
-            phis=np.array([-1e-300, 2.0 * np.pi]),
-            out_phases=np.array([-1e-17, -4.0 * np.pi - 1e-16]),
+        mesh = _wrap(
+            2, [0, 0], [-1e-17, -5e-324], [-1e-300, 2.0 * np.pi], [-1e-17, -4.0 * np.pi - 1e-16]
         )
-        for phases in (prog.thetas, prog.phis, prog.out_phases):
-            np.testing.assert_array_equal(phases, np.zeros_like(phases))
+        for phases in (mesh.thetas, mesh.phis, mesh.out_phases):
+            assert np.array(phases).tobytes() == np.zeros(len(phases)).tobytes()
 
-    def test_realized_phases_lie_in_range_and_round_trip(self):
+    def test_realized_phases_lie_in_range(self):
         # This weight's output mesh has a phase that np.mod alone maps to 2pi.
-        layer = realize_weight(np.random.default_rng(3).normal(size=(4, 6)))
-        for prog in (layer.mesh_v, layer.mesh_u):
-            for phases in (prog.thetas, prog.phis, prog.out_phases):
-                assert np.all((phases >= 0.0) & (phases < 2.0 * np.pi))
-            back = MeshProgram.from_json(prog.to_json())
-            for name in ("thetas", "phis", "out_phases"):
-                assert getattr(back, name).tobytes() == getattr(prog, name).tobytes()
-            np.testing.assert_array_equal(transfer_matrix(back), transfer_matrix(prog))
-
-    def test_json_round_trip_is_exact(self):
-        prog = random_program(5, seed=1)
-        back = MeshProgram.from_json(prog.to_json())
-        assert back.n == prog.n
-        np.testing.assert_array_equal(back.modes, prog.modes)
-        np.testing.assert_array_equal(back.thetas, prog.thetas)
-        np.testing.assert_array_equal(back.phis, prog.phis)
-        np.testing.assert_array_equal(back.out_phases, prog.out_phases)
-
-    def test_json_schema_fields(self):
-        import json
-
-        doc = json.loads(random_program(3, seed=2).to_json())
-        assert set(doc) == {"n", "mzis", "out_phases"}
-        assert all(set(m) == {"i", "theta", "phi"} for m in doc["mzis"])
+        r = realize_weight(np.random.default_rng(3).normal(size=(4, 6)))
+        for mesh in (r.mesh_v, r.mesh_u):
+            for phases in (mesh.thetas, mesh.phis, mesh.out_phases):
+                assert all(0.0 <= x < 2.0 * np.pi for x in phases)
 
 
 class TestMeshForward:
     def test_matches_chained_embedded_transfers(self):
-        prog = random_program(4, seed=5)
-        np.testing.assert_allclose(transfer_matrix(prog), reference_transfer(prog), atol=1e-13)
+        mesh = random_mesh(4, seed=5)
+        np.testing.assert_allclose(transfer_matrix(mesh), reference_transfer(mesh), atol=1e-13)
 
     def test_energy_is_conserved(self):
         rng = np.random.default_rng(6)
-        prog = random_program(6, seed=6)
+        mesh = random_mesh(6, seed=6)
         for _ in range(5):
             x = rng.normal(size=6) + 1j * rng.normal(size=6)
-            out = mesh_forward(prog, x)
+            out = mesh_forward(mesh, x)
             np.testing.assert_allclose(np.linalg.norm(out), np.linalg.norm(x), rtol=1e-12)
 
     def test_zero_field_stays_zero(self):
-        prog = random_program(3, seed=7)
-        np.testing.assert_array_equal(mesh_forward(prog, np.zeros(3)), np.zeros(3, dtype=complex))
+        mesh = random_mesh(3, seed=7)
+        np.testing.assert_array_equal(mesh_forward(mesh, np.zeros(3)), np.zeros(3, dtype=complex))
 
     def test_batch_columns_match_single_fields(self):
         rng = np.random.default_rng(8)
-        prog = random_program(5, seed=8)
+        mesh = random_mesh(5, seed=8)
         batch = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
-        out = mesh_forward(prog, batch)
+        out = mesh_forward(mesh, batch)
         for j in range(4):
-            np.testing.assert_allclose(out[:, j], mesh_forward(prog, batch[:, j]), rtol=1e-14)
-
-    def test_wrong_field_length_rejected(self):
-        prog = random_program(3, seed=9)
-        with pytest.raises(ValueError, match="field length"):
-            mesh_forward(prog, np.zeros(4))
-
-    def test_field_must_be_1d_or_2d(self):
-        prog = random_program(3, seed=9)
-        for field in (np.array(1.0), np.zeros((3, 2, 2))):
-            with pytest.raises(ValueError, match="1-D or 2-D"):
-                mesh_forward(prog, field)
+            np.testing.assert_allclose(out[:, j], mesh_forward(mesh, batch[:, j]), rtol=1e-14)
 
     def test_unitarity_residual_near_zero(self):
-        assert unitarity_residual(random_program(7, seed=10)) < 1e-12
+        assert unitarity_residual(random_mesh(7, seed=10)) < 1e-12
 
 
 class TestInputIsometry:
     """Square unitaries programmed by triangular nulling: full meshes of n(n-1)/2 MZIs."""
 
     def test_identity_reconstructs(self):
-        prog = input_program(np.eye(4))
-        np.testing.assert_allclose(transfer_matrix(prog), np.eye(4), atol=1e-12)
+        mesh = _input_isometry(np.eye(4))
+        np.testing.assert_allclose(transfer_matrix(mesh), np.eye(4), atol=1e-12)
 
     def test_one_by_one_is_pure_phase(self):
-        prog = input_program(np.array([[np.exp(0.7j)]]))
-        assert len(prog.modes) == 0
-        np.testing.assert_allclose(prog.out_phases, [0.7], rtol=1e-12)
-        np.testing.assert_allclose(transfer_matrix(prog), [[np.exp(0.7j)]], rtol=1e-12)
+        mesh = _input_isometry(np.array([[np.exp(0.7j)]]))
+        assert len(mesh.modes) == 0
+        np.testing.assert_allclose(mesh.out_phases, [0.7], rtol=1e-12)
+        np.testing.assert_allclose(transfer_matrix(mesh), [[np.exp(0.7j)]], rtol=1e-12)
 
     def test_two_by_two_uses_single_mzi(self):
         u = random_unitary(2, seed=11)
-        prog = input_program(u)
-        assert len(prog.modes) == 1
-        np.testing.assert_allclose(transfer_matrix(prog), u, atol=1e-13)
+        mesh = _input_isometry(u)
+        assert len(mesh.modes) == 1
+        np.testing.assert_allclose(transfer_matrix(mesh), u, atol=1e-13)
 
     def test_seeded_unitaries_round_trip(self):
         for n in range(1, 13):
             u = random_unitary(n, seed=100 + n)
-            prog = input_program(u)
-            assert len(prog.modes) == n * (n - 1) // 2
-            np.testing.assert_allclose(transfer_matrix(prog), u, atol=1e-11)
+            mesh = _input_isometry(u)
+            assert len(mesh.modes) == n * (n - 1) // 2
+            np.testing.assert_allclose(transfer_matrix(mesh), u, atol=1e-11)
 
     def test_permutation_matrix_round_trips(self):
         p = np.eye(5)[[3, 0, 4, 1, 2]]
-        np.testing.assert_allclose(transfer_matrix(input_program(p)), p, atol=1e-12)
+        np.testing.assert_allclose(transfer_matrix(_input_isometry(p)), p, atol=1e-12)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="rows are not orthonormal"):
-            input_program(np.array([[1.0, 1.0], [0.0, 1.0]]))
+            _input_isometry(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -412,11 +298,10 @@ def signed_permutations(draw) -> np.ndarray:
 class TestKernelBuiltPrograms:
     @PROPERTY_SETTINGS
     @given(st.one_of(zero_weights, signed_permutations(), low_rank_weights()))
-    def test_equal_the_checked_construction_bit_for_bit(self, w):
-        # realize_network reads back the kernel's lists with no MeshProgram
-        # check, so the lists, wrapped in Python, must be what the checked
-        # constructor builds from the kernel's unwrapped phases, and wrapping
-        # a program's own fields again must change nothing.
+    def test_equal_the_wrapped_kernel_lists_bit_for_bit(self, w):
+        # realize_weight's meshes are what _wrap made of the kernel's
+        # unwrapped lists: integer modes as built, and every phase what a
+        # double np.mod gives, in [0, 2pi), where wrapping again changes nothing.
         built = []
         real_wrap = twopass.photonic._wrap
 
@@ -426,19 +311,19 @@ class TestKernelBuiltPrograms:
             return wrapped
 
         with mock.patch.object(twopass.photonic, "_wrap", record):
-            layer = realize_weight(w)
+            r = realize_weight(w)
         assert len(built) == 2
-        for (args, wrapped), prog in zip(built, (layer.mesh_v, layer.mesh_u)):
-            assert prog._lists() == wrapped
-            fields = (prog.n, prog.modes, prog.thetas, prog.phis, prog.out_phases)
-            for checked in (MeshProgram(*args), MeshProgram(*fields)):
-                assert checked.n == prog.n
-                for name in ("modes", "thetas", "phis", "out_phases"):
-                    got, want = getattr(prog, name), getattr(checked, name)
-                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
-                    assert got.tobytes() == want.tobytes()
-            for phases in (prog.thetas, prog.phis, prog.out_phases):
-                assert np.all((phases >= 0.0) & (phases < 2 * np.pi))
+        for (args, wrapped), mesh in zip(built, (r.mesh_v, r.mesh_u)):
+            assert mesh is wrapped and type(mesh) is Mesh
+            assert mesh.n == args[0] and mesh.modes == list(args[1])
+            assert all(type(m) is int and 0 <= m <= mesh.n - 2 for m in mesh.modes)
+            assert len(mesh.thetas) == len(mesh.phis) == len(mesh.modes)
+            assert len(mesh.out_phases) == mesh.n
+            for raw, phases in zip(args[2:], (mesh.thetas, mesh.phis, mesh.out_phases)):
+                want = np.mod(np.mod(np.array(raw, dtype=float), 2 * np.pi), 2 * np.pi)
+                assert np.array(phases, dtype=float).tobytes() == want.tobytes()
+                assert all(0.0 <= x < 2 * np.pi for x in phases)
+            assert phase_bits(_wrap(*mesh)) == phase_bits(mesh)
 
     @PROPERTY_SETTINGS
     @given(
@@ -487,7 +372,7 @@ class TestRealizeEntryPoints:
             for layer, realized in zip(net.layers, realize_network(net).layers):
                 assert realized.blocks.shape == layer.blocks.shape
                 for got, block in zip(realized.blocks, layer.blocks):
-                    want = realize_weight(block).realized_matrix.real
+                    want = read_back(realize_weight(block)).real
                     assert (got.dtype, got.shape) == (want.dtype, want.shape)
                     assert got.tobytes() == want.tobytes()
 
@@ -498,13 +383,13 @@ class TestRealizationProperties:
     def test_realize_weight_reproduces_w_on_thin_meshes(self, w):
         m, n = w.shape
         k = min(m, n)
-        layer = realize_weight(w)
-        tol = 1e-12 * max(1.0, layer.scale)
-        assert np.abs(layer.realized_matrix - w).max() <= tol
-        assert unitarity_residual(layer.mesh_v) < 1e-10
-        assert unitarity_residual(layer.mesh_u) < 1e-10
-        expected = sum(n - 1 - r for r in range(k)) + sum(m - 1 - r for r in range(k))
-        assert len(layer.mesh_v.modes) + len(layer.mesh_u.modes) == expected
+        r = realize_weight(w)
+        tol = 1e-12 * max(1.0, r.scale)
+        assert np.abs(read_back(r) - w).max() <= tol
+        assert unitarity_residual(r.mesh_v) < 1e-10
+        assert unitarity_residual(r.mesh_u) < 1e-10
+        expected = sum(n - 1 - j for j in range(k)) + sum(m - 1 - j for j in range(k))
+        assert len(r.mesh_v.modes) + len(r.mesh_u.modes) == expected
 
     @PROPERTY_SETTINGS
     @given(st.one_of(low_rank_weights(), integer_weights), st.integers(0, 2**32 - 1))
@@ -514,35 +399,35 @@ class TestRealizationProperties:
         # scale * T_u [diag(sigma) 0] T_v.  It must agree for any program:
         # the nulled meshes, the same meshes under phase noise, and MZIs in
         # random order, which start the read-back vectors in any order.
-        layer = realize_weight(w)
-        k = layer.sigma.shape[0]
-        attenuation = np.zeros((layer.out_dim, layer.in_dim))
-        attenuation[range(k), range(k)] = layer.sigma
+        r = realize_weight(w)
+        k = r.sigma.shape[0]
+        attenuation = np.zeros((r.mesh_u.n, r.mesh_v.n))
+        attenuation[range(k), range(k)] = r.sigma
         rng = np.random.default_rng(seed)
 
         def scrambled(n):
             count = int(rng.integers(0, 3 * n)) if n > 1 else 0
-            phases = rng.uniform(0.0, 2 * np.pi, size=2 * count + n)
-            modes = rng.integers(0, max(n - 1, 1), size=count)
-            return MeshProgram(n, modes, phases[:count], phases[count : 2 * count], phases[2 * count :])
+            phases = rng.uniform(0.0, 2 * np.pi, size=2 * count + n).tolist()
+            modes = rng.integers(0, max(n - 1, 1), size=count).tolist()
+            return Mesh(n, modes, phases[:count], phases[count : 2 * count], phases[2 * count :])
 
         for mesh_v, mesh_u in (
-            (layer.mesh_v, layer.mesh_u),
-            (apply_phase_noise(layer.mesh_v, 0.3, seed), apply_phase_noise(layer.mesh_u, 0.3, seed + 1)),
-            (scrambled(layer.in_dim), scrambled(layer.out_dim)),
+            (r.mesh_v, r.mesh_u),
+            (apply_phase_noise(r.mesh_v, 0.3, seed), apply_phase_noise(r.mesh_u, 0.3, seed + 1)),
+            (scrambled(r.mesh_v.n), scrambled(r.mesh_u.n)),
         ):
-            other = PhotonicLayer(mesh_v, layer.sigma, mesh_u, layer.scale)
+            other = r._replace(mesh_v=mesh_v, mesh_u=mesh_u)
             t_u, t_v = reference_transfer(mesh_u), reference_transfer(mesh_v)
-            expected = other.scale * t_u @ attenuation @ t_v
-            assert np.abs(other.realized_matrix - expected).max() <= 1e-13 * max(1.0, other.scale)
+            expected = r.scale * t_u @ attenuation @ t_v
+            assert np.abs(read_back(other) - expected).max() <= 1e-13 * max(1.0, r.scale)
 
     @PROPERTY_SETTINGS
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_unitary_round_trip(self, n, seed):
         u = random_unitary(n, seed)
-        prog = input_program(u)
-        assert len(prog.modes) == n * (n - 1) // 2
-        np.testing.assert_allclose(transfer_matrix(prog), u, rtol=0, atol=1e-12)
+        mesh = _input_isometry(u)
+        assert len(mesh.modes) == n * (n - 1) // 2
+        np.testing.assert_allclose(transfer_matrix(mesh), u, rtol=0, atol=1e-12)
 
 
 def reference_mzi(top, bot, theta: float, phi: float, sign: int = 1):
@@ -624,33 +509,33 @@ class TestNullingMatchesSequentialReference:
 
 class TestRealizeWeight:
     def test_identity_weight(self):
-        layer = realize_weight(np.eye(3))
-        assert layer.scale == 1.0
-        np.testing.assert_allclose(layer.sigma, np.ones(3), rtol=1e-12)
-        np.testing.assert_allclose(layer.realized_matrix.real, np.eye(3), atol=1e-12)
-        assert np.abs(layer.realized_matrix.imag).max() < 1e-12
+        r = realize_weight(np.eye(3))
+        assert type(r) is Realization and r.scale == 1.0
+        np.testing.assert_allclose(r.sigma, np.ones(3), rtol=1e-12)
+        np.testing.assert_allclose(read_back(r).real, np.eye(3), atol=1e-12)
+        assert np.abs(read_back(r).imag).max() < 1e-12
 
     def test_diagonal_gain_pulled_out(self):
-        layer = realize_weight(np.diag([2.0, 1.0]))
-        assert layer.scale == pytest.approx(2.0, rel=1e-14)
-        np.testing.assert_allclose(np.sort(layer.sigma)[::-1], [1.0, 0.5], rtol=1e-12)
+        r = realize_weight(np.diag([2.0, 1.0]))
+        assert r.scale == pytest.approx(2.0, rel=1e-14)
+        np.testing.assert_allclose(np.sort(r.sigma)[::-1], [1.0, 0.5], rtol=1e-12)
 
     def test_zero_matrix_realizes_with_unit_scale(self):
-        layer = realize_weight(np.zeros((2, 3)))
-        assert layer.scale == 1.0
-        np.testing.assert_array_equal(layer.sigma, np.zeros(2))
-        np.testing.assert_allclose(layer.realized_matrix, np.zeros((2, 3)), atol=1e-15)
+        r = realize_weight(np.zeros((2, 3)))
+        assert r.scale == 1.0
+        np.testing.assert_array_equal(r.sigma, np.zeros(2))
+        np.testing.assert_allclose(read_back(r), np.zeros((2, 3)), atol=1e-15)
 
     def test_random_matrices_realize_accurately(self):
         rng = np.random.default_rng(12)
         for shape in ((8, 8), (3, 5), (5, 3), (1, 4)):
             w = rng.normal(size=shape)
-            layer = realize_weight(w)
-            assert np.abs(layer.realized_matrix.real - w).max() < 1e-6
-            assert np.abs(layer.realized_matrix.imag).max() < 1e-6
-            assert float(layer.sigma.max()) <= 1.0 + 1e-12
-            assert unitarity_residual(layer.mesh_u) < 1e-10
-            assert unitarity_residual(layer.mesh_v) < 1e-10
+            r = realize_weight(w)
+            assert np.abs(read_back(r).real - w).max() < 1e-6
+            assert np.abs(read_back(r).imag).max() < 1e-6
+            assert float(r.sigma.max()) <= 1.0 + 1e-12
+            assert unitarity_residual(r.mesh_u) < 1e-10
+            assert unitarity_residual(r.mesh_v) < 1e-10
 
     def test_meshes_hold_only_the_used_modes(self):
         # 16x2 and 1x16 are the XOR layers: 29 + 1 and 0 + 15 MZIs, against
@@ -658,19 +543,19 @@ class TestRealizeWeight:
         rng = np.random.default_rng(24)
         for shape, (n_v, n_u) in (((16, 2), (1, 29)), ((1, 16), (15, 0)), ((3, 3), (3, 3))):
             w = rng.normal(size=shape)
-            layer = realize_weight(w)
-            assert (len(layer.mesh_v.modes), len(layer.mesh_u.modes)) == (n_v, n_u)
-            assert (layer.mesh_v.n, layer.mesh_u.n) == (shape[1], shape[0])
-            np.testing.assert_allclose(layer.realized_matrix, w, rtol=0, atol=1e-13)
+            r = realize_weight(w)
+            assert (len(r.mesh_v.modes), len(r.mesh_u.modes)) == (n_v, n_u)
+            assert (r.mesh_v.n, r.mesh_u.n) == (shape[1], shape[0])
+            np.testing.assert_allclose(read_back(r), w, rtol=0, atol=1e-13)
 
     def test_mnist_aggregator_shape(self):
         # The 10x784 output layer: 7,785 + 45 MZIs instead of two full
         # meshes of 306,936 + 45.
         w = np.random.default_rng(25).normal(scale=0.05, size=(10, 784))
-        layer = realize_weight(w)
-        assert len(layer.mesh_v.modes) + len(layer.mesh_u.modes) == 7830
-        assert np.abs(layer.realized_matrix - w).max() < 1e-12 * max(1.0, layer.scale)
-        assert unitarity_residual(layer.mesh_u) < 1e-10
+        r = realize_weight(w)
+        assert len(r.mesh_v.modes) + len(r.mesh_u.modes) == 7830
+        assert np.abs(read_back(r) - w).max() < 1e-12 * max(1.0, r.scale)
+        assert unitarity_residual(r.mesh_u) < 1e-10
 
     def test_non_finite_weight_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -679,27 +564,14 @@ class TestRealizeWeight:
             realize_weight(np.zeros(3))
 
     def test_attenuations_outside_unit_interval_rejected(self):
-        base = realize_weight(np.eye(2))
         with pytest.raises(ValueError, match="attenuations"):
-            PhotonicLayer(
-                mesh_v=base.mesh_v,
-                sigma=np.array([1.2, 0.5]),
-                mesh_u=base.mesh_u,
-                scale=1.0,
-            )
-        with pytest.raises(ValueError, match="length"):
-            PhotonicLayer(
-                mesh_v=base.mesh_v,
-                sigma=np.array([0.5]),
-                mesh_u=base.mesh_u,
-                scale=1.0,
-            )
+            _check_gain(np.array([1.2, 0.5]), 1.0)
+        _check_gain(np.array([1.0, 0.0]), 1.0)
 
     @pytest.mark.parametrize("sigma", [[np.nan, 0.5], [0.5, -0.1]], ids=["nan", "negative"])
     def test_attenuations_that_are_nan_or_negative_rejected(self, sigma):
-        base = realize_weight(np.eye(2))
         with pytest.raises(ValueError, match="attenuations"):
-            PhotonicLayer(base.mesh_v, np.array(sigma), base.mesh_u, 1.0)
+            _check_gain(np.array(sigma), 1.0)
 
     def test_overflowing_gain_is_non_finite_on_both_entry_points(self):
         # The largest singular value of this finite block overflows to inf.
@@ -734,41 +606,43 @@ class TestRealizeWeight:
 
     @pytest.mark.parametrize("scale", [np.nan, np.inf, -2.0, 0.0], ids=repr)
     def test_gain_that_is_not_finite_and_positive_rejected(self, scale):
-        base = realize_weight(np.eye(2))
         with pytest.raises(ValueError, match="scale must be finite and > 0"):
-            PhotonicLayer(base.mesh_v, base.sigma, base.mesh_u, scale)
+            _check_gain(np.ones(2), scale)
 
 
 class TestApplyPhaseNoise:
     def test_zero_sigma_is_bit_identical(self):
-        prog = random_program(4, seed=14)
-        noisy = apply_phase_noise(prog, 0.0, seed=0)
-        np.testing.assert_array_equal(noisy.thetas, prog.thetas)
-        np.testing.assert_array_equal(noisy.phis, prog.phis)
-        np.testing.assert_array_equal(noisy.out_phases, prog.out_phases)
+        mesh = random_mesh(4, seed=14)
+        noisy = apply_phase_noise(mesh, 0.0, seed=0)
+        assert (noisy.n, noisy.modes) == (mesh.n, mesh.modes)
+        assert phase_bits(noisy) == phase_bits(mesh)
 
     def test_noise_preserves_unitarity(self):
-        prog = random_program(5, seed=15)
-        noisy = apply_phase_noise(prog, 0.5, seed=1)
+        mesh = random_mesh(5, seed=15)
+        noisy = apply_phase_noise(mesh, 0.5, seed=1)
+        assert type(noisy) is Mesh
         assert unitarity_residual(noisy) < 1e-12
-        assert np.abs(noisy.thetas - prog.thetas).max() > 0.0
+        assert np.abs(np.subtract(noisy.thetas, mesh.thetas)).max() > 0.0
+        for phases in (noisy.thetas, noisy.phis, noisy.out_phases):
+            assert all(0.0 <= x < 2 * np.pi for x in phases)
 
     def test_seeded_determinism(self):
-        prog = random_program(3, seed=16)
-        a = apply_phase_noise(prog, 0.1, seed=7)
-        b = apply_phase_noise(prog, 0.1, seed=7)
-        c = apply_phase_noise(prog, 0.1, seed=8)
-        np.testing.assert_array_equal(a.thetas, b.thetas)
-        assert np.any(a.thetas != c.thetas)
+        mesh = random_mesh(3, seed=16)
+        a = apply_phase_noise(mesh, 0.1, seed=7)
+        b = apply_phase_noise(mesh, 0.1, seed=7)
+        c = apply_phase_noise(mesh, 0.1, seed=8)
+        assert phase_bits(a) == phase_bits(b)
+        assert a.thetas != c.thetas
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            apply_phase_noise(random_program(2, seed=17), -0.1, seed=0)
+            apply_phase_noise(random_mesh(2, seed=17), -0.1, seed=0)
 
-    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    @pytest.mark.parametrize("sigma", [np.inf, -np.inf, np.nan], ids=repr)
     def test_non_finite_sigma_rejected(self, sigma):
-        with pytest.raises(ValueError):
-            apply_phase_noise(random_program(2, seed=17), sigma, seed=0)
+        # rng.normal(0, inf) draws inf, which wrapping would turn into NaN phases.
+        with pytest.raises(ValueError, match="sigma_phase must be finite and >= 0"):
+            apply_phase_noise(random_mesh(2, seed=17), sigma, seed=0)
 
 
 class TestRealizeNetwork:
@@ -816,8 +690,8 @@ class TestRealizeNetwork:
         stage1 = realized.layers[0]
         assert stage1.blocks.shape == (3, 2, 4) and stage1.activation is Activation.RELU
         for got, block in zip(stage1.blocks, blocks.blocks):
-            np.testing.assert_array_equal(got, realize_weight(block).realized_matrix.real)
-        dense = realize_weight(blocks.weight).realized_matrix.real
+            np.testing.assert_array_equal(got, read_back(realize_weight(block)).real)
+        dense = read_back(realize_weight(blocks.weight)).real
         np.testing.assert_allclose(stage1.weight, dense, rtol=0, atol=1e-12)
         assert realized.layers[1].blocks.shape == (1, 1, 6)
 
