@@ -319,14 +319,19 @@ def apply_phase_noise(mesh: Mesh, sigma_phase: float, seed: int) -> Mesh:
     """The mesh with i.i.d. Gaussian noise on every phase (thetas, phis, output screen).
 
     Phase-only perturbations, so the result is exactly unitary again.
-    ``sigma_phase`` must be finite and >= 0; 0 returns the same phases.
+    ``sigma_phase`` must be finite and >= 0; 0 returns the same phases.  A
+    non-finite phase, in the mesh or after the noise (a sigma near the
+    largest float can overflow a draw), raises
+    :class:`~twopass.core.NonFiniteError` rather than wrapping to NaN.
     """
     if not 0.0 <= sigma_phase < math.inf:
         raise ValueError(f"sigma_phase must be finite and >= 0, got {sigma_phase!r}")
     rng = np.random.default_rng(seed)
     k = len(mesh.modes)
-    thetas, phis, out_phases = (
-        np.add(phases, rng.normal(0.0, sigma_phase, size)).tolist()
+    noisy = [
+        np.add(phases, rng.normal(0.0, sigma_phase, size))
         for phases, size in ((mesh.thetas, k), (mesh.phis, k), (mesh.out_phases, mesh.n))
-    )
-    return _wrap(mesh.n, mesh.modes, thetas, phis, out_phases)
+    ]
+    for name, phases in zip(("thetas", "phis", "out_phases"), noisy):
+        _require_finite(f"noisy {name}", phases)
+    return _wrap(mesh.n, mesh.modes, *(phases.tolist() for phases in noisy))

@@ -8,6 +8,7 @@ from twopass import (
     Layer,
     LayerSpec,
     Network,
+    NonFiniteError,
     activation_apply,
     activation_derivative,
     build_network,
@@ -218,11 +219,31 @@ class TestNetworkTypes:
         with pytest.raises(ValueError, match=rf"{field} must be an integer >= 1, got {value!r}"):
             LayerSpec(activation=Activation.RELU, **dims)
 
+    @pytest.mark.parametrize("value", [0, -1], ids=repr)
+    @pytest.mark.parametrize("field", ["in_dim", "out_dim"])
+    def test_layer_spec_error_names_the_non_positive_dim(self, field, value):
+        dims = {"in_dim": 2, "out_dim": 2, field: value}
+        with pytest.raises(ValueError, match=rf"{field} must be an integer >= 1, got {value}"):
+            LayerSpec(activation=Activation.RELU, **dims)
+
     def test_layer_requires_2d_finite_weight(self):
         with pytest.raises(ValueError):
             Layer(np.zeros(3), Activation.IDENTITY)
         with pytest.raises(ValueError):
             Layer(np.array([[np.nan]]), Activation.IDENTITY)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (1, 1, 2, 2)], ids=str)
+    def test_layer_weight_of_other_rank_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"2-D or 3-D \(k, o, i\), got shape"):
+            Layer(np.ones(shape), Activation.IDENTITY)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=repr)
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 3)], ids=str)
+    def test_each_non_finite_block_entry_rejected(self, shape, value):
+        blocks = np.ones(shape)
+        blocks[(-1,) * len(shape)] = value
+        with pytest.raises(NonFiniteError, match="layer weight contains non-finite"):
+            Layer(blocks, Activation.IDENTITY)
 
     def test_block_layer_shape_and_zero_enforcement(self):
         with pytest.raises(ValueError, match="3-D"):

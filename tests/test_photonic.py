@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import struct
 from unittest import mock
 
@@ -563,6 +564,76 @@ class TestRealizeWeight:
         with pytest.raises(ValueError, match="2-D"):
             realize_weight(np.zeros(3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=repr)
+    def test_each_non_finite_weight_rejected(self, value):
+        w = np.ones((3, 2))
+        w[2, 1] = value
+        with pytest.raises(NonFiniteError, match="weight contains non-finite"):
+            realize_weight(w)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (1, 2, 2)], ids=str)
+    def test_weight_that_is_not_2d_rejected(self, shape):
+        match = re.escape(f"weight must be 2-D, got shape {shape}")
+        with pytest.raises(ValueError, match=match):
+            realize_weight(np.ones(shape))
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 16), (16, 1), (16, 2), (2, 16), (3, 3), (5, 8), (8, 5)], ids=str
+    )
+    def test_realized_meshes_are_well_formed(self, shape):
+        # What a mesh must hold for read_back to mean anything: modes in
+        # range, one theta and phi per MZI, one output phase per mode, every
+        # phase finite and wrapped, a unitary transfer and the MZI count of
+        # the k used modes.
+        m, n = shape
+        k = min(m, n)
+        w = np.random.default_rng(m * 100 + n).normal(size=shape)
+        r = realize_weight(w)
+        assert r.sigma.shape == (k,)
+        for mesh, width in ((r.mesh_v, n), (r.mesh_u, m)):
+            assert type(mesh) is Mesh and mesh.n == width
+            assert len(mesh.modes) == sum(width - 1 - j for j in range(k))
+            assert all(type(i) is int and 0 <= i <= width - 2 for i in mesh.modes)
+            assert len(mesh.thetas) == len(mesh.phis) == len(mesh.modes)
+            assert len(mesh.out_phases) == width
+            for phases in (mesh.thetas, mesh.phis, mesh.out_phases):
+                assert all(0.0 <= x < 2 * np.pi for x in phases)
+            assert unitarity_residual(mesh) < 1e-10
+        assert np.abs(read_back(r) - w).max() <= 1e-12 * max(1.0, r.scale)
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            np.zeros((1, 1)),
+            -np.eye(4),
+            2.0 * np.eye(3),
+            np.outer([1.0, -2.0, 3.0], [0.5, 0.0, -1.0, 2.0]),
+            np.eye(5)[[4, 2, 0, 3, 1]] * np.array([[1.0], [-1.0], [1.0], [-1.0], [1.0]]),
+            np.diag([3.0, 0.0, -3.0, 1.0]),
+            1e-300 * np.random.default_rng(27).normal(size=(3, 4)),
+            1e300 * np.random.default_rng(28).normal(size=(4, 3)),
+        ],
+        ids=[
+            "zero-1x1",
+            "minus-identity",
+            "repeated-gain",
+            "rank-one",
+            "signed-permutation",
+            "zero-and-repeated-singular-values",
+            "tiny",
+            "huge",
+        ],
+    )
+    def test_edge_weights_read_back(self, w):
+        # Exact zeros, repeated and vanishing singular values and extreme
+        # scales still read back to W, relative to the gain.
+        r = realize_weight(w)
+        assert 0.0 < r.scale < np.inf
+        assert all(0.0 <= a <= 1.0 + 1e-12 for a in r.sigma)
+        assert np.abs(read_back(r) - w).max() <= 1e-12 * r.scale
+        assert unitarity_residual(r.mesh_v) < 1e-10
+        assert unitarity_residual(r.mesh_u) < 1e-10
+
     def test_attenuations_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError, match="attenuations"):
             _check_gain(np.array([1.2, 0.5]), 1.0)
@@ -643,6 +714,39 @@ class TestApplyPhaseNoise:
         # rng.normal(0, inf) draws inf, which wrapping would turn into NaN phases.
         with pytest.raises(ValueError, match="sigma_phase must be finite and >= 0"):
             apply_phase_noise(random_mesh(2, seed=17), sigma, seed=0)
+
+    def test_overflowing_noise_rejected(self):
+        # A finite sigma this large overflows some draws to +-inf; this seed
+        # overflows an output phase, which would have wrapped to NaN.
+        mesh = realize_weight(np.random.default_rng(1).normal(size=(4, 4))).mesh_v
+        with pytest.raises(NonFiniteError, match="noisy out_phases contains non-finite"):
+            apply_phase_noise(mesh, 1e308, seed=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=repr)
+    @pytest.mark.parametrize("field", ["thetas", "phis", "out_phases"])
+    def test_non_finite_phases_rejected(self, field, value):
+        # Even with no noise, a hand-built mesh's NaN or inf phase is refused,
+        # not wrapped to NaN.
+        mesh = random_mesh(3, seed=18)
+        bad = mesh._replace(**{field: getattr(mesh, field)[:-1] + [value]})
+        with pytest.raises(NonFiniteError, match=f"noisy {field} contains non-finite"):
+            apply_phase_noise(bad, 0.0, seed=0)
+
+    @pytest.mark.parametrize("sigma", [1e-3, 0.5, 3.0, 1e6], ids=repr)
+    def test_noisy_realization_stays_unitary_and_in_range(self, sigma):
+        # At any finite noise level the meshes keep their MZIs, stay unitary
+        # and keep every phase in [0, 2pi).
+        r = realize_weight(np.random.default_rng(19).normal(size=(5, 7)))
+        for i, mesh in enumerate((r.mesh_v, r.mesh_u)):
+            noisy = apply_phase_noise(mesh, sigma, seed=i)
+            assert (noisy.n, noisy.modes) == (mesh.n, mesh.modes)
+            assert unitarity_residual(noisy) < 1e-10
+            for phases, clean in zip(
+                (noisy.thetas, noisy.phis, noisy.out_phases),
+                (mesh.thetas, mesh.phis, mesh.out_phases),
+            ):
+                assert len(phases) == len(clean)
+                assert all(0.0 <= x < 2 * np.pi for x in phases)
 
 
 class TestRealizeNetwork:
