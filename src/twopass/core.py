@@ -134,7 +134,7 @@ def softmax_backward(x: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Shape and nonlinearity of one dense layer."""
+    """Shape and nonlinearity (an :class:`Activation` or its name) of one dense layer."""
 
     in_dim: int
     out_dim: int
@@ -143,6 +143,7 @@ class LayerSpec:
     def __post_init__(self) -> None:
         _check_int("in_dim", self.in_dim, 1)
         _check_int("out_dim", self.out_dim, 1)
+        object.__setattr__(self, "activation", Activation(self.activation))
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,7 @@ class Layer:
     blocks (``k*o*i`` entries rather than ``k*o*k*i``), and every update is
     block-shaped.  The dense 2-D ``weight`` is built on each read, for
     inspection only; the trainers and the photonic backend never read it.
+    ``activation`` may be given by name.
     """
 
     blocks: np.ndarray
@@ -169,6 +171,7 @@ class Layer:
             raise ValueError(f"layer weight must be 2-D or 3-D (k, o, i), got shape {b.shape}")
         _require_finite("layer weight", b)
         object.__setattr__(self, "blocks", b)
+        object.__setattr__(self, "activation", Activation(self.activation))
 
     @property
     def in_dim(self) -> int:

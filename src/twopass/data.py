@@ -283,18 +283,18 @@ def _load_split(data_dir: Path, split: str) -> Dataset:
     return Dataset(inputs=inputs, targets=one_hot(labels, 10), labels=labels)
 
 
-def load_mnist(data_dir, strict_counts: bool = True) -> tuple[Dataset, Dataset]:
+def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
     """Load the train/test splits from IDX files under ``data_dir``.
 
     Inputs are the files' uint8 pixel bytes, one flattened ``(N, 784)`` row
     per image; the trainer scales them to [0, 1] batch by batch.  Labels are
-    the label file's bytes and targets their uint8 one-hot rows.  With
-    ``strict_counts`` the standard 60000/10000 split sizes are enforced.
+    the label file's bytes and targets their uint8 one-hot rows.  The
+    standard 60000/10000 split sizes are enforced.
     """
     data_dir = Path(data_dir)
     train = _load_split(data_dir, "train")
     test = _load_split(data_dir, "test")
-    if strict_counts and (len(train) != 60000 or len(test) != 10000):
+    if len(train) != 60000 or len(test) != 10000:
         raise ValueError(
             f"expected 60000 train / 10000 test samples, got {len(train)}/{len(test)}"
         )

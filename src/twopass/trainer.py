@@ -7,14 +7,20 @@ the two passes.  Updates are a tuple of arrays, one per layer, batch-averaged
 and applied once, only after both passes complete.  Non-finite values in a
 step or an evaluation raise :class:`~twopass.core.NonFiniteError`.
 
-``train`` allocates one workspace per call, and every step writes its batch,
-both passes, the modulated input, the activation differences and the updates
-into it; ``evaluate`` likewise reuses one chunk's batch and activations.  The
-step functions take these buffers through an optional ``out`` argument;
-without it they return new arrays and change no argument, with the same
-bits either way.  What a two-pass step still allocates is small (the 10xB
-error arrays, byte gathers and finiteness masks) or must be new: the updated
-weight blocks, since a network's layers are never changed in place.  A
+A learning rule is one entry of ``_RULES``: the buffers of its passes, and
+one function that runs what follows the clean pass and the output error and
+returns the updates.  Every rule shares the rest of the step (batch, clean
+pass, error, mse, apply), so a new rule is a new :class:`Algorithm` member
+and one more entry there.
+
+``train`` allocates its rule's buffers once per call, and every step writes
+its batch, its passes, the modulated input, the activation differences and
+the updates into them; ``evaluate`` likewise reuses one chunk's batch and
+activations.  The step functions take these buffers through an optional
+``out`` argument; without it they return new arrays and change no argument,
+with the same bits either way.  What a two-pass step still allocates is small
+(the 10xB error arrays, byte gathers and finiteness masks) or must be new: the
+updated weight blocks, since a network's layers are never changed in place.  A
 backprop step also allocates ``W.T @ delta`` for each layer but the first.
 """
 
@@ -192,9 +198,9 @@ def backprop_updates(
         z, x = clean.zs[l], clean.xs[l]
         if layer.activation is Activation.SOFTMAX:
             delta = softmax_backward(x, grad_x)
-        elif delta_out[l] is None:
-            delta = grad_x * activation_derivative(layer.activation, z, x)
         else:
+            # Without a buffer the derivative is a new array, so either way
+            # the delta can overwrite it.
             deriv = activation_derivative(layer.activation, z, x, out=delta_out[l])
             delta = np.multiply(grad_x, deriv, out=deriv)
         deltas[l] = layer.avg_outer(delta, clean.activation(l), out[l])
@@ -269,36 +275,30 @@ def _narrow(trace: ForwardTrace, width: int) -> ForwardTrace:
     return ForwardTrace(x0=cut(trace.x0), zs=zs, xs=xs)
 
 
-@dataclass(frozen=True)
-class _Workspace:
-    """One training step's float arrays, allocated once per ``train`` call.
+def _two_pass(net, run, traces, gamma, proj, out):
+    clean, modulated = traces
+    # Second pass under the same frozen weights: no update is applied until
+    # both passes are done.
+    xm = modulate_input(clean.x0, proj, gamma, out=modulated.x0)
+    modulated = forward(run, xm, out=modulated)
+    # The clean hidden activations are not read again: the differences go there.
+    return two_pass_updates(net, clean, modulated, gamma, out=out, diff_out=clean.xs[:-1])
 
-    ``clean.x0`` receives the batch and ``modulated.x0`` the modulated input
-    (two-pass only, else None); ``updates`` are block-shaped.  Two-pass reads
-    no pre-activation, so its passes apply their activations in place.
-    Backprop keeps each z apart from its x: the activation derivative reads
-    it, and the layer's delta then overwrites it.
-    """
 
-    clean: ForwardTrace
-    modulated: ForwardTrace | None
-    updates: tuple[np.ndarray, ...]
+def _backprop(net, run, traces, gamma, proj, out):
+    (clean,) = traces
+    # Each pre-activation is read once, by its own layer's delta.
+    return backprop_updates(net, clean, gamma, out=out, delta_out=clean.zs)
 
-    @classmethod
-    def build(cls, net: Network, width: int, algorithm: Algorithm) -> "_Workspace":
-        two_pass = algorithm is Algorithm.TWO_PASS
-        return cls(
-            clean=_trace_buffers(net, width, in_place=two_pass),
-            modulated=_trace_buffers(net, width, in_place=True) if two_pass else None,
-            updates=tuple(np.empty(layer.blocks.shape) for layer in net.layers),
-        )
 
-    def narrow(self, width: int) -> "_Workspace":
-        return _Workspace(
-            clean=_narrow(self.clean, width),
-            modulated=None if self.modulated is None else _narrow(self.modulated, width),
-            updates=self.updates,
-        )
+# Algorithm -> (each pass's in_place flag, clean pass first; the rest of the
+# step, (net, run network, traces, gamma, F, update buffers) -> updates).
+# Two-pass reads no pre-activation, so its passes apply activations in place;
+# backprop's derivative reads each z, which its delta then overwrites.
+_RULES = {
+    Algorithm.TWO_PASS: ((True, True), _two_pass),
+    Algorithm.BACKPROP: ((False,), _backprop),
+}
 
 
 def _validate_setup(net: Network, data: Dataset, proj: np.ndarray) -> None:
@@ -342,7 +342,9 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     decay_epoch = max(1, int(np.floor(cfg.epochs * LR_DECAY_AT)))
     width = min(cfg.batch_size, n)
-    workspace = _Workspace.build(net, width, cfg.algorithm)
+    in_place, rule = _RULES[cfg.algorithm]
+    buffers = tuple(_trace_buffers(net, width, flag) for flag in in_place)
+    updates = tuple(np.empty(layer.blocks.shape) for layer in net.layers)
 
     records = []
     iteration = 0
@@ -355,9 +357,11 @@ def train(
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 iteration += 1
-                ws = workspace if len(idx) == width else workspace.narrow(len(idx))
+                traces = (
+                    buffers if len(idx) == width else tuple(_narrow(t, len(idx)) for t in buffers)
+                )
                 try:
-                    net, mse, output = _step(net, data, idx, proj, cfg.algorithm, lr, realize, ws)
+                    net, mse, output = _step(net, data, idx, proj, lr, realize, rule, traces, updates)
                 except NonFiniteError as exc:
                     raise NonFiniteError(
                         f"training diverged (non-finite values) at iteration {iteration}"
@@ -377,39 +381,29 @@ def _step(
     data: Dataset,
     idx: np.ndarray,
     proj: np.ndarray,
-    algorithm: Algorithm,
     lr: float,
     realize,
-    ws: _Workspace,
+    rule,
+    traces: tuple[ForwardTrace, ...],
+    updates: tuple[np.ndarray, ...],
 ) -> tuple[Network, float, np.ndarray]:
     """One training step on samples ``idx``: the updated network, the mse, the output.
 
-    The batch, both passes, the modulated input, the activation differences
-    and the updates are written into ``ws``, sized for ``len(idx)`` samples;
-    the output returned is ``ws``'s and is overwritten by the next step.
+    The batch and the clean pass are written into ``traces[0]``, sized for
+    ``len(idx)`` samples; ``rule`` (see ``_RULES``) runs the rest of the step
+    in ``traces`` and ``updates``.  The output returned is ``traces[0]``'s
+    and is overwritten by the next step.
     """
-    xb = _batch(data.inputs, idx, out=ws.clean.x0)
+    xb = _batch(data.inputs, idx, out=traces[0].x0)
     run = net if realize is None else realize(net)
-    clean = forward(run, xb, out=ws.clean)
+    clean = forward(run, xb, out=traces[0])
     gamma = output_error(clean.output, data.targets.take(idx, axis=0).T)
     sq = gamma * gamma
     # sum/size is np.mean's own reduction, bit for bit.
     mse = float(sq.sum() / sq.size)
     if not math.isfinite(mse):
         raise NonFiniteError("non-finite loss")
-    if algorithm is Algorithm.TWO_PASS:
-        # Second pass under the same frozen weights: no update is applied
-        # until both passes are done.
-        xm = modulate_input(xb, proj, gamma, out=ws.modulated.x0)
-        modulated = forward(run, xm, out=ws.modulated)
-        # The clean hidden activations are not read again: the differences
-        # go there.
-        updates = two_pass_updates(
-            net, clean, modulated, gamma, out=ws.updates, diff_out=clean.xs[:-1]
-        )
-    else:
-        # Each pre-activation is read once, by its own layer's delta.
-        updates = backprop_updates(net, clean, gamma, out=ws.updates, delta_out=clean.zs)
+    updates = rule(net, run, traces, gamma, proj, updates)
     # Applying the update is validated here too: on the run's last batch
     # there is no later forward pass to trip on an overflowed weight
     # subtraction.

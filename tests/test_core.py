@@ -9,12 +9,16 @@ from twopass import (
     LayerSpec,
     Network,
     NonFiniteError,
+    TrainConfig,
     activation_apply,
     activation_derivative,
     build_network,
     forward,
     init_weights,
+    sample_projection,
     softmax_backward,
+    train,
+    xor_dataset,
 )
 
 from conftest import block_diag, mean_outer
@@ -225,6 +229,27 @@ class TestNetworkTypes:
         dims = {"in_dim": 2, "out_dim": 2, field: value}
         with pytest.raises(ValueError, match=rf"{field} must be an integer >= 1, got {value}"):
             LayerSpec(activation=Activation.RELU, **dims)
+
+    @pytest.mark.parametrize("name", [kind.value for kind in Activation])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda act: Layer(np.full((1, 2), 0.5), act),
+            lambda act: build_network([LayerSpec(2, 1, act)], seed=0).layers[0],
+        ],
+        ids=["Layer", "LayerSpec"],
+    )
+    def test_activation_given_by_name(self, make, name):
+        # A name becomes its Activation at construction, so a valid one trains
+        # and an invalid one is refused there, not by the first forward pass.
+        layer = make(name)
+        assert layer.activation is Activation(name)
+        _, records = train(
+            Network((layer,)), xor_dataset(), sample_projection(2, 1, 0), TrainConfig(epochs=2)
+        )
+        assert len(records) == 2 and all(np.isfinite(r.mse) for r in records)
+        with pytest.raises(ValueError, match="'nope' is not a valid Activation"):
+            make("nope")
 
     def test_layer_requires_2d_finite_weight(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from twopass import (
     xor_dataset,
 )
 from twopass import trainer
+from twopass.data import _load_split
 
 from conftest import MNIST_FILES, corrupt_gzip, spy_on
 
@@ -31,6 +32,11 @@ def seen_by_trainer(monkeypatch, data: Dataset) -> np.ndarray:
     net = build_network([LayerSpec(784, 10, Activation.SOFTMAX)], seed=0)
     evaluate(net, data)
     return np.concatenate([call["x0"].T for call in calls])
+
+
+def load_splits(data_dir) -> tuple[Dataset, Dataset]:
+    """Both splits as ``load_mnist`` reads them, at any split sizes."""
+    return _load_split(data_dir, "train"), _load_split(data_dir, "test")
 
 
 def idx_bytes(magic: int, dims: tuple[int, ...], payload: bytes) -> bytes:
@@ -345,7 +351,7 @@ class TestLoadMnist:
 
     def test_small_synthetic_corpus_loads(self, tmp_path, monkeypatch):
         self.write_split(tmp_path, n_train=7, n_test=3)
-        train, test = load_mnist(tmp_path, strict_counts=False)
+        train, test = load_splits(tmp_path)
         assert len(train) == 7 and len(test) == 3
         assert train.inputs.dtype == np.uint8
         assert train.inputs.shape == (7, 784)
@@ -357,9 +363,7 @@ class TestLoadMnist:
 
     def test_targets_and_labels_are_bytes(self, tmp_path):
         self.write_split(tmp_path, n_train=30, n_test=5)
-        for split, labels_name in zip(
-            load_mnist(tmp_path, strict_counts=False), MNIST_FILES[1::2]
-        ):
+        for split, labels_name in zip(load_splits(tmp_path), MNIST_FILES[1::2]):
             raw = load_idx(tmp_path / labels_name)
             assert split.labels.dtype == np.uint8 and split.targets.dtype == np.uint8
             np.testing.assert_array_equal(split.labels, raw)
@@ -371,7 +375,7 @@ class TestLoadMnist:
         raw = np.zeros((1, 28, 28), dtype=np.uint8)
         raw[0, 3, 5] = 255
         write_idx(tmp_path / MNIST_FILES[0], raw)
-        train, _ = load_mnist(tmp_path, strict_counts=False)
+        train, _ = load_splits(tmp_path)
         assert train.inputs.dtype == np.uint8
         assert train.inputs.shape == (1, 784)
         assert train.inputs[0, 28 * 3 + 5] == 255
@@ -382,7 +386,7 @@ class TestLoadMnist:
 
     def test_gzipped_corpus_loads(self, tmp_path):
         self.write_split(tmp_path, n_train=2, n_test=1, gz=True)
-        train, test = load_mnist(tmp_path, strict_counts=False)
+        train, test = load_splits(tmp_path)
         assert len(train) == 2 and len(test) == 1
 
     def test_strict_counts_enforced(self, tmp_path):
@@ -392,13 +396,13 @@ class TestLoadMnist:
 
     def test_missing_file_message_names_both_candidates(self, tmp_path):
         with pytest.raises(FileNotFoundError, match=r"missing MNIST file.*\.gz"):
-            load_mnist(tmp_path, strict_counts=False)
+            load_mnist(tmp_path)
 
     def test_image_label_count_mismatch_rejected(self, tmp_path):
         self.write_split(tmp_path, n_train=4, n_test=2)
         write_idx(tmp_path / MNIST_FILES[1], np.zeros(3, dtype=np.uint8))
         with pytest.raises(ValueError, match="4 images but 3 labels"):
-            load_mnist(tmp_path, strict_counts=False)
+            load_mnist(tmp_path)
 
     def test_wrong_image_geometry_rejected(self, tmp_path):
         self.write_split(tmp_path, n_train=2, n_test=1)
@@ -407,13 +411,13 @@ class TestLoadMnist:
             np.zeros((2, 14, 14), dtype=np.uint8),
         )
         with pytest.raises(ValueError, match="28x28"):
-            load_mnist(tmp_path, strict_counts=False)
+            load_mnist(tmp_path)
 
     def test_labels_above_nine_rejected(self, tmp_path):
         self.write_split(tmp_path, n_train=2, n_test=1)
         write_idx(tmp_path / MNIST_FILES[1], np.array([4, 12], dtype=np.uint8))
         with pytest.raises(ValueError, match="0..9"):
-            load_mnist(tmp_path, strict_counts=False)
+            load_mnist(tmp_path)
 
 
 class TestRealMnist:

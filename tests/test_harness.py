@@ -279,6 +279,38 @@ class TestBenchmarkHookPoints:
             for args in calls[name]:
                 assert isinstance(args["data"], Dataset)
 
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_train_reaches_the_step_hooks_through_trainer(self, monkeypatch, algorithm):
+        # perfbench/workload.py times one step per trainer.output_error call
+        # made inside train; perfbench/spans.py splits a step into stages by
+        # the trainer attributes it replaces, and reads cfg as train's 4th
+        # positional argument.  4 samples in batches of 3 give a narrowed
+        # last batch.
+        names = ("output_error", "modulate_input", "two_pass_updates", "backprop_updates")
+        calls = {name: spy_on(monkeypatch, trainer, name) for name in (*names, "apply_updates")}
+        seen = []
+        fit = harness.train
+
+        def recording_train(*args, **kwargs):
+            before = len(calls["output_error"])
+            result = fit(*args, **kwargs)
+            seen.append((args, kwargs, len(calls["output_error"]) - before, len(result[1])))
+            return result
+
+        monkeypatch.setattr(harness, "train", recording_train)
+        run_experiment(xor_config(algorithm=algorithm.value, batch_size=3))
+        ((args, kwargs, errors, steps),) = seen
+        cfg = args[3] if len(args) > 3 else kwargs["cfg"]
+        assert (cfg.algorithm, cfg.batch_size) == (algorithm, 3)
+        assert errors == steps == 4
+        two_pass = algorithm is Algorithm.TWO_PASS
+        expected = {
+            "modulate_input": steps if two_pass else 0,
+            "two_pass_updates": steps if two_pass else 0,
+            "backprop_updates": 0 if two_pass else steps,
+            "apply_updates": steps,
+        }
+        assert {name: len(calls[name]) for name in expected} == expected
 
     def test_post_run_reads_of_the_trained_colsplit_model(self, monkeypatch, synthetic_mnist_dir):
         # What the benchmark reads around a column-split run: the model
