@@ -4,7 +4,11 @@ Arrays follow a column convention throughout the package: a single sample is a
 1-D vector of length ``d`` and a batch is a ``(d, B)`` matrix whose columns are
 samples, so ``W @ x`` covers both cases unchanged.  All public operations
 validate that their inputs and outputs are finite; a violation raises
-:class:`NonFiniteError`.
+:class:`NonFiniteError`.  :func:`forward` checks its input through its first
+products rather than on its own: every weight is finite and every block is at
+least 1x1, so each input entry meets at least one weight, and a NaN or +-inf
+there makes a pre-activation non-finite (w*NaN = NaN, 0*inf = NaN, w*inf =
++-inf), which the first layer's :func:`activation_apply` refuses.
 
 There is one layer type, :class:`Layer`, stored as a ``(k, o, i)`` stack of
 diagonal blocks; a dense layer is one block.  It exposes the four products a
@@ -169,6 +173,8 @@ class Layer:
             b = b[None]
         if b.ndim != 3:
             raise ValueError(f"layer weight must be 2-D or 3-D (k, o, i), got shape {b.shape}")
+        if 0 in b.shape:
+            raise ValueError(f"layer blocks need k, o, i >= 1, got shape {b.shape}")
         _require_finite("layer weight", b)
         object.__setattr__(self, "blocks", b)
         object.__setattr__(self, "activation", Activation(self.activation))
@@ -287,7 +293,10 @@ def forward(net: Network, x0: np.ndarray, out: ForwardTrace | None = None) -> Fo
     """Run the clean forward pass z_l = W_l x_{l-1}, x_l = f_l(z_l).
 
     Pure: the network is unchanged and repeated calls give bit-identical
-    traces.  Without ``out`` every array of the trace but ``x0`` is new.
+    traces.  A non-finite entry of ``x0`` raises :class:`NonFiniteError`
+    from the first layer's activation (see the module docstring), with
+    numpy's floating-point warnings silenced.  Without ``out`` every array
+    of the trace but ``x0`` is new.
     With ``out``, a trace of C-contiguous buffers shaped like the result
     (its ``x0`` is not read), each layer's z and x are written into
     ``out``'s arrays, and the returned trace holds ``x0`` and those arrays.
@@ -300,14 +309,14 @@ def forward(net: Network, x0: np.ndarray, out: ForwardTrace | None = None) -> Fo
         raise ValueError(f"input length {x0.shape[0]} != network in_dim {net.in_dim}")
     if out is not None and out.depth != net.depth:
         raise ValueError(f"out trace depth {out.depth} != network depth {net.depth}")
-    _require_finite("forward input", x0)
     zs, xs = [], []
     x = x0
-    for l, layer in enumerate(net.layers):
-        z = layer.matvec(x, None if out is None else out.zs[l])
-        x = activation_apply(layer.activation, z, None if out is None else out.xs[l])
-        zs.append(z)
-        xs.append(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l, layer in enumerate(net.layers):
+            z = layer.matvec(x, None if out is None else out.zs[l])
+            x = activation_apply(layer.activation, z, None if out is None else out.xs[l])
+            zs.append(z)
+            xs.append(x)
     return ForwardTrace(x0=x0, zs=tuple(zs), xs=tuple(xs))
 
 

@@ -7,21 +7,31 @@ the two passes.  Updates are a tuple of arrays, one per layer, batch-averaged
 and applied once, only after both passes complete.  Non-finite values in a
 step or an evaluation raise :class:`~twopass.core.NonFiniteError`.
 
-A learning rule is one entry of ``_RULES``: the buffers of its passes, and
-one function that runs what follows the clean pass and the output error and
-returns the updates.  Every rule shares the rest of the step (batch, clean
-pass, error, mse, apply), so a new rule is a new :class:`Algorithm` member
-and one more entry there.
+A learning rule is one entry of ``_RULES``: a function that allocates the
+buffers of its passes, and one function that runs what follows the clean
+pass and the output error and returns the updates.  Every rule shares the
+rest of the step (batch, clean pass, error, mse, apply), so a new rule is a
+new :class:`Algorithm` member and one more entry there.
 
 ``train`` allocates its rule's buffers once per call, and every step writes
 its batch, its passes, the modulated input, the activation differences and
 the updates into them; ``evaluate`` likewise reuses one chunk's batch and
 activations.  The step functions take these buffers through an optional
 ``out`` argument; without it they return new arrays and change no argument,
-with the same bits either way.  What a two-pass step still allocates is small
-(the 10xB error arrays, byte gathers and finiteness masks) or must be new: the
-updated weight blocks, since a network's layers are never changed in place.  A
-backprop step also allocates ``W.T @ delta`` for each layer but the first.
+with the same bits either way.
+
+A two-pass step computes and holds only what its rule reads.  Hidden layer
+l learns from x_l - x_err,l and the output layer from gamma, each with the
+modulated activation entering it, so nothing reads the modulated output: the
+second pass stops at the last hidden layer, and a one-layer network runs
+none.  Both passes apply their activations in place, since no pre-activation
+is read, and the differences overwrite the clean hidden activations.  Nothing
+reads the batch once the modulated input is formed, so the modulated first
+hidden activation overwrites it: the two are the first rows of one array.
+What a two-pass step still allocates is small (the 10xB error arrays, byte
+gathers and finiteness masks) or must be new: the updated weight blocks,
+since a network's layers are never changed in place.  A backprop step also
+allocates ``W.T @ delta`` for each layer but the first.
 """
 
 from __future__ import annotations
@@ -140,6 +150,9 @@ def two_pass_updates(
     itself); the last layer uses the output error gamma.  Batched traces
     yield batch-averaged updates.  ``net`` is the network both passes ran
     under; each update is shaped like its layer's ``(k, o, i)`` blocks.
+    ``clean`` covers all L layers.  ``modulated`` may cover the L-1 hidden
+    layers only, since the rule reads nothing of its output layer, or all
+    L, whose output is then not read; the bits are the same.
 
     Without ``out`` the updates are new arrays; with ``out``, one
     block-shaped array per layer, they are written into it and ``out`` is
@@ -149,10 +162,12 @@ def two_pass_updates(
     which overwrites the clean trace.  No other argument changes, and the
     bits are the same either way.
     """
-    if clean.depth != modulated.depth:
-        raise ValueError(f"trace depth mismatch: {clean.depth} != {modulated.depth}")
     if clean.depth != net.depth:
-        raise ValueError(f"trace depth {clean.depth} != network depth {net.depth}")
+        raise ValueError(f"clean trace depth {clean.depth} != network depth {net.depth}")
+    if modulated.depth not in (net.depth - 1, net.depth):
+        raise ValueError(
+            f"modulated trace depth {modulated.depth} is neither {net.depth - 1} nor {net.depth}"
+        )
     if _batch_width(clean.x0) != _batch_width(modulated.x0):
         raise ValueError("clean and modulated traces have different batch widths")
     depth = net.depth
@@ -259,12 +274,29 @@ def _trace_buffers(net: Network, width: int, in_place: bool) -> ForwardTrace:
     return ForwardTrace(x0=np.empty((net.in_dim, width)), zs=zs, xs=xs)
 
 
+def _two_pass_buffers(net: Network, width: int) -> tuple[ForwardTrace, ForwardTrace]:
+    """In-place buffers for the clean pass and the modulated pass's hidden layers.
+
+    The batch and the modulated first hidden activation are the first rows
+    of one array, prefixes of its memory, as :func:`_narrow` keeps them.
+    """
+    hidden = [layer.out_dim for layer in net.layers[:-1]]
+    shared = np.empty((max([net.in_dim, *hidden[:1]]), width))
+    xs = tuple(np.empty((layer.out_dim, width)) for layer in net.layers)
+    mxs = tuple(shared[:h] if l == 0 else np.empty((h, width)) for l, h in enumerate(hidden))
+    return (
+        ForwardTrace(x0=shared[: net.in_dim], zs=xs, xs=xs),
+        ForwardTrace(x0=np.empty((net.in_dim, width)), zs=mxs, xs=mxs),
+    )
+
+
 def _narrow(trace: ForwardTrace, width: int) -> ForwardTrace:
     """``trace``'s buffers for a narrower batch: C-contiguous prefixes of each.
 
     Each ``(rows, width)`` view holds the first ``rows * width`` entries of
     its buffer.  The views are C-contiguous, the layout of a new array, so
-    products through them round as products through new arrays would.
+    products through them round as products through new arrays would, and
+    buffers that share the start of one array's memory still share it.
     """
 
     def cut(a: np.ndarray) -> np.ndarray:
@@ -277,10 +309,12 @@ def _narrow(trace: ForwardTrace, width: int) -> ForwardTrace:
 
 def _two_pass(net, run, traces, gamma, proj, out):
     clean, modulated = traces
-    # Second pass under the same frozen weights: no update is applied until
-    # both passes are done.
+    # Second pass under the same frozen weights (no update is applied until
+    # both passes are done), through the hidden layers only; its first
+    # activation overwrites the batch.
     xm = modulate_input(clean.x0, proj, gamma, out=modulated.x0)
-    modulated = forward(run, xm, out=modulated)
+    if modulated.xs:
+        modulated = forward(Network(run.layers[:-1]), xm, out=modulated)
     # The clean hidden activations are not read again: the differences go there.
     return two_pass_updates(net, clean, modulated, gamma, out=out, diff_out=clean.xs[:-1])
 
@@ -291,13 +325,13 @@ def _backprop(net, run, traces, gamma, proj, out):
     return backprop_updates(net, clean, gamma, out=out, delta_out=clean.zs)
 
 
-# Algorithm -> (each pass's in_place flag, clean pass first; the rest of the
-# step, (net, run network, traces, gamma, F, update buffers) -> updates).
-# Two-pass reads no pre-activation, so its passes apply activations in place;
-# backprop's derivative reads each z, which its delta then overwrites.
+# Algorithm -> ((net, batch width) -> each pass's buffers, clean pass first;
+# the rest of the step, (net, run network, traces, gamma, F, update buffers)
+# -> updates).  Backprop's derivative reads each z, which its delta then
+# overwrites, so its one pass keeps z apart from x.
 _RULES = {
-    Algorithm.TWO_PASS: ((True, True), _two_pass),
-    Algorithm.BACKPROP: ((False,), _backprop),
+    Algorithm.TWO_PASS: (_two_pass_buffers, _two_pass),
+    Algorithm.BACKPROP: (lambda net, width: (_trace_buffers(net, width, False),), _backprop),
 }
 
 
@@ -342,8 +376,8 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     decay_epoch = max(1, int(np.floor(cfg.epochs * LR_DECAY_AT)))
     width = min(cfg.batch_size, n)
-    in_place, rule = _RULES[cfg.algorithm]
-    buffers = tuple(_trace_buffers(net, width, flag) for flag in in_place)
+    make_buffers, rule = _RULES[cfg.algorithm]
+    buffers = make_buffers(net, width)
     updates = tuple(np.empty(layer.blocks.shape) for layer in net.layers)
 
     records = []

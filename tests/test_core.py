@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +192,25 @@ class TestForward:
         np.testing.assert_array_equal(trace.activation(0), x0)
         np.testing.assert_array_equal(trace.activation(1), trace.xs[0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=repr)
+    @pytest.mark.parametrize("kind", list(Activation))
+    @pytest.mark.parametrize("width", [None, 5], ids=["sample", "batch"])
+    @pytest.mark.parametrize(
+        "blocks",
+        [np.zeros((1, 3, 4)), np.ones((1, 3, 4)), np.zeros((3, 2, 2)), np.ones((3, 2, 2))],
+        ids=["zeros", "dense", "zeros_3_blocks", "3_blocks"],
+    )
+    def test_non_finite_input_rejected(self, blocks, width, kind, value):
+        # Whichever entry holds it, the value meets at least one weight.
+        first = Layer(blocks, kind)
+        net = Network((first, Layer(np.ones((2, first.out_dim)), kind)))
+        shape = (net.in_dim,) if width is None else (net.in_dim, width)
+        for entry in range(math.prod(shape)):
+            x0 = np.full(shape, 0.5)
+            x0.flat[entry] = value
+            with pytest.raises(NonFiniteError):
+                forward(net, x0)
+
 
 class TestInitWeights:
     def test_same_spec_and_seed_bit_identical(self):
@@ -261,6 +283,13 @@ class TestNetworkTypes:
     def test_layer_weight_of_other_rank_rejected(self, shape):
         with pytest.raises(ValueError, match=r"2-D or 3-D \(k, o, i\), got shape"):
             Layer(np.ones(shape), Activation.IDENTITY)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 2, 3), (2, 0, 3), (2, 2, 0)], ids=str)
+    def test_zero_width_blocks_rejected(self, shape):
+        # As LayerSpec refuses a width of 0, so does a layer given its blocks.
+        stored = shape if len(shape) == 3 else (1, *shape)
+        with pytest.raises(ValueError, match=re.escape(f"k, o, i >= 1, got shape {stored}")):
+            Layer(np.zeros(shape), Activation.RELU)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=repr)
     @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 3)], ids=str)

@@ -284,22 +284,33 @@ class TestBenchmarkHookPoints:
         # perfbench/workload.py times one step per trainer.output_error call
         # made inside train; perfbench/spans.py splits a step into stages by
         # the trainer attributes it replaces, and reads cfg as train's 4th
-        # positional argument.  4 samples in batches of 3 give a narrowed
-        # last batch.
+        # positional argument; a forward pass right after modulate_input is
+        # the modulated pass.  4 samples in batches of 3 give a narrowed last
+        # batch.
         names = ("output_error", "modulate_input", "two_pass_updates", "backprop_updates")
         calls = {name: spy_on(monkeypatch, trainer, name) for name in (*names, "apply_updates")}
+        # Per forward call: the modulate_input calls made so far, and its network's depth.
+        passes = []
+        forward = trainer.forward
+
+        def recording_forward(net, *args, **kwargs):
+            passes.append((len(calls["modulate_input"]), net.depth))
+            return forward(net, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "forward", recording_forward)
         seen = []
         fit = harness.train
 
         def recording_train(*args, **kwargs):
-            before = len(calls["output_error"])
+            before = len(calls["output_error"]), len(passes)
             result = fit(*args, **kwargs)
-            seen.append((args, kwargs, len(calls["output_error"]) - before, len(result[1])))
+            errors = len(calls["output_error"]) - before[0]
+            seen.append((args, kwargs, errors, len(result[1]), passes[before[1] :]))
             return result
 
         monkeypatch.setattr(harness, "train", recording_train)
         run_experiment(xor_config(algorithm=algorithm.value, batch_size=3))
-        ((args, kwargs, errors, steps),) = seen
+        ((args, kwargs, errors, steps, step_passes),) = seen
         cfg = args[3] if len(args) > 3 else kwargs["cfg"]
         assert (cfg.algorithm, cfg.batch_size) == (algorithm, 3)
         assert errors == steps == 4
@@ -311,6 +322,11 @@ class TestBenchmarkHookPoints:
             "apply_updates": steps,
         }
         assert {name: len(calls[name]) for name in expected} == expected
+        # XOR's network has two layers; the modulated pass runs the hidden one.
+        if two_pass:
+            assert step_passes == [p for i in range(steps) for p in ((i, 2), (i + 1, 1))]
+        else:
+            assert step_passes == [(0, 2)] * steps
 
     def test_post_run_reads_of_the_trained_colsplit_model(self, monkeypatch, synthetic_mnist_dir):
         # What the benchmark reads around a column-split run: the model

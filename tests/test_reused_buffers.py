@@ -38,7 +38,7 @@ from twopass import (
 )
 from twopass import trainer
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, spy_on
 
 
 def reference_train(net, data, proj, cfg, realize=None):
@@ -125,11 +125,32 @@ def xor_net(seed):
     )
 
 
+def wide_hidden(seed):
+    rng = np.random.default_rng(seed)
+    return Network(
+        (
+            Layer(rng.uniform(-0.3, 0.3, (40, 12)), Activation.RELU),
+            Layer(rng.uniform(-0.3, 0.3, (10, 40)), Activation.SOFTMAX),
+        )
+    )
+
+
 # (network, data, batch size, epochs, realize).  300 samples leave a last
 # training batch of 44 (and of 12 at batch 32) and a last evaluation chunk of
-# 44, which run through narrower views of the buffers.
+# 44, which run through narrower views of the buffers.  A two-pass step keeps
+# its batch and its modulated first hidden activation in one array: the
+# inputs are wider than that activation in dense_784 and blocks_28, as wide
+# in colsplit_784 (the column-split shape) and narrower in wide_hidden.
 CASES = {
     "dense_784": lambda: (dense_784(1), byte_images(300, (784,), 2), 64, 2, None),
+    "colsplit_784": lambda: (
+        build_colsplit_net(seed=8).network,
+        byte_images(300, (28, 28), 9),
+        64,
+        1,
+        None,
+    ),
+    "wide_hidden": lambda: (wide_hidden(10), byte_images(300, (12,), 11), 64, 2, None),
     "blocks_28": lambda: (
         build_colsplit_net(seed=3, column_out=4).network,
         byte_images(300, (28, 28), 4),
@@ -144,15 +165,24 @@ CASES = {
 
 @pytest.mark.parametrize("algorithm", list(Algorithm))
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_train_and_evaluate_match_allocating_reference(case, algorithm):
+def test_train_and_evaluate_match_allocating_reference(monkeypatch, case, algorithm):
     net, data, batch_size, epochs, realize = CASES[case]()
     proj = sample_projection(net.in_dim, net.out_dim, 11, scale=0.5)
     cfg = TrainConfig(
         learning_rate=0.05, epochs=epochs, batch_size=batch_size, seed=13, algorithm=algorithm
     )
+    steps = spy_on(monkeypatch, trainer, "_step")
     trained, records = train(net, data, proj, cfg, realize=realize)
     ref_net, ref_records = reference_train(net, data, proj, cfg, realize=realize)
     assert record_bits(records) == record_bits(ref_records)
+    # The modulated first hidden activation overwrites the spent batch; no
+    # other step buffers share memory.
+    aliased = {("0.x0", "1.x1")} if algorithm is Algorithm.TWO_PASS else set()
+    # Full batches, and a narrowed last one wherever the batch size leaves one.
+    n = len(data.inputs)
+    assert {len(step["idx"]) for step in steps} == {batch_size, n % batch_size or batch_size}
+    for step in steps:
+        assert aliased_buffers(step["traces"], step["updates"]) == aliased
     # Training moved the weights, so the comparison covers real updates.
     assert trained.layers[0].blocks.tobytes() != net.layers[0].blocks.tobytes()
     for got, want in zip(trained.layers, ref_net.layers):
@@ -165,6 +195,30 @@ def test_train_and_evaluate_match_allocating_reference(case, algorithm):
     if accuracy is not None:
         assert result.accuracy.hex() == accuracy.hex()
     assert result.predictions.tobytes() == preds.tobytes()
+
+
+def aliased_buffers(traces, updates):
+    """Name pairs of a step's distinct buffers that share memory.
+
+    ``"k.x0"`` is trace k's input, ``"k.zl"`` and ``"k.xl"`` layer l's (1-based)
+    pre-activation and activation, ``"dwl"`` layer l's update buffer; a z that
+    is its layer's x is named once, as the x.
+    """
+    named = {}
+    for k, trace in enumerate(traces):
+        named[f"{k}.x0"] = trace.x0
+        for l, (z, x) in enumerate(zip(trace.zs, trace.xs), 1):
+            named[f"{k}.x{l}"] = x
+            if z is not x:
+                named[f"{k}.z{l}"] = z
+    named.update((f"dw{l}", dw) for l, dw in enumerate(updates, 1))
+    items = list(named.items())
+    return {
+        (a, b)
+        for i, (a, x) in enumerate(items)
+        for b, y in items[i + 1 :]
+        if np.shares_memory(x, y)
+    }
 
 
 def trace_bits(trace):

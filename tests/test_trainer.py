@@ -11,6 +11,7 @@ from twopass import (
     Activation,
     Algorithm,
     Dataset,
+    ForwardTrace,
     Layer,
     LayerSpec,
     Network,
@@ -223,10 +224,35 @@ class TestTwoPassUpdates:
         np.testing.assert_array_equal(updates[2], np.outer(gamma, modulated.xs[1])[None])
 
     def test_depth_mismatch_rejected(self):
-        net2, net1 = hand_net(), Network((Layer(np.eye(2), Activation.IDENTITY),))
+        # The modulated trace may stop one layer short (see the next test),
+        # but no shorter, and may not run deeper than the network.
+        net1 = Network((Layer(np.eye(2), Activation.IDENTITY),))
+        net2, net3 = hand_net(), Network(hand_net().layers + net1.layers)
         x0 = np.array([1.0, 2.0])
-        with pytest.raises(ValueError):
-            two_pass_updates(net2, forward(net2, x0), forward(net1, x0), np.zeros(2))
+        with pytest.raises(ValueError, match="modulated trace depth 1"):
+            two_pass_updates(net3, forward(net3, x0), forward(net1, x0), np.zeros(2))
+        with pytest.raises(ValueError, match="modulated trace depth 3"):
+            two_pass_updates(net2, forward(net2, x0), forward(net3, x0), np.zeros(2))
+        with pytest.raises(ValueError, match="clean trace depth 1"):
+            two_pass_updates(net2, forward(net1, x0), forward(net2, x0), np.zeros(2))
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_hidden_only_trace_gives_the_full_trace_bits(self, depth):
+        # The rule reads nothing of the modulated output layer, so a second
+        # pass through the hidden layers only gives the same updates.
+        net = Network(block_net(4).layers[-depth:])
+        rng = np.random.default_rng(depth)
+        proj, x0 = rng.normal(size=(net.in_dim, 2)), rng.random((net.in_dim, 5))
+        clean = forward(net, x0)
+        gamma = output_error(clean.output, rng.random((2, 5)))
+        xm = modulate_input(x0, proj, gamma)
+        full = two_pass_updates(net, clean, forward(net, xm), gamma)
+        if depth == 1:
+            hidden = ForwardTrace(x0=xm, zs=(), xs=())
+        else:
+            hidden = forward(Network(net.layers[:-1]), xm)
+        got = two_pass_updates(net, clean, hidden, gamma)
+        assert [u.tobytes() for u in got] == [u.tobytes() for u in full]
 
     def test_batch_width_mismatch_rejected(self):
         net = hand_net()
