@@ -19,6 +19,7 @@ like the blocks.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -69,6 +70,12 @@ def _check_int(name: str, value, minimum: int) -> None:
     """Raise ValueError unless ``value`` is an integer (not a bool) >= ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a positive, finite real (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def activation_apply(kind: Activation, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -33,11 +33,19 @@ from .colsplit import (
     colsplit_train,
     confusion_matrix,
 )
-from .core import Activation, LayerSpec, Network, NonFiniteError, _check_int, build_network
+from .core import (
+    Activation,
+    LayerSpec,
+    Network,
+    NonFiniteError,
+    _check_int,
+    _check_positive,
+    build_network,
+)
 from .data import Dataset, load_mnist, xor_dataset
 from .modulation import sample_projection
 from .photonic import realize_network
-from .trainer import MetricRecord, TrainConfig, _check_positive, evaluate, train
+from .trainer import MetricRecord, TrainConfig, evaluate, train
 
 __all__ = [
     "Task",

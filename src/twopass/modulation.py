@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _require_finite
+from .core import _check_int, _check_positive, _require_finite
 
 __all__ = [
     "sample_projection",
@@ -28,8 +28,10 @@ def sample_projection(
     F is returned read-only, shape (input_dim, output_dim).  The 0.05 default
     follows the fan-in scaling rule; deterministic per seed.
     """
-    if input_dim < 1 or output_dim < 1:
-        raise ValueError(f"projection dims must be >= 1, got {input_dim}x{output_dim}")
+    _check_int("input_dim", input_dim, 1)
+    _check_int("output_dim", output_dim, 1)
+    _check_int("seed", seed, 0)
+    _check_positive("scale", scale)
     sigma = scale * np.sqrt(6.0 / input_dim)
     proj = np.random.default_rng(seed).normal(0.0, sigma, size=(input_dim, output_dim))
     proj.flags.writeable = False

@@ -13,12 +13,13 @@ pass and the output error and returns the updates.  Every rule shares the
 rest of the step (batch, clean pass, error, mse, apply), so a new rule is a
 new :class:`Algorithm` member and one more entry there.
 
-``train`` allocates its rule's buffers once per call, and every step writes
-its batch, its passes, the modulated input, the activation differences and
-the updates into them; ``evaluate`` likewise reuses one chunk's batch and
-activations.  The step functions take these buffers through an optional
-``out`` argument; without it they return new arrays and change no argument,
-with the same bits either way.
+``train`` allocates its rule's buffers for the width of the batch they
+serve, again only when that width changes, and every step writes its batch,
+its passes, the modulated input, the activation differences and the updates
+into them; ``evaluate`` likewise reuses one chunk's batch and activations.
+The step functions take these buffers through an optional ``out``
+argument; without it they return new arrays and change no argument, with
+the same bits either way.
 
 A two-pass step computes and holds only what its rule reads.  Hidden layer
 l learns from x_l - x_err,l and the output layer from gamma, each with the
@@ -37,7 +38,6 @@ allocates ``W.T @ delta`` for each layer but the first.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,6 +49,7 @@ from .core import (
     Network,
     NonFiniteError,
     _check_int,
+    _check_positive,
     activation_derivative,
     forward,
     softmax_backward,
@@ -79,16 +80,10 @@ class Algorithm(str, Enum):
 LR_DECAY = 0.1
 LR_DECAY_AT = 2.0 / 3.0
 
-# Samples per forward pass in evaluate.  One chunk's batch and activations
-# are allocated once per call and reused by every chunk; at width 784 they
-# are 1.6 MB apiece.  The mse's last bits depend on this size (see evaluate).
+# Samples per forward pass in evaluate.  Chunks of one width reuse one batch
+# and one set of activations; at width 784 they are 1.6 MB apiece.  The
+# mse's last bits depend on this size (see evaluate).
 EVAL_BATCH = 256
-
-
-def _check_positive(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a positive, finite real (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -278,7 +273,7 @@ def _two_pass_buffers(net: Network, width: int) -> tuple[ForwardTrace, ForwardTr
     """In-place buffers for the clean pass and the modulated pass's hidden layers.
 
     The batch and the modulated first hidden activation are the first rows
-    of one array, prefixes of its memory, as :func:`_narrow` keeps them.
+    of one array.
     """
     hidden = [layer.out_dim for layer in net.layers[:-1]]
     shared = np.empty((max([net.in_dim, *hidden[:1]]), width))
@@ -288,23 +283,6 @@ def _two_pass_buffers(net: Network, width: int) -> tuple[ForwardTrace, ForwardTr
         ForwardTrace(x0=shared[: net.in_dim], zs=xs, xs=xs),
         ForwardTrace(x0=np.empty((net.in_dim, width)), zs=mxs, xs=mxs),
     )
-
-
-def _narrow(trace: ForwardTrace, width: int) -> ForwardTrace:
-    """``trace``'s buffers for a narrower batch: C-contiguous prefixes of each.
-
-    Each ``(rows, width)`` view holds the first ``rows * width`` entries of
-    its buffer.  The views are C-contiguous, the layout of a new array, so
-    products through them round as products through new arrays would, and
-    buffers that share the start of one array's memory still share it.
-    """
-
-    def cut(a: np.ndarray) -> np.ndarray:
-        return a.reshape(-1)[: a.shape[0] * width].reshape(a.shape[0], width)
-
-    xs = tuple(cut(x) for x in trace.xs)
-    zs = tuple(cx if z is x else cut(z) for z, x, cx in zip(trace.zs, trace.xs, xs))
-    return ForwardTrace(x0=cut(trace.x0), zs=zs, xs=xs)
 
 
 def _two_pass(net, run, traces, gamma, proj, out):
@@ -325,10 +303,10 @@ def _backprop(net, run, traces, gamma, proj, out):
     return backprop_updates(net, clean, gamma, out=out, delta_out=clean.zs)
 
 
-# Algorithm -> ((net, batch width) -> each pass's buffers, clean pass first;
-# the rest of the step, (net, run network, traces, gamma, F, update buffers)
-# -> updates).  Backprop's derivative reads each z, which its delta then
-# overwrites, so its one pass keeps z apart from x.
+# Algorithm -> ((net, batch width) -> each pass's buffers, C-contiguous and
+# that wide, clean pass first; the rest of the step, (net, run network,
+# traces, gamma, F, update buffers) -> updates).  Backprop's derivative reads
+# each z, which its delta then overwrites, so its one pass keeps z apart from x.
 _RULES = {
     Algorithm.TWO_PASS: (_two_pass_buffers, _two_pass),
     Algorithm.BACKPROP: (lambda net, width: (_trace_buffers(net, width, False),), _backprop),
@@ -347,6 +325,8 @@ def _validate_setup(net: Network, data: Dataset, proj: np.ndarray) -> None:
         raise ValueError(
             f"projection shape {proj.shape} does not match network {net.in_dim}->{net.out_dim}"
         )
+    if not np.isfinite(proj).all():
+        raise ValueError("projection contains non-finite values")
 
 
 def train(
@@ -375,9 +355,8 @@ def train(
     n = data.inputs.shape[0]
     rng = np.random.default_rng(cfg.seed)
     decay_epoch = max(1, int(np.floor(cfg.epochs * LR_DECAY_AT)))
-    width = min(cfg.batch_size, n)
     make_buffers, rule = _RULES[cfg.algorithm]
-    buffers = make_buffers(net, width)
+    width, traces = 0, None
     updates = tuple(np.empty(layer.blocks.shape) for layer in net.layers)
 
     records = []
@@ -391,9 +370,10 @@ def train(
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 iteration += 1
-                traces = (
-                    buffers if len(idx) == width else tuple(_narrow(t, len(idx)) for t in buffers)
-                )
+                if len(idx) != width:
+                    # Release the old buffers first, so their memory can serve the new ones.
+                    width, traces = len(idx), None
+                    traces = make_buffers(net, width)
                 try:
                     net, mse, output = _step(net, data, idx, proj, lr, realize, rule, traces, updates)
                 except NonFiniteError as exc:
@@ -466,12 +446,13 @@ def evaluate(net: Network, data: Dataset, realize=None) -> EvalResult:
     preds = np.empty(n, dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
         run = net if realize is None else realize(net)
-        width = min(EVAL_BATCH, n)
-        # One chunk's batch and activations, reused by every chunk.
-        buffers = _trace_buffers(run, width, in_place=True)
+        width, trace = 0, None
         for start in range(0, n, EVAL_BATCH):
             rows = np.arange(start, min(start + EVAL_BATCH, n))
-            trace = buffers if len(rows) == width else _narrow(buffers, len(rows))
+            if len(rows) != width:
+                # One chunk's batch and activations, reused by every chunk of its width.
+                width, trace = len(rows), None
+                trace = _trace_buffers(run, width, in_place=True)
             output = forward(run, _batch(data.inputs, rows, out=trace.x0), out=trace).output
             gamma = output_error(output, data.targets[rows].T)
             sq = gamma * gamma

@@ -285,8 +285,7 @@ class TestBenchmarkHookPoints:
         # made inside train; perfbench/spans.py splits a step into stages by
         # the trainer attributes it replaces, and reads cfg as train's 4th
         # positional argument; a forward pass right after modulate_input is
-        # the modulated pass.  4 samples in batches of 3 give a narrowed last
-        # batch.
+        # the modulated pass.  4 samples in batches of 3 give a short last batch.
         names = ("output_error", "modulate_input", "two_pass_updates", "backprop_updates")
         calls = {name: spy_on(monkeypatch, trainer, name) for name in (*names, "apply_updates")}
         # Per forward call: the modulate_input calls made so far, and its network's depth.

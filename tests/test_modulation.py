@@ -56,6 +56,22 @@ class TestSampleProjection:
         with pytest.raises(ValueError):
             sample_projection(784, 0, seed=0)
 
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [
+            *(("input_dim", value) for value in (2.5, True)),
+            *(("output_dim", value) for value in (1.0, True)),
+            # A None seed would draw a different F on every call.
+            *(("seed", value) for value in (None, True, 2.5, -1)),
+            # A non-finite or zero scale would give a non-finite or all-zero F.
+            *(("scale", value) for value in (np.nan, np.inf, -np.inf, 0.0, -0.05, True)),
+        ],
+    )
+    def test_invalid_arguments_rejected(self, name, value):
+        args = {"input_dim": 2, "output_dim": 1, "seed": 0, "scale": 0.05, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            sample_projection(**args)
+
     def test_projection_matrix_is_immutable(self):
         proj = sample_projection(4, 2, seed=0)
         with pytest.raises(ValueError):

@@ -31,6 +31,7 @@ from twopass import (
     sample_projection,
     train,
     two_pass_updates,
+    xor_dataset,
 )
 from twopass import trainer
 
@@ -614,6 +615,25 @@ class TestTrain:
         cfg = TrainConfig()
         with pytest.raises(ValueError):
             train(net, data, bad_proj, cfg)
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 0), ...])
+    def test_non_finite_projection_rejected_before_any_step(
+        self, monkeypatch, algorithm, value, entry
+    ):
+        # Bad input, not divergence, so no step runs.  ... puts the value in
+        # every entry.
+        net = build_network(
+            (LayerSpec(2, 16, Activation.SQUARE), LayerSpec(16, 1, Activation.SQUARE)), seed=0
+        )
+        proj = np.array(sample_projection(2, 1, seed=0))
+        proj[entry] = value
+        steps = spy_on(monkeypatch, trainer, "_step")
+        cfg = TrainConfig(epochs=1, batch_size=1, algorithm=algorithm)
+        with pytest.raises(ValueError, match="projection contains non-finite values"):
+            train(net, xor_dataset(), proj, cfg)
+        assert steps == []
 
 
 class TestEvaluate:
