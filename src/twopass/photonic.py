@@ -20,13 +20,14 @@ n(n-1)/2 and m(m-1)/2.
 
 A mesh has one representation, :class:`Mesh`: the kernel's Python lists of
 modes and phases, wrapped into [0, 2pi).  :func:`realize_weight` programs a
-matrix's two meshes (a :class:`Realization`) and :func:`read_back` gives the
-matrix they implement.  The photonic backend is :func:`realize_network`: it
-maps a network to the network its meshes implement, each block of each layer
-replaced by the real part of ``read_back(realize_weight(block))`` (a dense
-layer is one block), so the finite-weight check, the orthonormality residual
-and the gain check run on every block.  The trainer realizes once per step
-and runs both passes through the result with the ordinary forward pass.
+matrix's two meshes (a :class:`Realization`) and :func:`read_back` checks that
+a realization is well formed and gives the matrix it implements.  The
+photonic backend is :func:`realize_network`: it maps a network to the network
+its meshes implement, each block of each layer replaced by the real part of
+``read_back(realize_weight(block))`` (a dense layer is one block), so the
+finite-weight check, the orthonormality residual and the gain check run on
+every block.  The trainer realizes once per step and runs both passes
+through the result with the ordinary forward pass.
 
 Re-programming the meshes and reading them back is what a photonic step
 costs, and at these sizes that is Python overhead per MZI, so both run on
@@ -34,10 +35,12 @@ Python complex scalars with no numpy call per MZI.  Nulling carries every
 row as scalars; each MZI updates the row it nulls and the rows below it.
 Read-back takes only the k modes between the meshes: the first k rows of
 mesh(V^H), swept backwards through its MZIs, and the first k columns of
-mesh(U), swept forwards, each MZI's 2x2 entries from one helper call
-(:func:`_mzi_transfers`); only the nulling applies T^H, from the conjugate
-factors in its own product order.  Every MZI evaluates one complex
-exponential for theta/2 and reads sin and cos off it.
+mesh(U), swept forwards.  Both loops compute each MZI's factors where they
+apply them, in one pass per MZI: the read-back T's 2x2 entries, the nulling
+T^H's conjugate factors in its own product order.  Every MZI evaluates one
+complex exponential for theta/2 and reads sin and cos off it (``cmath.exp``
+builds it from exactly those two values, so for theta >= +0.0 they equal
+``math.sin`` and ``math.cos`` of ``0.5 * theta`` bit for bit).
 
 Everything here works at transfer-matrix fidelity: phase settings stand in
 for the physical permittivities, and nonlinearities between meshes are
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -96,34 +100,6 @@ class Realization(NamedTuple):
     scale: float
 
 
-def _mzi_factors(theta: float, phi: float, sign: int = 1) -> tuple[complex, complex, float, float]:
-    """The four factors (i e^{i theta/2}, e^{i phi}, sin, cos) of one MZI's transfer.
-
-    ``sign=1`` gives the factors of T(theta, phi); ``sign=-1`` conjugates
-    each, which applied to a pair of columns is right-multiplication by T^H.
-    The conjugate factors are computed directly rather than by conjugation:
-    the two differ in the sign of a zero real part at theta = 0, and the
-    nulling angles of later MZIs depend on it.  sin and cos of theta/2 are
-    read off e^{i sign theta/2}, which ``cmath.exp`` builds from exactly those
-    two values, so the trig is evaluated once; for theta >= +0.0 they equal
-    ``math.sin`` and ``math.cos`` of ``0.5 * theta`` bit for bit.
-    """
-    eh = cmath.exp(sign * 0.5j * theta)
-    return sign * 1j * eh, cmath.exp(sign * 1j * phi), sign * eh.imag, eh.real
-
-
-def _mzi_transfers(
-    thetas: list[float], phis: list[float]
-) -> list[tuple[complex, complex, complex, complex]]:
-    """The entries (t00, t01, t10, t11) of T(theta, phi) for each MZI: every propagation's MZIs."""
-    transfers = []
-    for theta, phi in zip(thetas, phis):
-        pref, ephi, s, c = _mzi_factors(theta, phi)
-        pe = pref * ephi
-        transfers.append((pe * s, pref * c, pe * c, -pref * s))
-    return transfers
-
-
 def _leading(mesh: Mesh, k: int, rows: bool) -> np.ndarray:
     """The first k rows of a mesh's MZI product M, or its first k columns as rows (k x n each).
 
@@ -142,12 +118,19 @@ def _leading(mesh: Mesh, k: int, rows: bool) -> np.ndarray:
         v[j] = 1 + 0j
     started = [False] * k
     live = []
-    for m, (t00, t01, t10, t11) in zip(modes, _mzi_transfers(thetas, phis)):
+    for m, theta, phi in zip(modes, thetas, phis):
         if m < k:
             for j in range(m, min(m + 2, k)):
                 if not started[j]:
                     started[j] = True
                     live.append(vecs[j])
+        # T(theta, phi) = pref [[e^{i phi} s, c], [e^{i phi} c, -s]], sin and
+        # cos of theta/2 read off the exponential that builds pref.
+        eh = cmath.exp(0.5j * theta)
+        pref = 1j * eh
+        pe = pref * cmath.exp(1j * phi)
+        s, c = eh.imag, eh.real
+        t00, t01, t10, t11 = pe * s, pref * c, pe * c, -pref * s
         if rows:
             t01, t10 = t10, t01
         for v in live:
@@ -169,7 +152,10 @@ def _null_rows(a: np.ndarray) -> tuple[list[int], list[float], list[float], list
     later MZI.
     """
     k, n = a.shape
-    residual = float(np.linalg.norm(a @ a.conj().T - np.eye(k)))
+    # ||A A^H - I||_F, the identity subtracted on the flattened diagonal.
+    g = (a @ a.conj().T).ravel()
+    g[:: k + 1] -= 1.0
+    residual = math.sqrt(np.vdot(g, g).real)
     if residual > 1e-8:
         raise ValueError(f"rows are not orthonormal: ||A A^H - I||_F = {residual:.3e}")
     rows = a.astype(complex).tolist()
@@ -183,8 +169,12 @@ def _null_rows(a: np.ndarray) -> tuple[list[int], list[float], list[float], list
             # rows <- rows @ T^H on columns (m, m+1), nulling rows[r][m+1]
             # (left unwritten: no later MZI reads it).
             # The product order is fixed: exact zeros keep their signs, which
-            # the nulling angles of later MZIs can depend on.
-            pref, ephi, s, c = _mzi_factors(theta, phi, -1)
+            # the nulling angles of later MZIs can depend on.  For the same
+            # reason T^H's factors are computed directly, not as conjugates
+            # of T's: the two differ in the sign of a zero real part at
+            # theta = 0.
+            eh = cmath.exp(-0.5j * theta)
+            pref, ephi, s, c = -1j * eh, cmath.exp(-1j * phi), -eh.imag, eh.real
             es, ec = ephi * s, ephi * c
             row[m] = pref * (es * x + c * y)
             for b in below:
@@ -274,6 +264,21 @@ def realize_weight(w: np.ndarray) -> Realization:
     return Realization(_input_isometry(vh), sigma, _output_isometry(u), scale)
 
 
+def _check_mesh(name: str, mesh: Mesh) -> None:
+    """Raise ValueError naming the field of ``mesh`` that the read-back cannot read."""
+    n, modes, thetas, phis, out_phases = mesh
+    if not len(modes) == len(thetas) == len(phis):
+        raise ValueError(
+            f"{name}.modes, .thetas and .phis must have equal lengths, "
+            f"got {len(modes)}, {len(thetas)} and {len(phis)}"
+        )
+    if len(out_phases) != n:
+        raise ValueError(f"{name}.out_phases must hold n = {n} phases, got {len(out_phases)}")
+    for m in modes:
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or not 0 <= m <= n - 2:
+            raise ValueError(f"{name}.modes must be integers in [0, {n - 2}], got {m!r}")
+
+
 def read_back(r: Realization) -> np.ndarray:
     """Dense complex out_dim x in_dim matrix the meshes implement: scale (U_k sigma) V_k.
 
@@ -281,8 +286,24 @@ def read_back(r: Realization) -> np.ndarray:
     from k rows and k columns: V_k, the first k rows of mesh_v's transfer,
     and U_k, mesh_u's transfer on the first k unit columns.  Both come from
     the meshes' phases, for any mesh, so a noisy realization reads back what
-    it holds.  Its action on a field is ``read_back(r) @ field``.
+    it holds.  Its action on a field is ``read_back(r) @ field``.  A
+    realization whose meshes are malformed (an MZI without both phases or
+    with a mode outside [0, n - 2], an output screen not of n phases) or
+    whose sigma is wider than a mesh raises ValueError.
     """
+    _check_mesh("mesh_v", r.mesh_v)
+    _check_mesh("mesh_u", r.mesh_u)
+    width = min(r.mesh_v.n, r.mesh_u.n)
+    if len(r.sigma) > width:
+        raise ValueError(
+            f"sigma must hold at most min(mesh_v.n, mesh_u.n) = {width} values, "
+            f"got {len(r.sigma)}"
+        )
+    return _read_back(r)
+
+
+def _read_back(r: Realization) -> np.ndarray:
+    """:func:`read_back` without its checks, for the meshes :func:`realize_weight` builds."""
     mesh_v, sigma, mesh_u, scale = r
     k = sigma.shape[0]
     # Both phase screens in one call: mesh_u's m phases and the k of mesh_v's that V_k reads.
@@ -297,9 +318,10 @@ def realize_network(net: Network) -> Network:
 
     Each block of each layer is programmed on its own mesh pair
     (:func:`realize_weight`) and replaced by the real part of the matrix read
-    back from it (:func:`read_back`, ideal detection); activations are
-    unchanged.  A dense layer is one block, and the off-block entries of a
-    block-diagonal layer stay exactly zero.
+    back from it (ideal detection); activations are unchanged.  A dense layer
+    is one block, and the off-block entries of a block-diagonal layer stay
+    exactly zero.  The meshes are the kernel's own, so they are read back
+    without :func:`read_back`'s checks of a hand-built realization.
     """
     # .real of the complex block array is a strided view.  Taking .real per
     # block would make the weight contiguous, and the products would round
@@ -307,7 +329,7 @@ def realize_network(net: Network) -> Network:
     return Network(
         tuple(
             Layer(
-                np.array([read_back(realize_weight(b)) for b in layer.blocks]).real,
+                np.array([_read_back(realize_weight(b)) for b in layer.blocks]).real,
                 layer.activation,
             )
             for layer in net.layers

@@ -1,7 +1,6 @@
 import cmath
 import math
 import re
-import struct
 from unittest import mock
 
 import numpy as np
@@ -37,8 +36,6 @@ from twopass.modulation import modulate_input, output_error
 from twopass.photonic import (
     _check_gain,
     _input_isometry,
-    _mzi_factors,
-    _mzi_transfers,
     _null_rows,
     _wrap,
 )
@@ -77,13 +74,104 @@ def reference_transfer(mesh: Mesh) -> np.ndarray:
     return np.diag(np.exp(1j * np.asarray(mesh.out_phases))) @ t
 
 
+BARE_2 = Mesh(2, [], [], [], [0.0, 0.0])
+BARE_3 = Mesh(3, [], [], [], [0.0] * 3)
+
+
+def reference_mzi_factors(theta: float, phi: float, sign: int = 1):
+    """The four factors (i e^{i theta/2}, e^{i phi}, sin, cos) of one MZI's transfer.
+
+    ``sign=-1`` gives T^H's, each conjugated.  sin and cos of theta/2 are
+    taken from ``math``, where the kernels read them off the exponential.
+    """
+    half = 0.5 * theta
+    pref = sign * 1j * cmath.exp(sign * 0.5j * theta)
+    return pref, cmath.exp(sign * 1j * phi), math.sin(half), math.cos(half)
+
+
+def reference_transfers(thetas, phis) -> list[tuple[complex, complex, complex, complex]]:
+    """The entries (t00, t01, t10, t11) of T(theta, phi) for each MZI."""
+    transfers = []
+    for theta, phi in zip(thetas, phis):
+        pref, ephi, s, c = reference_mzi_factors(theta, phi)
+        pe = pref * ephi
+        transfers.append((pe * s, pref * c, pe * c, -pref * s))
+    return transfers
+
+
+def reference_leading(mesh: Mesh, k: int, rows: bool) -> np.ndarray:
+    """The photonic module's ``_leading`` from one list of 2x2 entries per mesh."""
+    n, modes, thetas, phis, _ = mesh
+    if rows:
+        modes, thetas, phis = modes[::-1], thetas[::-1], phis[::-1]
+    vecs = [[0j] * n for _ in range(k)]
+    for j, v in enumerate(vecs):
+        v[j] = 1 + 0j
+    started = [False] * k
+    live = []
+    for m, (t00, t01, t10, t11) in zip(modes, reference_transfers(thetas, phis)):
+        if m < k:
+            for j in range(m, min(m + 2, k)):
+                if not started[j]:
+                    started[j] = True
+                    live.append(vecs[j])
+        if rows:
+            t01, t10 = t10, t01
+        for v in live:
+            a, b = v[m], v[m + 1]
+            v[m], v[m + 1] = t00 * a + t01 * b, t10 * a + t11 * b
+    return np.array(vecs, dtype=complex).reshape(k, n)
+
+
+def reference_read_back(r: Realization) -> np.ndarray:
+    """``read_back`` with its MZI entries from ``reference_transfers``."""
+    mesh_v, sigma, mesh_u, scale = r
+    k = sigma.shape[0]
+    screens = np.exp(1j * np.array(mesh_u.out_phases + mesh_v.out_phases[:k]))
+    u_k = screens[: mesh_u.n, None] * reference_leading(mesh_u, k, rows=False).T
+    v_k = screens[mesh_u.n :, None] * reference_leading(mesh_v, k, rows=True)
+    return scale * (u_k * sigma) @ v_k
+
+
+def reference_scalar_null_rows(a: np.ndarray):
+    """The photonic module's scalar ``_null_rows``, T^H's factors from ``reference_mzi_factors``."""
+    k, n = a.shape
+    rows = a.astype(complex).tolist()
+    modes, thetas, phis, d = [], [], [], []
+    for r in range(k):
+        row, below = rows[r], rows[r + 1 :]
+        for m in range(n - 2, r - 1, -1):
+            x, y = row[m], row[m + 1]
+            theta = 2.0 * math.atan2(abs(x), abs(y))
+            phi = cmath.phase(x * y.conjugate())
+            pref, ephi, s, c = reference_mzi_factors(theta, phi, -1)
+            es, ec = ephi * s, ephi * c
+            row[m] = pref * (es * x + c * y)
+            for b in below:
+                p, q = b[m], b[m + 1]
+                b[m], b[m + 1] = pref * (es * p + c * q), pref * (ec * p - s * q)
+            modes.append(m)
+            thetas.append(theta)
+            phis.append(phi)
+        d.append(row[r])
+    return modes, thetas, phis, d
+
+
+def null_rows_bits(program) -> tuple:
+    """A nulling's modes, and the IEEE bits of its thetas, phis and d (-0.0 differs from +0.0)."""
+    modes, thetas, phis, d = program
+    return modes, *(np.array(x).tobytes() for x in (thetas, phis, d))
+
+
 def mesh_forward(mesh: Mesh, field: np.ndarray) -> np.ndarray:
     """Propagate a complex field (length n, or (n, B) batch) through the mesh.
 
-    One 2x2 product per MZI, its entries from the module's ``_mzi_transfers``.
+    One 2x2 product per MZI, its entries from ``reference_transfers``.
     """
     v = np.array(field, dtype=complex)
-    transfers = np.array(_mzi_transfers(mesh.thetas, mesh.phis), dtype=complex).reshape(-1, 2, 2)
+    transfers = np.array(reference_transfers(mesh.thetas, mesh.phis), dtype=complex).reshape(
+        -1, 2, 2
+    )
     for m, t in zip(mesh.modes, transfers):
         v[m : m + 2] = np.dot(t, v[m : m + 2])
     shape = (mesh.n,) + (1,) * (v.ndim - 1)
@@ -133,32 +221,46 @@ class TestMZISetting:
         np.testing.assert_allclose(np.abs(out) ** 2, [0.5, 0.5], rtol=1e-12)
 
 
-def reference_mzi_factors(theta: float, phi: float, sign: int = 1):
-    """The reference for ``_mzi_factors``: sin and cos of theta/2 taken from ``math``."""
-    half = 0.5 * theta
-    pref = sign * 1j * cmath.exp(sign * 0.5j * theta)
-    return pref, cmath.exp(sign * 1j * phi), math.sin(half), math.cos(half)
-
-
-def float_bits(values) -> bytes:
-    """The IEEE bits of a tuple of floats and complexes, so -0.0 differs from +0.0."""
-    parts = []
-    for v in values:
-        parts += [v.real, v.imag] if isinstance(v, complex) else [v]
-    return struct.pack(f"<{len(parts)}d", *parts)
-
-
 class TestMZIFactors:
+    """The kernels' one exponential per MZI gives what ``math``'s sin and cos give, bit for bit.
+
+    Both kernels compute each MZI's factors inline; they are compared with
+    the references above, which take sin and cos of theta/2 from ``math``.
+    """
+
     def test_one_exponential_gives_the_math_module_factors_bit_for_bit(self):
+        # One MZI per 2-mode mesh, read back as mesh_v (swept backwards) and
+        # as mesh_u (forwards); then the nulling of its transfer's rows, whose
+        # edge entries (exact zeros at theta = 0 and pi) reach T^H's factors.
         rng = np.random.default_rng(40)
         edge = [0.0, 5e-324, np.pi, np.nextafter(2 * np.pi, 0.0)]
         thetas = edge + rng.uniform(0.0, 2 * np.pi, 2000).tolist()
         phis = [0.0, -0.0, np.pi] + rng.uniform(-np.pi, 2 * np.pi, 50).tolist()
         for i, theta in enumerate(thetas):
             phi = phis[i % len(phis)]
-            for sign in (1, -1):
-                want = float_bits(reference_mzi_factors(theta, phi, sign))
-                assert float_bits(_mzi_factors(theta, phi, sign)) == want, (theta, phi, sign)
+            mzi = Mesh(2, [0], [theta], [phi], [0.0, 0.0])
+            for sigma in (np.array([1.0]), np.array([1.0, 0.5])):
+                for v, u in ((mzi, BARE_2), (BARE_2, mzi)):
+                    r = Realization(v, sigma, u, 1.0)
+                    assert read_back(r).tobytes() == reference_read_back(r).tobytes(), (theta, phi)
+            t = read_back(Realization(mzi, np.ones(2), BARE_2, 1.0))
+            for k in (1, 2):
+                want = null_rows_bits(reference_scalar_null_rows(t[:k]))
+                assert null_rows_bits(_null_rows(t[:k])) == want, (theta, phi, k)
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 2), (2, 1), (2, 16), (16, 2), (5, 8), (8, 5), (10, 28)], ids=str
+    )
+    def test_seeded_realizations_read_back_bit_for_bit(self, shape):
+        # The nulled meshes, and the same meshes under phase noise, whose
+        # phases are no longer the nulling's.
+        w = np.random.default_rng(shape[0] * 100 + shape[1]).normal(size=shape)
+        r = realize_weight(w)
+        noisy = r._replace(
+            mesh_v=apply_phase_noise(r.mesh_v, 0.3, 1), mesh_u=apply_phase_noise(r.mesh_u, 0.3, 2)
+        )
+        for case in (r, noisy):
+            assert read_back(case).tobytes() == reference_read_back(case).tobytes()
 
 
 def phase_bits(mesh: Mesh) -> list[bytes]:
@@ -456,8 +558,11 @@ def reference_null_rows(a: np.ndarray):
 
 
 def assert_nulling_matches_reference(a: np.ndarray):
+    # Bit for bit the scalar reference, and within 1e-12 the array one.
+    program = _null_rows(a)
+    assert null_rows_bits(program) == null_rows_bits(reference_scalar_null_rows(a))
     ops, d_ref = reference_null_rows(a)
-    modes, thetas, phis, d = _null_rows(a)
+    modes, thetas, phis, d = program
     np.testing.assert_array_equal(modes, [op[0] for op in ops])
     for got, want in ((thetas, [op[1] for op in ops]), (phis, [op[2] for op in ops])):
         wrapped = np.angle(np.exp(1j * (np.asarray(got) - np.asarray(want))))
@@ -506,6 +611,52 @@ class TestNullingMatchesSequentialReference:
             u, _, vh = np.linalg.svd(w, full_matrices=False)
             assert_nulling_matches_reference(vh)
             assert_nulling_matches_reference(u.T)
+
+
+class TestReadBack:
+    @pytest.mark.parametrize(
+        "r, match",
+        [
+            pytest.param(
+                # Python's negative indexing would couple modes 2 and 0.
+                Realization(
+                    BARE_2, np.array([1.0, 0.5]), Mesh(3, [-1], [1.0], [0.5], [0.0] * 3), 1.0
+                ),
+                r"mesh_u\.modes must be integers in \[0, 1\], got -1",
+                id="negative_mode",
+            ),
+            pytest.param(
+                # zip would drop the MZI, as if it were absent.
+                Realization(Mesh(2, [0], [1.0], [], [0.0, 0.0]), np.array([1.0]), BARE_2, 1.0),
+                r"mesh_v\.modes, \.thetas and \.phis must have equal lengths, got 1, 1 and 0",
+                id="theta_without_phi",
+            ),
+            pytest.param(
+                Realization(BARE_2, np.array([1.0, 0.5, 0.25]), BARE_3, 1.0),
+                r"sigma must hold at most min\(mesh_v\.n, mesh_u\.n\) = 2 values, got 3",
+                id="sigma_wider_than_a_mesh",
+            ),
+            pytest.param(
+                # An MZI on modes (2, 3) of a 3-mode mesh, beyond the k read rows.
+                Realization(Mesh(3, [2], [1.0], [0.5], [0.0] * 3), np.array([1.0]), BARE_2, 1.0),
+                r"mesh_v\.modes must be integers in \[0, 1\], got 2",
+                id="mode_past_the_last_pair",
+            ),
+            pytest.param(
+                Realization(BARE_2, np.array([1.0]), Mesh(2, [0.0], [1.0], [0.5], [0.0, 0.0]), 1.0),
+                r"mesh_u\.modes must be integers in \[0, 0\], got 0\.0",
+                id="float_mode",
+            ),
+            pytest.param(
+                Realization(BARE_2, np.array([1.0]), Mesh(3, [], [], [], [0.0, 0.0]), 1.0),
+                r"mesh_u\.out_phases must hold n = 3 phases, got 2",
+                id="short_output_screen",
+            ),
+        ],
+    )
+    def test_malformed_realization_rejected(self, r, match):
+        with pytest.raises(ValueError, match=match):
+            read_back(r)
 
 
 class TestRealizeWeight:
