@@ -14,25 +14,20 @@ The split itself copies no pixel: the trainer reads each sample in
 column-major order, so column-split training and evaluation read an
 ``(N, 28, 28)`` reshape of the dataset's row-major pixel bytes, in which
 piece j is image column j.  :func:`columnize` is that same order as a copy.
-
-Row-wise splitting is available through the library's ``mode`` argument
-(:class:`SplitMode`); column-wise is the default, because it separates better
-in practice, and the only split the experiment runner builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
 from .core import Activation, Layer, LayerSpec, Network, _check_int, forward, init_weights
-from .data import Dataset
+from .data import Dataset, _integer_labels
 from .trainer import EvalResult, MetricRecord, TrainConfig, evaluate, train
 
 __all__ = [
-    "SplitMode",
     "ColumnSplitNet",
     "build_colsplit_net",
     "split_columns",
@@ -48,11 +43,6 @@ SIDE = 28
 NUM_CLASSES = 10
 
 
-class SplitMode(str, Enum):
-    COLUMN = "column"
-    ROW = "row"
-
-
 @dataclass(frozen=True)
 class ColumnSplitNet:
     """The composed column-split network and the split that feeds it.
@@ -64,10 +54,10 @@ class ColumnSplitNet:
     """
 
     network: Network
-    mode: SplitMode = SplitMode.COLUMN
+    # perfbench/workload.py reads this and passes it to columnize.
+    mode: ClassVar[str] = "column"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", SplitMode(self.mode))
         k, _, i = self.network.layers[0].blocks.shape
         if (k, i) != (SIDE, SIDE):
             raise ValueError(
@@ -92,11 +82,7 @@ class ColumnSplitNet:
         return self.network.layers[0].blocks.shape[1]
 
 
-def build_colsplit_net(
-    seed: int = 0,
-    column_out: int = SIDE,
-    mode: SplitMode = SplitMode.COLUMN,
-) -> ColumnSplitNet:
+def build_colsplit_net(seed: int = 0, column_out: int = SIDE) -> ColumnSplitNet:
     """Freshly initialized column nets (28->column_out, ReLU) and 10-way softmax aggregator."""
     _check_int("column_out", column_out, 1)
     children = np.random.SeedSequence(seed).generate_state(SIDE + 1)
@@ -106,34 +92,34 @@ def build_colsplit_net(
     )
     agg_spec = LayerSpec(SIDE * column_out, NUM_CLASSES, Activation.SOFTMAX)
     aggregator = Layer(init_weights(agg_spec, int(children[SIDE])), Activation.SOFTMAX)
-    return ColumnSplitNet(Network((stage1, aggregator)), mode)
+    return ColumnSplitNet(Network((stage1, aggregator)))
 
 
-def split_columns(image: np.ndarray, mode: SplitMode = SplitMode.COLUMN) -> np.ndarray:
-    """Split a 28x28 image into 28 vectors; row j of the result is piece j.
+def split_columns(image: np.ndarray) -> np.ndarray:
+    """Split a 28x28 image into its 28 columns; row j of the result is column j top-to-bottom.
 
-    Column mode: piece j is image column j top-to-bottom.  Row mode: piece j
-    is image row j left-to-right.  This is :func:`columnize` of one image.
+    This is :func:`columnize` of one image.
     """
     image = np.asarray(image)
     if image.shape != (SIDE, SIDE):
         raise ValueError(f"expected a {SIDE}x{SIDE} image, got shape {image.shape}")
-    return columnize(image.reshape(1, SIDE * SIDE), mode).reshape(SIDE, SIDE)
+    return columnize(image.reshape(1, SIDE * SIDE)).reshape(SIDE, SIDE)
 
 
-def columnize(inputs: np.ndarray, mode: SplitMode = SplitMode.COLUMN) -> np.ndarray:
+def columnize(inputs: np.ndarray, mode: str = "column") -> np.ndarray:
     """Reorder a batch of row-major flattened images for the split networks.
 
     Flattened datasets store pixel (r, c) at index 28r + c.  The composed
-    column-split network expects piece j's entries contiguous, i.e. pixel
-    (r, c) at index 28c + r in column mode.  Row mode is the identity.  The
-    result is a new array of the input's dtype, so uint8 pixels stay bytes.
+    column-split network expects column j's entries contiguous, i.e. pixel
+    (r, c) at index 28c + r.  The result is a new array of the input's
+    dtype, so uint8 pixels stay bytes.  ``mode`` is
+    :attr:`ColumnSplitNet.mode`; any other value raises ValueError.
     """
+    if mode != ColumnSplitNet.mode:
+        raise ValueError(f"mode must be {ColumnSplitNet.mode!r}, got {mode!r}")
     inputs = np.asarray(inputs)
     if inputs.ndim != 2 or inputs.shape[1] != SIDE * SIDE:
         raise ValueError(f"expected shape (N, {SIDE * SIDE}), got {inputs.shape}")
-    if SplitMode(mode) is SplitMode.ROW:
-        return inputs.copy()
     n = inputs.shape[0]
     return inputs.reshape(n, SIDE, SIDE).transpose(0, 2, 1).reshape(n, SIDE * SIDE)
 
@@ -150,22 +136,20 @@ def compose(net: ColumnSplitNet) -> Network:
 
 def stagewise_forward(net: ColumnSplitNet, image: np.ndarray) -> np.ndarray:
     """Reference evaluation: split, run each column net, concatenate, aggregate."""
-    pieces = split_columns(image, net.mode)
+    pieces = split_columns(image)
     outs = [forward(colnet, pieces[j]).output for j, colnet in enumerate(net.column_nets)]
     return forward(net.aggregator, np.concatenate(outs)).output
 
 
-def _columnized(data: Dataset, mode: SplitMode) -> Dataset:
+def _columnized(data: Dataset) -> Dataset:
     """``data`` as the composed network reads it, without copying a pixel.
 
     The trainer reads each sample in column-major order (see Dataset), so
     the ``(N, 28, 28)`` view of the row-major rows is :func:`columnize`'s
-    column order, and the ``(N, 784)`` rows themselves are its row order.
+    order.
     """
     if data.inputs.shape[1:] != (SIDE * SIDE,):
         raise ValueError(f"expected shape (N, {SIDE * SIDE}), got {data.inputs.shape}")
-    if SplitMode(mode) is SplitMode.ROW:
-        return data
     return Dataset(
         inputs=data.inputs.reshape(len(data), SIDE, SIDE),
         targets=data.targets,
@@ -181,19 +165,19 @@ def colsplit_train(
     realize=None,
 ) -> tuple[ColumnSplitNet, tuple[MetricRecord, ...]]:
     """Train the composed network; its block-diagonal stage 1 keeps the column split."""
-    trained, history = train(net.network, _columnized(data, net.mode), proj, cfg, realize=realize)
-    return ColumnSplitNet(trained, net.mode), history
+    trained, history = train(net.network, _columnized(data), proj, cfg, realize=realize)
+    return ColumnSplitNet(trained), history
 
 
 def colsplit_evaluate(net: ColumnSplitNet, data: Dataset, realize=None) -> EvalResult:
-    return evaluate(net.network, _columnized(data, net.mode), realize=realize)
+    return evaluate(net.network, _columnized(data), realize=realize)
 
 
 def confusion_matrix(predictions: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """10x10 count matrix; entry (i, j) counts true class i predicted as j."""
-    p = np.asarray(predictions, dtype=int)
-    t = np.asarray(truth, dtype=int)
-    if p.ndim != 1 or p.shape != t.shape:
+    p = _integer_labels(predictions)
+    t = _integer_labels(truth)
+    if p.shape != t.shape:
         raise ValueError(f"prediction/truth shapes differ: {p.shape} vs {t.shape}")
     for name, arr in (("predictions", p), ("truth", t)):
         if arr.size and (arr.min() < 0 or arr.max() >= NUM_CLASSES):

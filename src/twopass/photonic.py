@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Layer, Network, _require_finite
+from .core import Layer, Network, _check_int, _require_finite
 
 __all__ = [
     "Mesh",
@@ -288,8 +288,10 @@ def read_back(r: Realization) -> np.ndarray:
     the meshes' phases, for any mesh, so a noisy realization reads back what
     it holds.  Its action on a field is ``read_back(r) @ field``.  A
     realization whose meshes are malformed (an MZI without both phases or
-    with a mode outside [0, n - 2], an output screen not of n phases) or
-    whose sigma is wider than a mesh raises ValueError.
+    with a mode outside [0, n - 2], an output screen not of n phases), whose
+    sigma is wider than a mesh, or that breaks :class:`Realization`'s gain
+    invariant (an attenuation outside [0, 1], a scale not finite and > 0)
+    raises ValueError.
     """
     _check_mesh("mesh_v", r.mesh_v)
     _check_mesh("mesh_u", r.mesh_u)
@@ -299,6 +301,7 @@ def read_back(r: Realization) -> np.ndarray:
             f"sigma must hold at most min(mesh_v.n, mesh_u.n) = {width} values, "
             f"got {len(r.sigma)}"
         )
+    _check_gain(r.sigma, r.scale)
     return _read_back(r)
 
 
@@ -342,12 +345,15 @@ def apply_phase_noise(mesh: Mesh, sigma_phase: float, seed: int) -> Mesh:
 
     Phase-only perturbations, so the result is exactly unitary again.
     ``sigma_phase`` must be finite and >= 0; 0 returns the same phases.  A
-    non-finite phase, in the mesh or after the noise (a sigma near the
-    largest float can overflow a draw), raises
-    :class:`~twopass.core.NonFiniteError` rather than wrapping to NaN.
+    malformed mesh (as :func:`read_back` defines it) or a ``seed`` that is
+    not an integer >= 0 raises ValueError.  A non-finite phase, in the mesh
+    or after the noise (a sigma near the largest float can overflow a draw),
+    raises :class:`~twopass.core.NonFiniteError` rather than wrapping to NaN.
     """
     if not 0.0 <= sigma_phase < math.inf:
         raise ValueError(f"sigma_phase must be finite and >= 0, got {sigma_phase!r}")
+    _check_mesh("mesh", mesh)
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     k = len(mesh.modes)
     noisy = [

@@ -13,7 +13,6 @@ from twopass import (
     Layer,
     LayerSpec,
     Network,
-    SplitMode,
     TrainConfig,
     apply_updates,
     backprop_updates,
@@ -48,6 +47,11 @@ def block_mask(column_out: int) -> np.ndarray:
     return mask
 
 
+# The split's one mode, as the benchmark reads it from the model and passes
+# it to columnize.
+MODES = [ColumnSplitNet.mode]
+
+
 def random_image(seed: int) -> np.ndarray:
     return np.random.default_rng(seed).random((28, 28))
 
@@ -60,55 +64,35 @@ def dense_weights(composed: Network) -> list[np.ndarray]:
 class TestSplitColumns:
     def test_column_mode_pieces_are_image_columns(self):
         img = random_image(0)
-        pieces = split_columns(img, SplitMode.COLUMN)
+        pieces = split_columns(img)
         assert pieces.shape == (28, 28)
         for c in range(28):
             np.testing.assert_array_equal(pieces[c], img[:, c])
         # piece c, entry r is pixel (r, c)
         assert pieces[5][3] == img[3, 5]
 
-    def test_row_mode_pieces_are_image_rows(self):
-        img = random_image(1)
-        pieces = split_columns(img, SplitMode.ROW)
-        for r in range(28):
-            np.testing.assert_array_equal(pieces[r], img[r])
-
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="28x28"):
             split_columns(np.zeros((28, 27)))
-
-    def test_mode_given_as_string_is_the_enum(self):
-        img = random_image(2)
-        for mode in SplitMode:
-            np.testing.assert_array_equal(split_columns(img, mode.value), split_columns(img, mode))
-        with pytest.raises(ValueError, match="diagonal"):
-            split_columns(img, "diagonal")
 
 
 class TestColumnize:
     def test_column_mode_reorders_row_major_pixels(self):
         img = random_image(3)
         flat = img.reshape(1, 784)
-        out = columnize(flat, SplitMode.COLUMN)
+        out = columnize(flat)
         for r in range(28):
             for c in range(0, 28, 5):
                 assert out[0, 28 * c + r] == img[r, c]
 
     def test_column_pieces_become_contiguous(self):
         img = random_image(4)
-        out = columnize(img.reshape(1, 784), SplitMode.COLUMN)
-        pieces = split_columns(img, SplitMode.COLUMN)
+        out = columnize(img.reshape(1, 784))
+        pieces = split_columns(img)
         for j in range(28):
             np.testing.assert_array_equal(out[0, j * 28 : (j + 1) * 28], pieces[j])
 
-    def test_row_mode_is_identity_copy(self):
-        flat = np.random.default_rng(5).random((3, 784))
-        out = columnize(flat, SplitMode.ROW)
-        np.testing.assert_array_equal(out, flat)
-        out[0, 0] = -1.0
-        assert flat[0, 0] != -1.0
-
-    @pytest.mark.parametrize("mode", list(SplitMode))
+    @pytest.mark.parametrize("mode", MODES)
     def test_bytes_stay_bytes_and_match_the_float_result(self, mode):
         pixels = np.random.default_rng(7).integers(0, 256, (3, 784), dtype=np.uint8)
         out = columnize(pixels, mode)
@@ -117,20 +101,18 @@ class TestColumnize:
 
     def test_column_mode_is_an_involution(self):
         flat = np.random.default_rng(6).random((2, 784))
-        np.testing.assert_array_equal(
-            columnize(columnize(flat, SplitMode.COLUMN), SplitMode.COLUMN), flat
-        )
+        np.testing.assert_array_equal(columnize(columnize(flat)), flat)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="784"):
             columnize(np.zeros((2, 28)))
 
-    def test_mode_given_as_string_is_the_enum(self):
+    @pytest.mark.parametrize("mode", ["row", "diagonal", "COLUMN", None])
+    def test_modes_other_than_column_rejected(self, mode):
         flat = np.random.default_rng(6).random((2, 784))
-        for mode in SplitMode:
-            np.testing.assert_array_equal(columnize(flat, mode.value), columnize(flat, mode))
-        with pytest.raises(ValueError, match="diagonal"):
-            columnize(flat, "diagonal")
+        np.testing.assert_array_equal(columnize(flat, "column"), columnize(flat))
+        with pytest.raises(ValueError, match=f"mode must be 'column', got {mode!r}"):
+            columnize(flat, mode)
 
 
 class TestCompose:
@@ -170,15 +152,13 @@ class TestCompose:
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_forward_matches_stagewise_reference(self):
-        for mode in (SplitMode.COLUMN, SplitMode.ROW, "column", "row"):
-            net = build_colsplit_net(seed=2, column_out=5, mode=mode)
-            assert net.mode is SplitMode(mode)
-            composed = compose(net)
-            for seed in range(4):
-                img = random_image(10 + seed)
-                via_composed = forward(composed, columnize(img.reshape(1, 784), mode)[0]).output
-                via_stages = stagewise_forward(net, img)
-                np.testing.assert_allclose(via_composed, via_stages, rtol=1e-12)
+        net = build_colsplit_net(seed=2, column_out=5)
+        composed = compose(net)
+        for seed in range(4):
+            img = random_image(10 + seed)
+            via_composed = forward(composed, columnize(img.reshape(1, 784))[0]).output
+            via_stages = stagewise_forward(net, img)
+            np.testing.assert_allclose(via_composed, via_stages, rtol=1e-12)
 
     def test_zeroed_column_contributes_nothing(self):
         base = build_colsplit_net(seed=3, column_out=4)
@@ -209,12 +189,6 @@ class TestColumnSplitNetValidation:
         bad_agg = Layer(np.zeros((10, 100)), Activation.SOFTMAX)
         with pytest.raises(ValueError, match="incompatible: 56 -> 100"):
             ColumnSplitNet(Network((stage1, bad_agg)))
-
-    def test_mode_is_coerced_to_the_enum(self):
-        network = build_colsplit_net(seed=0, column_out=2).network
-        assert ColumnSplitNet(network, "row").mode is SplitMode.ROW
-        with pytest.raises(ValueError, match="diagonal"):
-            ColumnSplitNet(network, "diagonal")
 
     def test_views_are_read_from_the_network(self):
         net = build_colsplit_net(seed=0, column_out=3)
@@ -309,12 +283,12 @@ class TestColsplitTraining:
         trained, _ = colsplit_train(net, data, proj, cfg)
         assert np.all(compose(trained).layers[0].weight[~block_mask(2)] == 0.0)
 
-    @pytest.mark.parametrize("mode", list(SplitMode))
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("algorithm", list(Algorithm))
     def test_blocked_updates_match_dense_reference(self, mode, algorithm):
         # Reference: the dense 2-D weights with plain numpy products and full
         # batch-mean outer products, whose off-block part is dropped.
-        net = build_colsplit_net(seed=16, column_out=2, mode=mode)
+        net = build_colsplit_net(seed=16, column_out=2)
         data = small_dataset(16, n=12)
         proj = sample_projection(784, 10, seed=16)
         blocked = compose(net)
@@ -345,19 +319,16 @@ class TestColsplitTraining:
                 np.testing.assert_allclose(layer.weight, w, rtol=0, atol=1e-12)
 
     def test_trained_stagewise_matches_composed_forward(self):
-        for mode in (SplitMode.COLUMN, SplitMode.ROW):
-            net = build_colsplit_net(seed=17, column_out=3, mode=mode)
-            data = small_dataset(17, n=12)
-            cfg = TrainConfig(learning_rate=0.5, epochs=3, batch_size=4, seed=3)
-            trained, _ = colsplit_train(net, data, sample_projection(784, 10, seed=17), cfg)
-            composed = compose(trained)
-            assert np.any(composed.layers[0].weight != compose(net).layers[0].weight)
-            for i in range(4):
-                img = data.inputs[i].reshape(28, 28)
-                got = forward(composed, columnize(data.inputs[i : i + 1], mode)[0]).output
-                np.testing.assert_allclose(
-                    got, stagewise_forward(trained, img), rtol=0, atol=1e-12
-                )
+        net = build_colsplit_net(seed=17, column_out=3)
+        data = small_dataset(17, n=12)
+        cfg = TrainConfig(learning_rate=0.5, epochs=3, batch_size=4, seed=3)
+        trained, _ = colsplit_train(net, data, sample_projection(784, 10, seed=17), cfg)
+        composed = compose(trained)
+        assert np.any(composed.layers[0].weight != compose(net).layers[0].weight)
+        for i in range(4):
+            img = data.inputs[i].reshape(28, 28)
+            got = forward(composed, columnize(data.inputs[i : i + 1])[0]).output
+            np.testing.assert_allclose(got, stagewise_forward(trained, img), rtol=0, atol=1e-12)
 
     def test_empty_dataset_rejected(self):
         net = build_colsplit_net(seed=18, column_out=2)
@@ -388,17 +359,19 @@ def byte_dataset(seed: int, n: int) -> Dataset:
 class TestSplitIsAView:
     """The split is a reshape of the pixel bytes that reads as columnize's copy."""
 
-    @pytest.mark.parametrize("mode", list(SplitMode))
+    @pytest.mark.parametrize("mode", MODES)
     def test_columnized_data_shares_the_pixel_bytes(self, mode):
         for data in (byte_dataset(22, 6), small_dataset(22, 6)):
-            split = _columnized(data, mode)
+            split = _columnized(data)
             assert np.shares_memory(split.inputs, data.inputs)
             assert split.targets is data.targets and split.labels is data.labels
+            read = split.inputs.transpose(0, 2, 1).reshape(len(data), 784)
+            np.testing.assert_array_equal(read, columnize(data.inputs, mode))
         narrow = Dataset(np.zeros((2, 783)), np.zeros((2, 10)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError, match="expected shape"):
-            _columnized(narrow, mode)
+            _columnized(narrow)
 
-    @pytest.mark.parametrize("mode", list(SplitMode))
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
     @pytest.mark.parametrize(
         "idx", [np.array([7, 0, 3, 3, 11]), np.arange(2, 9)], ids=["index", "run"]
@@ -408,7 +381,7 @@ class TestSplitIsAView:
         if dtype == np.float64:
             data = Dataset(data.inputs / 255.0, data.targets, data.labels)
         copied = columnize(data.inputs, mode)
-        got = trainer._batch(_columnized(data, mode).inputs, idx)
+        got = trainer._batch(_columnized(data).inputs, idx)
         assert got.tobytes() == trainer._batch(copied, idx).tobytes()
         reference = copied[idx].T / 255.0 if dtype == np.uint8 else copied[idx].T
         assert got.tobytes() == reference.tobytes()
@@ -438,7 +411,7 @@ class TestSplitIsAView:
         net = build_colsplit_net(seed=25, column_out=28)
         data = byte_dataset(25, 3 * trainer.EVAL_BATCH)
         rows = np.arange(trainer.EVAL_BATCH)
-        trace = forward(net.network, trainer._batch(_columnized(data, net.mode).inputs, rows))
+        trace = forward(net.network, trainer._batch(_columnized(data).inputs, rows))
         chunk = trace.x0.nbytes + sum(a.nbytes for a in trace.zs + trace.xs)
         del trace
         tracemalloc.start()
@@ -472,28 +445,25 @@ class TestBlockPreservationProperty:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
         co=st.integers(1, 4),
-        mode=st.sampled_from(list(SplitMode)),
         algorithm=st.sampled_from(list(Algorithm)),
         seed=st.integers(0, 2**16),
     )
-    def test_training_keeps_blocks_and_stagewise_forward(self, co, mode, algorithm, seed):
-        net = build_colsplit_net(seed=seed, column_out=co, mode=mode)
+    def test_training_keeps_blocks_and_stagewise_forward(self, co, algorithm, seed):
+        net = build_colsplit_net(seed=seed, column_out=co)
         data = small_dataset(seed, n=8)
         cfg = TrainConfig(
             learning_rate=0.5, epochs=1, batch_size=4, seed=seed, algorithm=algorithm
         )
         trained, _ = colsplit_train(net, data, sample_projection(784, 10, seed=seed), cfg)
-        assert trained.mode is mode
         w1 = trained.network.layers[0].weight
         assert w1.shape == (28 * co, 784)
         assert np.all(w1[~block_mask(co)] == 0.0)
         assert np.any(w1 != net.network.layers[0].weight)
         for i in range(2):
-            got = forward(trained.network, columnize(data.inputs[i : i + 1], mode)[0]).output
+            got = forward(trained.network, columnize(data.inputs[i : i + 1])[0]).output
             ref = stagewise_forward(trained, data.inputs[i].reshape(28, 28))
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
-        back = ColumnSplitNet(trained.network, mode)
-        assert back.mode is mode
+        back = ColumnSplitNet(trained.network)
         for la, lb in zip(trained.network.layers, back.network.layers):
             assert la.blocks.shape == lb.blocks.shape
             np.testing.assert_array_equal(la.blocks, lb.blocks)
@@ -509,12 +479,19 @@ class TestFromNetwork:
             assert la.blocks.shape == lb.blocks.shape
             np.testing.assert_array_equal(la.blocks, lb.blocks)
             assert la.activation is lb.activation
-        assert back.mode is SplitMode.COLUMN
+        assert back.mode == "column"
 
     def test_mode_argument(self):
-        net = build_colsplit_net(seed=12, column_out=2, mode=SplitMode.ROW)
-        back = ColumnSplitNet(net.network, "row")
-        assert back.mode is SplitMode.ROW
+        # The split is always by column: the mode is a class constant, and
+        # none of the constructors takes one.
+        net = build_colsplit_net(seed=12, column_out=2)
+        assert ColumnSplitNet.mode == net.mode == "column"
+        with pytest.raises(TypeError):
+            ColumnSplitNet(net.network, "column")
+        with pytest.raises(TypeError):
+            build_colsplit_net(seed=12, column_out=2, mode="column")
+        with pytest.raises(TypeError):
+            split_columns(random_image(12), "column")
 
     def test_dense_first_stage_rejected(self):
         dense = build_network(
@@ -575,3 +552,14 @@ class TestConfusionMatrix:
             confusion_matrix(np.array([10]), np.array([0]))
         with pytest.raises(ValueError, match="outside 0..9"):
             confusion_matrix(np.array([0]), np.array([-1]))
+
+    @pytest.mark.parametrize(
+        "predictions, truth",
+        [([1.7, 0.2], [1, 0]), ([1, 0], [1.0, 0.0]), ([np.nan], [0]), ([True], [1])],
+        ids=["fraction", "float-truth", "nan", "bool"],
+    )
+    def test_non_integer_labels_rejected(self, predictions, truth):
+        # Casting would count 1.7 as class 1 and turn NaN into a huge negative label.
+        with pytest.raises(ValueError, match="labels must be integers"):
+            confusion_matrix(predictions, truth)
+

@@ -357,7 +357,6 @@ class TestBenchmarkHookPoints:
         for model in (colsplit_args[0], trained):
             assert len(model.column_nets) == 28
             assert model.column_out == 2
-            assert model.mode is colsplit.SplitMode.COLUMN
         co = trained.column_out
         on_block = np.kron(np.eye(28), np.ones((co, 28))) == 1.0
         for composed in (colsplit.compose(trained), trained_composed):
@@ -371,9 +370,14 @@ class TestBenchmarkHookPoints:
         composed = colsplit.compose(trained)
         images = evaluated[0]["data"].inputs
         for r in range(8):
-            ref = colsplit.stagewise_forward(trained, images[r].reshape(28, 28))
+            image = images[r].reshape(28, 28)
+            ref = colsplit.stagewise_forward(trained, image)
+            # perfbench/workload.py passes the trained model's mode back to columnize.
             x = colsplit.columnize(images[r : r + 1], trained.mode)[0]
+            np.testing.assert_array_equal(x, colsplit.split_columns(image).ravel())
             np.testing.assert_allclose(forward(composed, x).output, ref, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="mode must be 'column', got 'row'"):
+            colsplit.columnize(images[:1], "row")
 
 
 class TestTrainingSetRelease:

@@ -21,7 +21,8 @@ from conftest import REPO_ROOT
 # trainer, MetricsHistory, now a plain tuple of MetricRecord, and the
 # second mesh representation, MeshProgram, PhotonicLayer, mesh_forward,
 # transfer_matrix and unitarity_residual, now one Mesh and the tests' own
-# helpers), plus realize_network, Mesh, Realization and read_back.
+# helpers, and the split-mode enum, now one column split), plus realize_network, Mesh,
+# Realization and read_back.
 PUBLIC_NAMES = {
     "Activation",
     "Algorithm",
@@ -40,7 +41,6 @@ PUBLIC_NAMES = {
     "NonFiniteError",
     "Realization",
     "RunReport",
-    "SplitMode",
     "Task",
     "TrainConfig",
     "activation_apply",

@@ -658,6 +658,23 @@ class TestReadBack:
         with pytest.raises(ValueError, match=match):
             read_back(r)
 
+    @pytest.mark.parametrize(
+        "sigma, scale, match",
+        [
+            pytest.param(2.0, 1.0, "attenuations must lie in", id="gain_above_one"),
+            pytest.param(np.nan, 1.0, "attenuations must lie in", id="nan_attenuation"),
+            pytest.param(1.0, np.inf, "scale must be finite and > 0, got inf", id="inf_scale"),
+            pytest.param(1.0, -1.0, r"scale must be finite and > 0, got -1\.0", id="neg_scale"),
+        ],
+    )
+    def test_realization_outside_the_gain_invariant_rejected(self, sigma, scale, match):
+        # Each used to read back silently: a gain-2 matrix, an all-NaN matrix
+        # or a negated one.
+        r = realize_weight(np.random.default_rng(41).normal(size=(3, 2)))
+        bad = r._replace(sigma=np.array([sigma, 0.5]), scale=scale)
+        with pytest.raises(ValueError, match=match):
+            read_back(bad)
+
 
 class TestRealizeWeight:
     def test_identity_weight(self):
@@ -882,6 +899,43 @@ class TestApplyPhaseNoise:
         bad = mesh._replace(**{field: getattr(mesh, field)[:-1] + [value]})
         with pytest.raises(NonFiniteError, match=f"noisy {field} contains non-finite"):
             apply_phase_noise(bad, 0.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "mesh, match",
+        [
+            pytest.param(
+                Mesh(3, [-1], [1.0], [0.5], [0.0] * 3),
+                r"mesh\.modes must be integers in \[0, 1\], got -1",
+                id="negative_mode",
+            ),
+            pytest.param(
+                Mesh(2, [0], [1.0], [], [0.0, 0.0]),
+                r"mesh\.modes, \.thetas and \.phis must have equal lengths, got 1, 1 and 0",
+                id="theta_without_phi",
+            ),
+            pytest.param(
+                Mesh(2, [5], [1.0], [0.5], [0.0, 0.0]),
+                r"mesh\.modes must be integers in \[0, 0\], got 5",
+                id="mode_past_the_last_pair",
+            ),
+            pytest.param(
+                Mesh(3, [], [], [], [0.0, 0.0]),
+                r"mesh\.out_phases must hold n = 3 phases, got 2",
+                id="short_output_screen",
+            ),
+        ],
+    )
+    def test_malformed_mesh_rejected(self, mesh, match):
+        # Each of these used to come back as a mesh that read_back refuses.
+        with pytest.raises(ValueError, match=match):
+            apply_phase_noise(mesh, 0.1, seed=0)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, -1, True, "1"], ids=repr)
+    def test_seed_that_is_not_a_non_negative_integer_rejected(self, seed):
+        # None drew fresh noise on every call; 1.5 failed inside numpy.
+        match = re.escape(f"seed must be an integer >= 0, got {seed!r}")
+        with pytest.raises(ValueError, match=match):
+            apply_phase_noise(random_mesh(2, seed=17), 0.1, seed=seed)
 
     @pytest.mark.parametrize("sigma", [1e-3, 0.5, 3.0, 1e6], ids=repr)
     def test_noisy_realization_stays_unitary_and_in_range(self, sigma):
