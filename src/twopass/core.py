@@ -15,6 +15,10 @@ diagonal blocks; a dense layer is one block.  It exposes the four products a
 trainer needs (``matvec``, ``rmatvec``, ``avg_outer``, ``step``), so the
 trainers never touch the weight storage directly, and every update is shaped
 like the blocks.
+
+:func:`activation_apply`, :func:`activation_derivative`, ``Layer.matvec`` and
+:func:`forward` each have one code path, which writes into an optional
+``out``; an allocating call runs that code on fresh buffers.
 """
 
 from __future__ import annotations
@@ -81,38 +85,33 @@ def _check_positive(name: str, value) -> None:
 def activation_apply(kind: Activation, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply ``kind`` to pre-activations ``z`` ((d,) vector or (d, B) batch).
 
-    Without ``out`` the result is a new array (IDENTITY returns ``z``
-    itself) and ``z`` is not changed.  With ``out``, an array shaped like
-    ``z``, the result is written into ``out`` and returned; ``out`` may be
-    ``z``, which applies the activation in place.  The bits are the same
-    either way.
+    The result is written into ``out``, an array shaped like ``z``, and
+    ``out`` is returned; ``out`` may be ``z``, which applies the activation
+    in place.  Without ``out`` the same code runs on a new array, so the
+    result is new and ``z`` is not changed.
     """
     z = np.asarray(z, dtype=float)
     _require_finite("activation input", z)
-    if out is not None and out.shape != z.shape:
+    if out is None:
+        out = np.empty_like(z)
+    elif out.shape != z.shape:
         raise ValueError(f"out shape {out.shape} != input shape {z.shape}")
     if kind is Activation.IDENTITY:
-        return z if out is None else _into(out, z)
+        np.copyto(out, z)
+        return out
     if kind is Activation.RELU:
         return np.maximum(z, 0.0, out=out)
     if kind is Activation.SQUARE:
         return np.multiply(z, z, out=out)
     if kind is Activation.SIGMOID:
+        # 1/(1+e) for z >= 0 and e/(1+e) below, with e = exp(-|z|) <= 1.
         e = np.exp(-np.abs(z))
-        x = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-        return x if out is None else _into(out, x)
+        return np.divide(np.where(z >= 0.0, 1.0, e), 1.0 + e, out=out)
     if kind is Activation.SOFTMAX:
-        # Without out, the shifted z is a new array, so exp and the division
-        # can reuse it.
         e = np.subtract(z, z.max(axis=0, keepdims=True), out=out)
         np.exp(e, out=e)
         return np.divide(e, e.sum(axis=0, keepdims=True), out=e)
     raise ValueError(f"unknown activation kind: {kind!r}")
-
-
-def _into(out: np.ndarray, x: np.ndarray) -> np.ndarray:
-    np.copyto(out, x)
-    return out
 
 
 def activation_derivative(
@@ -121,16 +120,20 @@ def activation_derivative(
     """Elementwise derivative f'(z), given z and x = f(z).
 
     ReLU uses subgradient 0 at z = 0.  SOFTMAX has a full Jacobian rather than
-    an elementwise derivative; use :func:`softmax_backward` for it.  With
-    ``out``, an array shaped like ``z`` (``z`` itself included), the result
-    is written into it and ``out`` is returned; the bits are the same.
+    an elementwise derivative; use :func:`softmax_backward` for it.  The
+    result is written into ``out``, an array shaped like ``z`` (``z`` itself
+    included), and ``out`` is returned; without ``out`` the same code runs
+    on a new array.
     """
-    if out is not None and out.shape != z.shape:
+    if out is None:
+        out = np.empty_like(z, dtype=float)
+    elif out.shape != z.shape:
         raise ValueError(f"out shape {out.shape} != input shape {z.shape}")
     if kind is Activation.IDENTITY:
-        return np.ones_like(z) if out is None else _into(out, 1.0)
+        np.copyto(out, 1.0)
+        return out
     if kind is Activation.RELU:
-        return (z > 0.0).astype(float) if out is None else np.greater(z, 0.0, out=out)
+        return np.greater(z, 0.0, out=out)
     if kind is Activation.SQUARE:
         return np.multiply(2.0, z, out=out)
     if kind is Activation.SIGMOID:
@@ -206,16 +209,17 @@ class Layer:
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``W @ x`` for a (in_dim,) vector or an (in_dim, B) batch, block by block.
 
-        With ``out``, a C-contiguous array of the result's shape, the product
-        is written into it and ``out`` is returned.
+        The product is written into ``out``, a C-contiguous array of the
+        result's shape, and ``out`` is returned; without ``out`` it is
+        written into a new one.
         """
         k, o, i = self.blocks.shape
         shape = (k * o,) + x.shape[1:]
         if out is None:
-            return (self.blocks @ x.reshape(k, i, -1)).reshape(shape)
-        # Reshaping a C-contiguous array gives a view, so the product lands in out.
-        if out.shape != shape or not out.flags.c_contiguous:
+            out = np.empty(shape)
+        elif out.shape != shape or not out.flags.c_contiguous:
             raise ValueError(f"out must be a C-contiguous array of shape {shape}, got {out.shape}")
+        # Reshaping a C-contiguous array gives a view, so the product lands in out.
         np.matmul(self.blocks, x.reshape(k, i, -1), out=out.reshape(k, o, -1))
         return out
 
@@ -296,35 +300,44 @@ class ForwardTrace:
         return self.x0 if layer == 0 else self.xs[layer - 1]
 
 
+def _trace_buffers(net: Network, shape: tuple[int, ...], in_place: bool) -> ForwardTrace:
+    """Uninitialized C-contiguous buffers for a pass through ``net``.
+
+    ``shape`` is the trailing shape of every array: ``()`` for one sample,
+    ``(B,)`` for a batch of B.  With ``in_place`` each layer's z and x
+    buffers are one array, so the pass applies its activations in place
+    (see :func:`forward`).
+    """
+    xs = tuple(np.empty((layer.out_dim, *shape)) for layer in net.layers)
+    zs = xs if in_place else tuple(np.empty_like(x) for x in xs)
+    return ForwardTrace(x0=np.empty((net.in_dim, *shape)), zs=zs, xs=xs)
+
+
 def forward(net: Network, x0: np.ndarray, out: ForwardTrace | None = None) -> ForwardTrace:
     """Run the clean forward pass z_l = W_l x_{l-1}, x_l = f_l(z_l).
 
     Pure: the network is unchanged and repeated calls give bit-identical
     traces.  A non-finite entry of ``x0`` raises :class:`NonFiniteError`
     from the first layer's activation (see the module docstring), with
-    numpy's floating-point warnings silenced.  Without ``out`` every array
-    of the trace but ``x0`` is new.
-    With ``out``, a trace of C-contiguous buffers shaped like the result
-    (its ``x0`` is not read), each layer's z and x are written into
-    ``out``'s arrays, and the returned trace holds ``x0`` and those arrays.
-    Where a layer's z and x buffers are one array, the activation is applied
-    in place, so that trace's z is the activation.  The bits are the same
-    either way.
+    numpy's floating-point warnings silenced.  Each layer's z and x are
+    written into ``out``'s arrays, a trace of C-contiguous buffers shaped
+    like the result (its ``x0`` is not read), and the returned trace holds
+    ``x0`` and those arrays.  Where a layer's z and x buffers are one array,
+    the activation is applied in place, so that trace's z is the activation.
+    Without ``out`` the same code runs on new buffers, with z and x apart.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape[0] != net.in_dim:
         raise ValueError(f"input length {x0.shape[0]} != network in_dim {net.in_dim}")
-    if out is not None and out.depth != net.depth:
+    if out is None:
+        out = _trace_buffers(net, x0.shape[1:], in_place=False)
+    elif out.depth != net.depth:
         raise ValueError(f"out trace depth {out.depth} != network depth {net.depth}")
-    zs, xs = [], []
     x = x0
     with np.errstate(over="ignore", invalid="ignore"):
-        for l, layer in enumerate(net.layers):
-            z = layer.matvec(x, None if out is None else out.zs[l])
-            x = activation_apply(layer.activation, z, None if out is None else out.xs[l])
-            zs.append(z)
-            xs.append(x)
-    return ForwardTrace(x0=x0, zs=tuple(zs), xs=tuple(xs))
+        for layer, z, x_out in zip(net.layers, out.zs, out.xs):
+            x = activation_apply(layer.activation, layer.matvec(x, z), x_out)
+    return ForwardTrace(x0=x0, zs=out.zs, xs=out.xs)
 
 
 def init_weights(spec: LayerSpec, seed: int) -> np.ndarray:

@@ -59,10 +59,9 @@ def modulate_input(
     """Modulated input for the second pass: x0 + F @ gamma.
 
     Affine in gamma; x0 and gamma may be single vectors or (d, B) column
-    batches.  Without ``out`` the result is a new array.  With ``out``, an
-    array of x0's shape that shares no memory with x0, ``F @ gamma`` is
-    written into ``out``, x0 is added to it there, and ``out`` is returned;
-    the bits are the same.
+    batches.  ``F @ gamma`` is written into ``out``, an array of x0's shape
+    that shares no memory with x0, x0 is added to it there, and ``out`` is
+    returned; without ``out`` the same code runs on a new array.
     """
     x0 = np.asarray(x0, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -73,8 +72,8 @@ def modulate_input(
     if gamma.shape[0] != proj.shape[1]:
         raise ValueError(f"error length {gamma.shape[0]} != projection cols {proj.shape[1]}")
     if out is None:
-        return x0 + proj @ gamma
-    if out.shape != x0.shape or np.may_share_memory(out, x0):
+        out = np.empty(x0.shape)
+    elif out.shape != x0.shape or np.may_share_memory(out, x0):
         raise ValueError(f"out must be a separate array of shape {x0.shape}")
     np.matmul(proj, gamma, out=out)
     return np.add(x0, out, out=out)

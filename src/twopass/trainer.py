@@ -18,8 +18,8 @@ serve, again only when that width changes, and every step writes its batch,
 its passes, the modulated input, the activation differences and the updates
 into them; ``evaluate`` likewise reuses one chunk's batch and activations.
 The step functions take these buffers through an optional ``out``
-argument; without it they return new arrays and change no argument, with
-the same bits either way.
+argument; an allocating call runs the same code on fresh buffers and
+changes no argument.
 
 A two-pass step computes and holds only what its rule reads.  Hidden layer
 l learns from x_l - x_err,l and the output layer from gamma, each with the
@@ -50,6 +50,7 @@ from .core import (
     NonFiniteError,
     _check_int,
     _check_positive,
+    _trace_buffers,
     activation_derivative,
     forward,
     softmax_backward,
@@ -258,17 +259,6 @@ def _batch(inputs: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None) -
     return out
 
 
-def _trace_buffers(net: Network, width: int, in_place: bool) -> ForwardTrace:
-    """Uninitialized buffers for a pass of ``width`` samples through ``net``.
-
-    With ``in_place`` each layer's z and x buffers are one array, so the
-    pass applies its activations in place (see :func:`~twopass.core.forward`).
-    """
-    xs = tuple(np.empty((layer.out_dim, width)) for layer in net.layers)
-    zs = xs if in_place else tuple(np.empty_like(x) for x in xs)
-    return ForwardTrace(x0=np.empty((net.in_dim, width)), zs=zs, xs=xs)
-
-
 def _two_pass_buffers(net: Network, width: int) -> tuple[ForwardTrace, ForwardTrace]:
     """In-place buffers for the clean pass and the modulated pass's hidden layers.
 
@@ -309,7 +299,7 @@ def _backprop(net, run, traces, gamma, proj, out):
 # each z, which its delta then overwrites, so its one pass keeps z apart from x.
 _RULES = {
     Algorithm.TWO_PASS: (_two_pass_buffers, _two_pass),
-    Algorithm.BACKPROP: (lambda net, width: (_trace_buffers(net, width, False),), _backprop),
+    Algorithm.BACKPROP: (lambda net, width: (_trace_buffers(net, (width,), False),), _backprop),
 }
 
 
@@ -375,7 +365,24 @@ def train(
                     width, traces = len(idx), None
                     traces = make_buffers(net, width)
                 try:
-                    net, mse, output = _step(net, data, idx, proj, lr, realize, rule, traces, updates)
+                    # The batch and the clean pass go into traces[0]; the
+                    # rule runs the rest of the step in traces and updates.
+                    xb = _batch(data.inputs, idx, out=traces[0].x0)
+                    run = net if realize is None else realize(net)
+                    output = forward(run, xb, out=traces[0]).output
+                    gamma = output_error(output, data.targets.take(idx, axis=0).T)
+                    sq = gamma * gamma
+                    # sum/size is np.mean's own reduction, bit for bit.
+                    mse = float(sq.sum() / sq.size)
+                    if not math.isfinite(mse):
+                        raise NonFiniteError("non-finite loss")
+                    # Applying the update is validated here too: on the run's
+                    # last batch there is no later forward pass to trip on an
+                    # overflowed weight subtraction.
+                    net = apply_updates(net, rule(net, run, traces, gamma, proj, updates), lr)
+                    # Free what the step ran on now, as a return would, so
+                    # that the next step's arrays can reuse its memory.
+                    del run, gamma, sq
                 except NonFiniteError as exc:
                     raise NonFiniteError(
                         f"training diverged (non-finite values) at iteration {iteration}"
@@ -390,40 +397,6 @@ def train(
     return net, tuple(records)
 
 
-def _step(
-    net: Network,
-    data: Dataset,
-    idx: np.ndarray,
-    proj: np.ndarray,
-    lr: float,
-    realize,
-    rule,
-    traces: tuple[ForwardTrace, ...],
-    updates: tuple[np.ndarray, ...],
-) -> tuple[Network, float, np.ndarray]:
-    """One training step on samples ``idx``: the updated network, the mse, the output.
-
-    The batch and the clean pass are written into ``traces[0]``, sized for
-    ``len(idx)`` samples; ``rule`` (see ``_RULES``) runs the rest of the step
-    in ``traces`` and ``updates``.  The output returned is ``traces[0]``'s
-    and is overwritten by the next step.
-    """
-    xb = _batch(data.inputs, idx, out=traces[0].x0)
-    run = net if realize is None else realize(net)
-    clean = forward(run, xb, out=traces[0])
-    gamma = output_error(clean.output, data.targets.take(idx, axis=0).T)
-    sq = gamma * gamma
-    # sum/size is np.mean's own reduction, bit for bit.
-    mse = float(sq.sum() / sq.size)
-    if not math.isfinite(mse):
-        raise NonFiniteError("non-finite loss")
-    updates = rule(net, run, traces, gamma, proj, updates)
-    # Applying the update is validated here too: on the run's last batch
-    # there is no later forward pass to trip on an overflowed weight
-    # subtraction.
-    return apply_updates(net, updates, lr), mse, clean.output
-
-
 def evaluate(net: Network, data: Dataset, realize=None) -> EvalResult:
     """Mean squared error, accuracy (classification only), and predictions.
 
@@ -434,9 +407,12 @@ def evaluate(net: Network, data: Dataset, realize=None) -> EvalResult:
     in order, then those per-sample sums once over the dataset.  The
     outputs themselves may: BLAS can round a sample's column differently
     when a pass holds fewer columns, so the mse's last bits are fixed only
-    for a fixed ``EVAL_BATCH`` (predictions and accuracy do not move).  Weights
-    that are finite but so large that a forward pass overflows raise
-    :class:`~twopass.core.NonFiniteError`, as divergence does in training.
+    for a fixed ``EVAL_BATCH``.  A last chunk of 1 or 2 samples (a set of
+    256k + 1 or 256k + 2) goes through another OpenBLAS kernel, and other
+    narrow chunks may round differently too.  Weights
+    that are finite but so large that a forward pass or the mse overflows
+    raise :class:`~twopass.core.NonFiniteError`, as divergence does in
+    training.
     """
     n = data.inputs.shape[0]
     if n == 0:
@@ -452,7 +428,7 @@ def evaluate(net: Network, data: Dataset, realize=None) -> EvalResult:
             if len(rows) != width:
                 # One chunk's batch and activations, reused by every chunk of its width.
                 width, trace = len(rows), None
-                trace = _trace_buffers(run, width, in_place=True)
+                trace = _trace_buffers(run, (width,), in_place=True)
             output = forward(run, _batch(data.inputs, rows, out=trace.x0), out=trace).output
             gamma = output_error(output, data.targets[rows].T)
             sq = gamma * gamma
@@ -462,6 +438,9 @@ def evaluate(net: Network, data: Dataset, realize=None) -> EvalResult:
             for row in sq[1:]:
                 acc += row
             preds[rows] = np.argmax(output, axis=0)
-    mse = float(np.sum(sample_sq)) / (n * data.targets.shape[1])
+        mse = float(np.sum(sample_sq)) / (n * data.targets.shape[1])
+    # Finite outputs can still give squared errors, or a sum of them, that overflow.
+    if not math.isfinite(mse):
+        raise NonFiniteError("non-finite evaluation mse")
     accuracy = float(np.mean(preds == data.labels)) if classification else None
     return EvalResult(mse=mse, accuracy=accuracy, predictions=preds)

@@ -46,8 +46,26 @@ class TestActivationApply:
             np.testing.assert_allclose(out, np.full(4, 0.25), rtol=1e-12)
 
     def test_identity_returns_input(self):
-        z = np.array([1.5, -2.0, 0.0])
-        np.testing.assert_array_equal(activation_apply(Activation.IDENTITY, z), z)
+        z = np.array([[1.5, -2.0], [0.0, -0.0]])
+        kept = z.copy()
+        got = activation_apply(Activation.IDENTITY, z)
+        # The input's bits, -0.0 included, in a new array; z is not changed.
+        assert not np.shares_memory(got, z)
+        assert got.tobytes() == kept.tobytes() and z.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_sigmoid_is_the_piecewise_formula_bit_for_bit(self, with_out):
+        # 1/(1+e) at z >= 0 (so at -0.0 too) and e/(1+e) below, e = exp(-|z|).
+        # From z = 40 on the first rounds to 1.0; exp(-745.5) underflows to 0.
+        z = np.array(
+            [[0.0, -0.0, 1e-300, -1e-300], [0.3, -0.3, 7.5, -7.5], [40.5, -40.5, 745.5, -745.5]]
+        )
+        e = np.exp(-np.abs(z))
+        want = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        out = np.empty_like(z) if with_out else None
+        got = activation_apply(Activation.SIGMOID, z, out=out)
+        assert got.tobytes() == want.tobytes()
+        assert out is None or got is out
 
     def test_sigmoid_matches_closed_form(self):
         z = np.linspace(-8.0, 8.0, 33)

@@ -222,6 +222,16 @@ class TestRunExperiment:
         assert main([cfg, "--out-dir", str(tmp_path / "out")]) == 3
         assert "divergence: output error contains non-finite values" in capsys.readouterr().err
 
+    def test_overflowing_evaluation_mse_exits_with_code_three(self, tmp_path, monkeypatch, capsys):
+        # Training returns finite weights whose test mse overflows: the run
+        # writes no "final_mse": Infinity, and leaves no output directory.
+        net = Network((Layer(np.full((1, 2), 1e40), "square"), Layer([[1.0]], "square")))
+        monkeypatch.setattr(harness, "train", lambda *args, **kwargs: (net, ()))
+        out = tmp_path / "out"
+        assert main(["--task", "xor", "--epochs", "1", "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("divergence:")
+        assert not out.exists()
+
     def test_evaluation_bug_is_not_reported_as_divergence(self, tmp_path, monkeypatch):
         def broken_evaluate(model, data, realize=None):
             raise ValueError("evaluation shape bug")

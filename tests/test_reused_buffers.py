@@ -171,8 +171,13 @@ def test_train_and_evaluate_match_allocating_reference(monkeypatch, case, algori
     cfg = TrainConfig(
         learning_rate=0.05, epochs=epochs, batch_size=batch_size, seed=13, algorithm=algorithm
     )
-    steps = spy_on(monkeypatch, trainer, "_step")
+    batches = spy_on(monkeypatch, trainer, "_batch")
+    rule_calls = spy_on_rule(monkeypatch, algorithm)
     trained, records = train(net, data, proj, cfg, realize=realize)
+    # One batch and one rule call per step; reference_train below takes its
+    # batches through the same spy, so the step list is fixed here.
+    assert len(batches) == len(rule_calls) == len(records)
+    steps = [dict(call, idx=batch["idx"]) for batch, call in zip(batches, rule_calls)]
     ref_net, ref_records = reference_train(net, data, proj, cfg, realize=realize)
     assert record_bits(records) == record_bits(ref_records)
     # The modulated first hidden activation overwrites the spent batch; no
@@ -200,6 +205,19 @@ def test_train_and_evaluate_match_allocating_reference(monkeypatch, case, algori
     if accuracy is not None:
         assert result.accuracy.hex() == accuracy.hex()
     assert result.predictions.tobytes() == preds.tobytes()
+
+
+def spy_on_rule(monkeypatch, algorithm):
+    """Wrap ``algorithm``'s rule in ``trainer._RULES``; returns each call's traces and updates."""
+    make_buffers, rule = trainer._RULES[algorithm]
+    calls = []
+
+    def spy(net, run, traces, gamma, proj, out):
+        calls.append({"traces": traces, "updates": out})
+        return rule(net, run, traces, gamma, proj, out)
+
+    monkeypatch.setitem(trainer._RULES, algorithm, (make_buffers, spy))
+    return calls
 
 
 def aliased_buffers(traces, updates):

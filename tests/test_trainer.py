@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from twopass import (
     colsplit_train,
     evaluate,
     forward,
+    load_mnist,
     modulate_input,
     one_hot,
     output_error,
@@ -629,7 +631,8 @@ class TestTrain:
         )
         proj = np.array(sample_projection(2, 1, seed=0))
         proj[entry] = value
-        steps = spy_on(monkeypatch, trainer, "_step")
+        # Every step starts by taking its batch.
+        steps = spy_on(monkeypatch, trainer, "_batch")
         cfg = TrainConfig(epochs=1, batch_size=1, algorithm=algorithm)
         with pytest.raises(ValueError, match="projection contains non-finite values"):
             train(net, xor_dataset(), proj, cfg)
@@ -685,6 +688,47 @@ class TestEvaluate:
             monkeypatch.setattr(trainer, "EVAL_BATCH", chunk)
             mses.add(evaluate(net, data).mse)
         assert len(mses) == 1, sorted(mses)
+
+    def test_predictions_do_not_move_with_the_chunk_width_at_mnist_shapes(
+        self, monkeypatch, synthetic_mnist_dir
+    ):
+        # The MLP's 784-256-10 shape on the 10,000 MNIST-shaped test samples.
+        # Chunks of 1 or 2 columns go through another BLAS kernel than wide
+        # ones, so the outputs may differ in their last bits; the predictions
+        # may not.
+        _, test_data = load_mnist(synthetic_mnist_dir)
+        net = build_network(
+            (LayerSpec(784, 256, Activation.RELU), LayerSpec(256, 10, Activation.SOFTMAX)), seed=0
+        )
+        results = {}
+        for chunk in (1, 2, 7, 256):
+            monkeypatch.setattr(trainer, "EVAL_BATCH", chunk)
+            results[chunk] = evaluate(net, test_data)
+        for chunk in (1, 2, 7):
+            assert results[chunk].predictions.tobytes() == results[256].predictions.tobytes()
+            assert results[chunk].accuracy == results[256].accuracy
+
+    @pytest.mark.parametrize(
+        "net, data",
+        [
+            # Finite weights give a finite output, 1.6e161, whose square overflows.
+            (
+                Network((Layer(np.full((1, 2), 1e40), "square"), Layer([[1.0]], "square"))),
+                xor_dataset(),
+            ),
+            # Each sample's squared error, 1.69e308, is finite; their sum is not.
+            (
+                Network((Layer([[1.3e154]], Activation.IDENTITY),)),
+                Dataset(np.ones((2, 1)), np.zeros((2, 1)), np.zeros(2, dtype=int)),
+            ),
+        ],
+        ids=["square", "sum"],
+    )
+    def test_overflowing_mse_is_divergence(self, net, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="mse"):
+                evaluate(net, data)
 
     def test_empty_dataset_rejected(self):
         net = Network((Layer(np.eye(2), Activation.IDENTITY),))
