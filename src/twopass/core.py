@@ -16,7 +16,7 @@ trainer needs (``matvec``, ``rmatvec``, ``avg_outer``, ``step``), so the
 trainers never touch the weight storage directly, and every update is shaped
 like the blocks.
 
-:func:`activation_apply`, :func:`activation_derivative`, ``Layer.matvec`` and
+:func:`activation_apply`, :func:`activation_backward`, ``Layer.matvec`` and
 :func:`forward` each have one code path, which writes into an optional
 ``out``; an allocating call runs that code on fresh buffers.
 """
@@ -38,11 +38,10 @@ __all__ = [
     "Network",
     "ForwardTrace",
     "activation_apply",
-    "activation_derivative",
+    "activation_backward",
     "forward",
     "init_weights",
     "build_network",
-    "softmax_backward",
 ]
 
 
@@ -114,36 +113,35 @@ def activation_apply(kind: Activation, z: np.ndarray, out: np.ndarray | None = N
     raise ValueError(f"unknown activation kind: {kind!r}")
 
 
-def activation_derivative(
-    kind: Activation, z: np.ndarray, x: np.ndarray, out: np.ndarray | None = None
+def activation_backward(
+    kind: Activation, z: np.ndarray, x: np.ndarray, grad: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Elementwise derivative f'(z), given z and x = f(z).
+    """dL/dz of a layer, given z, x = f(z) and grad = dL/dx.
 
-    ReLU uses subgradient 0 at z = 0.  SOFTMAX has a full Jacobian rather than
-    an elementwise derivative; use :func:`softmax_backward` for it.  The
-    result is written into ``out``, an array shaped like ``z`` (``z`` itself
-    included), and ``out`` is returned; without ``out`` the same code runs
-    on a new array.
+    Elementwise kinds give f'(z) * grad (ReLU uses subgradient 0 at z = 0);
+    SOFTMAX gives its Jacobian product x * (grad - sum(grad * x)), summed
+    over each column.  The result is written into ``out``, an array shaped
+    like ``z`` (``z`` itself included, ``x`` and ``grad`` not), and ``out``
+    is returned; without ``out`` the same code runs on a new array.
     """
     if out is None:
         out = np.empty_like(z, dtype=float)
     elif out.shape != z.shape:
         raise ValueError(f"out shape {out.shape} != input shape {z.shape}")
+    if kind is Activation.SOFTMAX:
+        dot = np.multiply(grad, x, out=out).sum(axis=0, keepdims=True)
+        return np.multiply(x, np.subtract(grad, dot, out=out), out=out)
     if kind is Activation.IDENTITY:
         np.copyto(out, 1.0)
-        return out
-    if kind is Activation.RELU:
-        return np.greater(z, 0.0, out=out)
-    if kind is Activation.SQUARE:
-        return np.multiply(2.0, z, out=out)
-    if kind is Activation.SIGMOID:
-        return np.multiply(x, np.subtract(1.0, x, out=out), out=out)
-    raise ValueError(f"{kind!r} has no elementwise derivative")
-
-
-def softmax_backward(x: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
-    """Jacobian-vector product of softmax: dL/dz from x = softmax(z), dL/dx."""
-    return x * (grad_x - (grad_x * x).sum(axis=0, keepdims=True))
+    elif kind is Activation.RELU:
+        np.greater(z, 0.0, out=out)
+    elif kind is Activation.SQUARE:
+        np.multiply(2.0, z, out=out)
+    elif kind is Activation.SIGMOID:
+        np.multiply(x, np.subtract(1.0, x, out=out), out=out)
+    else:
+        raise ValueError(f"unknown activation kind: {kind!r}")
+    return np.multiply(grad, out, out=out)
 
 
 @dataclass(frozen=True)

@@ -265,8 +265,12 @@ def realize_weight(w: np.ndarray) -> Realization:
 
 
 def _check_mesh(name: str, mesh: Mesh) -> None:
-    """Raise ValueError naming the field of ``mesh`` that the read-back cannot read."""
+    """Raise ValueError naming the field of ``mesh`` that the read-back cannot read.
+
+    A non-finite phase raises :class:`~twopass.core.NonFiniteError`.
+    """
     n, modes, thetas, phis, out_phases = mesh
+    _check_int(f"{name}.n", n, 1)
     if not len(modes) == len(thetas) == len(phis):
         raise ValueError(
             f"{name}.modes, .thetas and .phis must have equal lengths, "
@@ -277,6 +281,8 @@ def _check_mesh(name: str, mesh: Mesh) -> None:
     for m in modes:
         if isinstance(m, bool) or not isinstance(m, numbers.Integral) or not 0 <= m <= n - 2:
             raise ValueError(f"{name}.modes must be integers in [0, {n - 2}], got {m!r}")
+    for field, phases in (("thetas", thetas), ("phis", phis), ("out_phases", out_phases)):
+        _require_finite(f"{name}.{field}", phases)
 
 
 def read_back(r: Realization) -> np.ndarray:
@@ -287,11 +293,12 @@ def read_back(r: Realization) -> np.ndarray:
     and U_k, mesh_u's transfer on the first k unit columns.  Both come from
     the meshes' phases, for any mesh, so a noisy realization reads back what
     it holds.  Its action on a field is ``read_back(r) @ field``.  A
-    realization whose meshes are malformed (an MZI without both phases or
-    with a mode outside [0, n - 2], an output screen not of n phases), whose
-    sigma is wider than a mesh, or that breaks :class:`Realization`'s gain
-    invariant (an attenuation outside [0, 1], a scale not finite and > 0)
-    raises ValueError.
+    realization whose meshes are malformed (an ``n`` that is not an integer
+    >= 1, an MZI without both phases or with a mode outside [0, n - 2], an
+    output screen not of n phases), whose sigma is wider than a mesh, or
+    that breaks :class:`Realization`'s gain invariant (an attenuation outside
+    [0, 1], a scale not finite and > 0) raises ValueError; a non-finite
+    phase raises :class:`~twopass.core.NonFiniteError`, naming its field.
     """
     _check_mesh("mesh_v", r.mesh_v)
     _check_mesh("mesh_u", r.mesh_u)
@@ -347,8 +354,9 @@ def apply_phase_noise(mesh: Mesh, sigma_phase: float, seed: int) -> Mesh:
     ``sigma_phase`` must be finite and >= 0; 0 returns the same phases.  A
     malformed mesh (as :func:`read_back` defines it) or a ``seed`` that is
     not an integer >= 0 raises ValueError.  A non-finite phase, in the mesh
-    or after the noise (a sigma near the largest float can overflow a draw),
-    raises :class:`~twopass.core.NonFiniteError` rather than wrapping to NaN.
+    (checked before any draw) or after the noise (a sigma near the largest
+    float can overflow a draw), raises :class:`~twopass.core.NonFiniteError`
+    rather than wrapping to NaN.
     """
     if not 0.0 <= sigma_phase < math.inf:
         raise ValueError(f"sigma_phase must be finite and >= 0, got {sigma_phase!r}")

@@ -32,7 +32,8 @@ hidden activation overwrites it: the two are the first rows of one array.
 What a two-pass step still allocates is small (the 10xB error arrays, byte
 gathers and finiteness masks) or must be new: the updated weight blocks,
 since a network's layers are never changed in place.  A backprop step also
-allocates ``W.T @ delta`` for each layer but the first.
+allocates ``W.T @ delta`` for each layer but the first; every layer's
+delta, a softmax layer's included, overwrites its pre-activation.
 """
 
 from __future__ import annotations
@@ -44,16 +45,14 @@ from enum import Enum
 import numpy as np
 
 from .core import (
-    Activation,
     ForwardTrace,
     Network,
     NonFiniteError,
     _check_int,
     _check_positive,
     _trace_buffers,
-    activation_derivative,
+    activation_backward,
     forward,
-    softmax_backward,
 )
 from .data import Dataset
 from .modulation import modulate_input, output_error
@@ -187,16 +186,16 @@ def backprop_updates(
 ) -> tuple[np.ndarray, ...]:
     """Exact gradient of the loss 0.5*sum((x_L - target)^2), batch-averaged.
 
-    gamma is x_L - target; the chain rule runs through every activation
-    (ReLU subgradient 0 at 0, softmax via its full Jacobian).
+    gamma is x_L - target; the chain rule runs through every activation by
+    :func:`~twopass.core.activation_backward` (ReLU subgradient 0 at 0,
+    softmax via its full Jacobian).
 
     Without ``out`` the updates are new arrays; with ``out``, one
     block-shaped array per layer, they are written into it and ``out`` is
     returned.  Each layer's delta dL/dz is a new array unless ``delta_out``
     gives one array per layer, shaped like its pre-activation, to write it
-    into (softmax layers excepted); that may be ``clean.zs`` itself, which
-    overwrites the clean trace.  No other argument changes, and the bits are
-    the same either way.
+    into; that may be ``clean.zs`` itself, which overwrites the clean trace.
+    No other argument changes, and the bits are the same either way.
     """
     if clean.depth != net.depth:
         raise ValueError(f"trace depth {clean.depth} != network depth {net.depth}")
@@ -206,14 +205,9 @@ def backprop_updates(
     grad_x = gamma
     for l in reversed(range(net.depth)):
         layer = net.layers[l]
-        z, x = clean.zs[l], clean.xs[l]
-        if layer.activation is Activation.SOFTMAX:
-            delta = softmax_backward(x, grad_x)
-        else:
-            # Without a buffer the derivative is a new array, so either way
-            # the delta can overwrite it.
-            deriv = activation_derivative(layer.activation, z, x, out=delta_out[l])
-            delta = np.multiply(grad_x, deriv, out=deriv)
+        delta = activation_backward(
+            layer.activation, clean.zs[l], clean.xs[l], grad_x, out=delta_out[l]
+        )
         deltas[l] = layer.avg_outer(delta, clean.activation(l), out[l])
         if l > 0:
             grad_x = layer.rmatvec(delta)
@@ -295,8 +289,8 @@ def _backprop(net, run, traces, gamma, proj, out):
 
 # Algorithm -> ((net, batch width) -> each pass's buffers, C-contiguous and
 # that wide, clean pass first; the rest of the step, (net, run network,
-# traces, gamma, F, update buffers) -> updates).  Backprop's derivative reads
-# each z, which its delta then overwrites, so its one pass keeps z apart from x.
+# traces, gamma, F, update buffers) -> updates).  Backprop's backward step reads
+# each z and x and writes the delta over z, so its one pass keeps z apart from x.
 _RULES = {
     Algorithm.TWO_PASS: (_two_pass_buffers, _two_pass),
     Algorithm.BACKPROP: (lambda net, width: (_trace_buffers(net, (width,), False),), _backprop),

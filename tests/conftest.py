@@ -41,7 +41,7 @@ def reference_forward(weights, activations, x0):
 
 def reference_updates(weights, activations, x0, target, proj, two_pass: bool):
     """Dense per-layer updates of one step: two-pass, or the backprop gradient."""
-    from twopass import Activation, activation_derivative, modulate_input, softmax_backward
+    from twopass import activation_backward, modulate_input
 
     zs, xs = reference_forward(weights, activations, x0)
     gamma = xs[-1] - target
@@ -51,10 +51,7 @@ def reference_updates(weights, activations, x0, target, proj, two_pass: bool):
         return [mean_outer(e, a) for e, a in zip(errors, mod[:-1])]
     deltas, grad = [], gamma
     for l in reversed(range(len(weights))):
-        if activations[l] is Activation.SOFTMAX:
-            delta = softmax_backward(xs[l + 1], grad)
-        else:
-            delta = grad * activation_derivative(activations[l], zs[l], xs[l + 1])
+        delta = activation_backward(activations[l], zs[l], xs[l + 1], grad)
         deltas.insert(0, mean_outer(delta, xs[l]))
         grad = weights[l].T @ delta
     return deltas

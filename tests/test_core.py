@@ -14,12 +14,11 @@ from twopass import (
     NonFiniteError,
     TrainConfig,
     activation_apply,
-    activation_derivative,
+    activation_backward,
     build_network,
     forward,
     init_weights,
     sample_projection,
-    softmax_backward,
     train,
     xor_dataset,
 )
@@ -94,37 +93,53 @@ class TestActivationApply:
 
 
 class TestActivationDerivative:
-    def test_elementwise_derivatives(self):
-        z = np.array([-2.0, 0.0, 3.0])
-        x_relu = activation_apply(Activation.RELU, z)
-        np.testing.assert_array_equal(
-            activation_derivative(Activation.RELU, z, x_relu), np.array([0.0, 0.0, 1.0])
-        )
-        x_sq = activation_apply(Activation.SQUARE, z)
-        np.testing.assert_array_equal(
-            activation_derivative(Activation.SQUARE, z, x_sq), 2.0 * z
-        )
-        x_sig = activation_apply(Activation.SIGMOID, z)
-        np.testing.assert_allclose(
-            activation_derivative(Activation.SIGMOID, z, x_sig),
-            x_sig * (1.0 - x_sig),
-            rtol=1e-12,
-        )
+    """activation_backward: dL/dz of a layer from z, x = f(z) and grad = dL/dx."""
 
-    def test_softmax_has_no_elementwise_derivative(self):
-        z = np.array([0.1, 0.2])
-        x = activation_apply(Activation.SOFTMAX, z)
-        with pytest.raises(ValueError):
-            activation_derivative(Activation.SOFTMAX, z, x)
+    def test_elementwise_derivatives(self):
+        # f'(z) * grad in closed form; ReLU's subgradient at z = 0 is 0.
+        z = np.array([[-2.0, 0.0, 3.0], [0.5, -0.0, -7.0]])
+        grad = np.random.default_rng(4).normal(size=z.shape)
+        derivatives = {
+            Activation.IDENTITY: np.ones_like(z),
+            Activation.RELU: np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+            Activation.SQUARE: 2.0 * z,
+            Activation.SIGMOID: np.exp(-z) / (1.0 + np.exp(-z)) ** 2,
+        }
+        for kind, deriv in derivatives.items():
+            x = activation_apply(kind, z)
+            for into in ("new", "buffer", "z"):
+                zin = z.copy()
+                out = {"new": None, "buffer": np.empty_like(z), "z": zin}[into]
+                got = activation_backward(kind, zin, x, grad, out=out)
+                if out is None:
+                    assert zin.tobytes() == z.tobytes()
+                else:
+                    assert got is out
+                if kind is Activation.SIGMOID:
+                    np.testing.assert_allclose(got, deriv * grad, rtol=1e-12)
+                else:
+                    np.testing.assert_array_equal(got, deriv * grad)
 
     def test_softmax_backward_is_jacobian_product(self):
-        # J[i,j] = s_i (delta_ij - s_j); compare the vectorized form against it.
+        # J[i,j] = s_i (delta_ij - s_j); compare the vectorized form against
+        # it, sample by sample and for the batch, the batch written over z.
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            s = activation_apply(Activation.SOFTMAX, rng.normal(size=6))
-            g = rng.normal(size=6)
-            jac = np.diag(s) - np.outer(s, s)
-            np.testing.assert_allclose(softmax_backward(s, g), jac @ g, rtol=1e-10, atol=1e-14)
+        z, g = rng.normal(size=(6, 10)), rng.normal(size=(6, 10))
+        s = activation_apply(Activation.SOFTMAX, z)
+        want = np.empty_like(z)
+        for b in range(10):
+            want[:, b] = (np.diag(s[:, b]) - np.outer(s[:, b], s[:, b])) @ g[:, b]
+            got = activation_backward(Activation.SOFTMAX, z[:, b], s[:, b], g[:, b])
+            np.testing.assert_allclose(got, want[:, b], rtol=1e-10, atol=1e-14)
+        got = activation_backward(Activation.SOFTMAX, z, s, g, out=z)
+        assert got is z
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["tanh", None], ids=repr)
+    def test_unknown_kind_rejected(self, kind):
+        z = np.array([0.1, 0.2])
+        with pytest.raises(ValueError, match="unknown activation kind"):
+            activation_backward(kind, z, z, z)
 
 
 class TestForward:

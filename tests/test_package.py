@@ -44,7 +44,7 @@ PUBLIC_NAMES = {
     "Task",
     "TrainConfig",
     "activation_apply",
-    "activation_derivative",
+    "activation_backward",
     "apply_phase_noise",
     "apply_updates",
     "backprop_updates",
@@ -70,7 +70,6 @@ PUBLIC_NAMES = {
     "realize_weight",
     "run_experiment",
     "sample_projection",
-    "softmax_backward",
     "split_columns",
     "stagewise_forward",
     "train",

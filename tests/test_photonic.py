@@ -76,6 +76,14 @@ def reference_transfer(mesh: Mesh) -> np.ndarray:
 
 BARE_2 = Mesh(2, [], [], [], [0.0, 0.0])
 BARE_3 = Mesh(3, [], [], [], [0.0] * 3)
+REAL_2 = realize_weight(np.array([[0.5, 0.2], [0.1, 0.3]]))
+
+
+def with_phase(mesh_name: str, field: str, value: float) -> Realization:
+    """REAL_2 with the first phase of one mesh's ``field`` set to ``value``."""
+    mesh = getattr(REAL_2, mesh_name)
+    phases = [value] + getattr(mesh, field)[1:]
+    return REAL_2._replace(**{mesh_name: mesh._replace(**{field: phases})})
 
 
 def reference_mzi_factors(theta: float, phi: float, sign: int = 1):
@@ -652,10 +660,34 @@ class TestReadBack:
                 r"mesh_u\.out_phases must hold n = 3 phases, got 2",
                 id="short_output_screen",
             ),
+            pytest.param(
+                # [0j] * 2.0 raised a TypeError inside the read-back.
+                Realization(BARE_2, np.array([1.0]), Mesh(2.0, [0], [1.0], [0.5], [0.0, 0.0]), 1.0),
+                r"mesh_u\.n must be an integer >= 1, got 2\.0",
+                id="float_n",
+            ),
+            # Each of these read back as an all-NaN matrix.
+            pytest.param(
+                with_phase("mesh_v", "thetas", np.nan),
+                r"mesh_v\.thetas contains non-finite values",
+                id="nan_theta",
+            ),
+            pytest.param(
+                with_phase("mesh_u", "phis", np.inf),
+                r"mesh_u\.phis contains non-finite values",
+                id="inf_phi",
+            ),
+            pytest.param(
+                with_phase("mesh_v", "out_phases", -np.inf),
+                r"mesh_v\.out_phases contains non-finite values",
+                id="minus_inf_output_phase",
+            ),
         ],
     )
     def test_malformed_realization_rejected(self, r, match):
-        with pytest.raises(ValueError, match=match):
+        # A non-finite phase is a NonFiniteError; every other fault a plain ValueError.
+        error = NonFiniteError if "non-finite" in match else ValueError
+        with pytest.raises(error, match=match):
             read_back(r)
 
     @pytest.mark.parametrize(
@@ -897,7 +929,7 @@ class TestApplyPhaseNoise:
         # not wrapped to NaN.
         mesh = random_mesh(3, seed=18)
         bad = mesh._replace(**{field: getattr(mesh, field)[:-1] + [value]})
-        with pytest.raises(NonFiniteError, match=f"noisy {field} contains non-finite"):
+        with pytest.raises(NonFiniteError, match=rf"mesh\.{field} contains non-finite"):
             apply_phase_noise(bad, 0.0, seed=0)
 
     @pytest.mark.parametrize(
@@ -922,6 +954,11 @@ class TestApplyPhaseNoise:
                 Mesh(3, [], [], [], [0.0, 0.0]),
                 r"mesh\.out_phases must hold n = 3 phases, got 2",
                 id="short_output_screen",
+            ),
+            pytest.param(
+                Mesh(0, [], [], [], []),
+                r"mesh\.n must be an integer >= 1, got 0",
+                id="empty_mesh",
             ),
         ],
     )

@@ -22,7 +22,7 @@ from twopass import (
     Network,
     TrainConfig,
     activation_apply,
-    activation_derivative,
+    activation_backward,
     apply_updates,
     backprop_updates,
     build_colsplit_net,
@@ -284,20 +284,22 @@ class TestOutArguments:
         with pytest.raises(ValueError):
             activation_apply(kind, z, out=np.empty((2, 5, 3)))
 
-    @pytest.mark.parametrize("kind", [k for k in Activation if k is not Activation.SOFTMAX])
+    @pytest.mark.parametrize("kind", list(Activation))
     @pytest.mark.parametrize("in_place", [False, True])
     def test_activation_derivative(self, kind, in_place):
-        z = np.random.default_rng(2).normal(size=(5, 3))
+        # The backward step through the activation, activation_backward.
+        rng = np.random.default_rng(2)
+        z, grad = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
         z[0, 0] = 0.0
         x = activation_apply(kind, z.copy())
-        want = activation_derivative(kind, z, x)
+        want = activation_backward(kind, z, x, grad)
         zin = z.copy()
         out = zin if in_place else np.empty_like(z)
-        got = activation_derivative(kind, zin, x, out=out)
+        got = activation_backward(kind, zin, x, grad, out=out)
         assert got is out
         assert got.tobytes() == want.tobytes()
         with pytest.raises(ValueError):
-            activation_derivative(kind, z, x, out=np.empty((2, 5, 3)))
+            activation_backward(kind, z, x, grad, out=np.empty((2, 5, 3)))
 
     @pytest.mark.parametrize("in_place", [False, True])
     @pytest.mark.parametrize("width", [None, 1, 7])
@@ -402,18 +404,16 @@ class TestOutArguments:
         clean = forward(net, rng.random((6, 5)))
         gamma = output_error(clean.output, rng.random((4, 5)))
         want = backprop_updates(net, clean, gamma)
-        softmax = [layer.activation is Activation.SOFTMAX for layer in net.layers]
         zs = [z.tobytes() for z in clean.zs]
         scratch = tuple(np.empty_like(z) for z in clean.zs)
         got = backprop_updates(net, clean, gamma, delta_out=scratch)
         assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
         assert [z.tobytes() for z in clean.zs] == zs
-        # The clean trace's own pre-activations may take the deltas; a
-        # softmax layer's delta goes elsewhere and leaves its z alone.
+        # The clean trace's own pre-activations may take the deltas, the
+        # softmax output layer's included.
         got = backprop_updates(net, clean, gamma, delta_out=clean.zs)
         assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
-        for z, d, kept, is_softmax in zip(clean.zs, scratch, zs, softmax):
-            assert z.tobytes() == (kept if is_softmax else d.tobytes())
+        assert [z.tobytes() for z in clean.zs] == [d.tobytes() for d in scratch]
         with pytest.raises(ValueError, match="delta buffers"):
             backprop_updates(net, clean, gamma, delta_out=scratch[:1])
 
