@@ -81,14 +81,26 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def activation_apply(kind: Activation, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Apply ``kind`` to pre-activations ``z`` ((d,) vector or (d, B) batch).
+def _activation(kind) -> Activation:
+    """``kind``, an :class:`Activation` or its name, as the member."""
+    if isinstance(kind, Activation):
+        return kind
+    try:
+        return Activation(kind)
+    except ValueError:
+        raise ValueError(f"unknown activation kind: {kind!r}") from None
 
-    The result is written into ``out``, an array shaped like ``z``, and
-    ``out`` is returned; ``out`` may be ``z``, which applies the activation
-    in place.  Without ``out`` the same code runs on a new array, so the
-    result is new and ``z`` is not changed.
+
+def activation_apply(kind: Activation, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply ``kind`` (an :class:`Activation` or its name) to pre-activations ``z``.
+
+    ``z`` is a (d,) vector or a (d, B) batch.  The result is written into
+    ``out``, an array shaped like ``z``, and ``out`` is returned; ``out`` may
+    be ``z``, which applies the activation in place.  Without ``out`` the
+    same code runs on a new array, so the result is new and ``z`` is not
+    changed.
     """
+    kind = _activation(kind)
     z = np.asarray(z, dtype=float)
     _require_finite("activation input", z)
     if out is None:
@@ -106,11 +118,10 @@ def activation_apply(kind: Activation, z: np.ndarray, out: np.ndarray | None = N
         # 1/(1+e) for z >= 0 and e/(1+e) below, with e = exp(-|z|) <= 1.
         e = np.exp(-np.abs(z))
         return np.divide(np.where(z >= 0.0, 1.0, e), 1.0 + e, out=out)
-    if kind is Activation.SOFTMAX:
-        e = np.subtract(z, z.max(axis=0, keepdims=True), out=out)
-        np.exp(e, out=e)
-        return np.divide(e, e.sum(axis=0, keepdims=True), out=e)
-    raise ValueError(f"unknown activation kind: {kind!r}")
+    # SOFTMAX, the one kind left.
+    e = np.subtract(z, z.max(axis=0, keepdims=True), out=out)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=0, keepdims=True), out=e)
 
 
 def activation_backward(
@@ -118,12 +129,14 @@ def activation_backward(
 ) -> np.ndarray:
     """dL/dz of a layer, given z, x = f(z) and grad = dL/dx.
 
-    Elementwise kinds give f'(z) * grad (ReLU uses subgradient 0 at z = 0);
-    SOFTMAX gives its Jacobian product x * (grad - sum(grad * x)), summed
-    over each column.  The result is written into ``out``, an array shaped
-    like ``z`` (``z`` itself included, ``x`` and ``grad`` not), and ``out``
-    is returned; without ``out`` the same code runs on a new array.
+    ``kind`` is an :class:`Activation` or its name.  Elementwise kinds give
+    f'(z) * grad (ReLU uses subgradient 0 at z = 0); SOFTMAX gives its
+    Jacobian product x * (grad - sum(grad * x)), summed over each column.
+    The result is written into ``out``, an array shaped like ``z`` (``z``
+    itself included, ``x`` and ``grad`` not), and ``out`` is returned;
+    without ``out`` the same code runs on a new array.
     """
+    kind = _activation(kind)
     if out is None:
         out = np.empty_like(z, dtype=float)
     elif out.shape != z.shape:
@@ -137,10 +150,8 @@ def activation_backward(
         np.greater(z, 0.0, out=out)
     elif kind is Activation.SQUARE:
         np.multiply(2.0, z, out=out)
-    elif kind is Activation.SIGMOID:
+    else:  # SIGMOID, the one kind left.
         np.multiply(x, np.subtract(1.0, x, out=out), out=out)
-    else:
-        raise ValueError(f"unknown activation kind: {kind!r}")
     return np.multiply(grad, out, out=out)
 
 
@@ -298,17 +309,16 @@ class ForwardTrace:
         return self.x0 if layer == 0 else self.xs[layer - 1]
 
 
-def _trace_buffers(net: Network, shape: tuple[int, ...], in_place: bool) -> ForwardTrace:
-    """Uninitialized C-contiguous buffers for a pass through ``net``.
+def _trace_buffers(net: Network, x0: np.ndarray, in_place: bool) -> ForwardTrace:
+    """A trace of ``x0`` and uninitialized C-contiguous buffers for a pass through ``net``.
 
-    ``shape`` is the trailing shape of every array: ``()`` for one sample,
-    ``(B,)`` for a batch of B.  With ``in_place`` each layer's z and x
-    buffers are one array, so the pass applies its activations in place
-    (see :func:`forward`).
+    Every buffer has ``x0``'s trailing shape: ``()`` for one sample, ``(B,)``
+    for a batch of B.  With ``in_place`` each layer's z and x buffers are one
+    array, so the pass applies its activations in place (see :func:`forward`).
     """
-    xs = tuple(np.empty((layer.out_dim, *shape)) for layer in net.layers)
+    xs = tuple(np.empty((layer.out_dim, *x0.shape[1:])) for layer in net.layers)
     zs = xs if in_place else tuple(np.empty_like(x) for x in xs)
-    return ForwardTrace(x0=np.empty((net.in_dim, *shape)), zs=zs, xs=xs)
+    return ForwardTrace(x0=x0, zs=zs, xs=xs)
 
 
 def forward(net: Network, x0: np.ndarray, out: ForwardTrace | None = None) -> ForwardTrace:
@@ -328,7 +338,7 @@ def forward(net: Network, x0: np.ndarray, out: ForwardTrace | None = None) -> Fo
     if x0.shape[0] != net.in_dim:
         raise ValueError(f"input length {x0.shape[0]} != network in_dim {net.in_dim}")
     if out is None:
-        out = _trace_buffers(net, x0.shape[1:], in_place=False)
+        out = _trace_buffers(net, x0, in_place=False)
     elif out.depth != net.depth:
         raise ValueError(f"out trace depth {out.depth} != network depth {net.depth}")
     x = x0

@@ -3,8 +3,9 @@
 One invocation runs one experiment: build the task's network and data, train
 with the selected algorithm and backend, evaluate, and write metrics.csv,
 report.json, and (for classification tasks) confusion.csv into the output
-directory.  Identical config and seed give byte-identical metrics.csv at a
-fixed BLAS thread count (the MNIST MLP's bits depend on it).
+directory.  Identical config and seed give byte-identical metrics.csv at the
+same BLAS thread settings, which report.json records (the MNIST MLP's bits
+depend on the thread count).
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 training divergence.
 A run that exits 2 or 3 removes the output directories it made, if they are
@@ -76,6 +77,9 @@ class DataError(RuntimeError):
 
 _DEFAULT_DATA_DIR = "data"
 _ENV_DATA_DIR = "TWOPASS_DATA_DIR"
+# The environment variables that set the BLAS thread count, which the MNIST
+# MLP's bits depend on; report.json records each (null when unset).
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Each dense task's hidden and output activations and default hidden width.
 # Its input and output widths are those of its data.
@@ -142,6 +146,7 @@ class RunReport:
     wall_time_s: float
     history: tuple[MetricRecord, ...]
     confusion: tuple[tuple[int, ...], ...] | None
+    blas_threads: dict[str, str | None]
 
     def to_json(self) -> str:
         doc = {
@@ -150,6 +155,7 @@ class RunReport:
             "final_mse": self.final_mse,
             "final_accuracy": self.final_accuracy,
             "wall_time_s": self.wall_time_s,
+            "blas_threads": self.blas_threads,
             "history": [
                 {"iteration": r.iteration, "mse": r.mse, "accuracy": r.accuracy}
                 for r in self.history
@@ -196,6 +202,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     evaluation holds only the test set (XOR uses one set for both).
     """
     start = time.perf_counter()
+    blas_threads = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     train_data, test_data = _load_task_data(cfg)
     net_seed, proj_seed, shuffle_seed = (
         int(s) for s in np.random.SeedSequence(cfg.seed).generate_state(3)
@@ -231,6 +238,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         wall_time_s=time.perf_counter() - start,
         history=history,
         confusion=confusion,
+        blas_threads=blas_threads,
     )
 
 

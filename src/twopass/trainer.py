@@ -80,9 +80,10 @@ class Algorithm(str, Enum):
 LR_DECAY = 0.1
 LR_DECAY_AT = 2.0 / 3.0
 
-# Samples per forward pass in evaluate.  Chunks of one width reuse one batch
-# and one set of activations; at width 784 they are 1.6 MB apiece.  The
-# mse's last bits depend on this size (see evaluate).
+# Samples per forward pass in evaluate, which reuses one chunk's batch and
+# activations (1.6 MB apiece at width 784).  Every pass is min(EVAL_BATCH, n)
+# columns wide, so a sample's outputs depend only on the network, the sample
+# and this size (see evaluate).
 EVAL_BATCH = 256
 
 
@@ -293,7 +294,10 @@ def _backprop(net, run, traces, gamma, proj, out):
 # each z and x and writes the delta over z, so its one pass keeps z apart from x.
 _RULES = {
     Algorithm.TWO_PASS: (_two_pass_buffers, _two_pass),
-    Algorithm.BACKPROP: (lambda net, width: (_trace_buffers(net, (width,), False),), _backprop),
+    Algorithm.BACKPROP: (
+        lambda net, width: (_trace_buffers(net, np.empty((net.in_dim, width)), False),),
+        _backprop,
+    ),
 }
 
 
@@ -394,19 +398,19 @@ def train(
 def evaluate(net: Network, data: Dataset, realize=None) -> EvalResult:
     """Mean squared error, accuracy (classification only), and predictions.
 
-    Samples are evaluated in dataset order, in chunks of ``EVAL_BATCH``
-    taken (byte inputs scaled) by :func:`_batch`, through ``realize(net)``
-    when ``realize`` is given.  The mse is summed in an order that does not
-    depend on the chunk size: each sample's squared errors over the outputs
-    in order, then those per-sample sums once over the dataset.  The
-    outputs themselves may: BLAS can round a sample's column differently
-    when a pass holds fewer columns, so the mse's last bits are fixed only
-    for a fixed ``EVAL_BATCH``.  A last chunk of 1 or 2 samples (a set of
-    256k + 1 or 256k + 2) goes through another OpenBLAS kernel, and other
-    narrow chunks may round differently too.  Weights
-    that are finite but so large that a forward pass or the mse overflows
-    raise :class:`~twopass.core.NonFiniteError`, as divergence does in
-    training.
+    Samples are evaluated in dataset order, in chunks taken (byte inputs
+    scaled) by :func:`_batch`, through ``realize(net)`` when ``realize`` is
+    given.  Every chunk is ``min(EVAL_BATCH, n)`` samples wide: the last one
+    ends at the last sample, so it overlaps the one before, whose shared
+    samples it computes again in a pass of the same width.  BLAS can round
+    a sample's column differently in a pass of another width, but every
+    pass has one width, so a sample's outputs depend only on the network,
+    the sample and ``EVAL_BATCH``, not on where the dataset ends.  The mse
+    is summed in an order that does not depend on the chunk size: each
+    sample's squared errors over the outputs in order, then those
+    per-sample sums once over the dataset.  Weights that are finite but so
+    large that a forward pass or the mse overflows raise
+    :class:`~twopass.core.NonFiniteError`, as divergence does in training.
     """
     n = data.inputs.shape[0]
     if n == 0:
@@ -416,18 +420,17 @@ def evaluate(net: Network, data: Dataset, realize=None) -> EvalResult:
     preds = np.empty(n, dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
         run = net if realize is None else realize(net)
-        width, trace = 0, None
-        for start in range(0, n, EVAL_BATCH):
-            rows = np.arange(start, min(start + EVAL_BATCH, n))
-            if len(rows) != width:
-                # One chunk's batch and activations, reused by every chunk of its width.
-                width, trace = len(rows), None
-                trace = _trace_buffers(run, (width,), in_place=True)
+        width = min(EVAL_BATCH, n)
+        # One chunk's batch and activations, reused by every chunk.
+        trace = _trace_buffers(run, np.empty((run.in_dim, width)), in_place=True)
+        # The last chunk ends at the last sample, overlapping the one before.
+        for start in (*range(0, n - width, width), n - width):
+            rows = np.arange(start, start + width)
             output = forward(run, _batch(data.inputs, rows, out=trace.x0), out=trace).output
             gamma = output_error(output, data.targets[rows].T)
             sq = gamma * gamma
             # Row by row: np.sum(sq, axis=0) sums a 1-sample chunk pairwise.
-            acc = sample_sq[start : start + len(rows)]
+            acc = sample_sq[start : start + width]
             acc[...] = sq[0]
             for row in sq[1:]:
                 acc += row

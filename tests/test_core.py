@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,11 +136,24 @@ class TestActivationDerivative:
         assert got is z
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
 
+    @pytest.mark.parametrize("kind", list(Activation), ids=lambda kind: kind.value)
+    def test_name_and_member_give_the_same_bytes(self, kind):
+        # Layer, LayerSpec and Activation itself take a kind by name, and so
+        # do the activation functions.
+        rng = np.random.default_rng(9)
+        z, grad = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        x = activation_apply(kind, z)
+        assert activation_apply(kind.value, z).tobytes() == x.tobytes()
+        want = activation_backward(kind, z, x, grad)
+        assert activation_backward(kind.value, z, x, grad).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("kind", ["tanh", None], ids=repr)
     def test_unknown_kind_rejected(self, kind):
         z = np.array([0.1, 0.2])
         with pytest.raises(ValueError, match="unknown activation kind"):
             activation_backward(kind, z, z, z)
+        with pytest.raises(ValueError, match="unknown activation kind"):
+            activation_apply(kind, z)
 
 
 class TestForward:
@@ -182,6 +196,24 @@ class TestForward:
         net = Network((Layer(np.eye(2), Activation.IDENTITY),))
         with pytest.raises(ValueError):
             forward(net, np.array([1.0, 2.0, 3.0]))
+
+    def test_allocating_call_builds_only_the_layer_buffers(self):
+        # The returned trace's x0 is the input itself, so a buffer of the
+        # input's shape (1.6 MB for a 784x256 batch) would never be written.
+        net = build_network(
+            (LayerSpec(784, 24, Activation.RELU), LayerSpec(24, 10, Activation.SOFTMAX)), seed=3
+        )
+        xb = np.random.default_rng(3).random((784, 256))
+        tracemalloc.start()
+        try:
+            trace = forward(net, xb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.x0 is xb
+        layers = sum(a.nbytes for a in trace.zs + trace.xs)
+        # Beyond the layer buffers, only small temporaries (finiteness masks).
+        assert peak < layers + xb.nbytes / 8, (peak, layers)
 
     def test_forward_is_pure_and_repeatable(self):
         net = build_network(

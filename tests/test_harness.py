@@ -109,6 +109,9 @@ class TestExperimentConfig:
         assert tc.algorithm is Algorithm.BACKPROP
 
 
+BLAS_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
+
+
 def make_report(with_confusion: bool) -> RunReport:
     history = (MetricRecord(1, 0.5, None), MetricRecord(2, 0.25, None))
     confusion = None
@@ -122,6 +125,7 @@ def make_report(with_confusion: bool) -> RunReport:
         wall_time_s=1.5,
         history=history,
         confusion=confusion,
+        blas_threads=BLAS_THREADS,
     )
 
 
@@ -132,6 +136,7 @@ def assert_report_document(doc: dict, report: RunReport) -> None:
     assert doc["final_mse"] == report.final_mse
     assert doc["final_accuracy"] == report.final_accuracy
     assert doc["wall_time_s"] == report.wall_time_s
+    assert doc["blas_threads"] == report.blas_threads
     assert doc["history"] == [
         {"iteration": r.iteration, "mse": r.mse, "accuracy": r.accuracy}
         for r in report.history
@@ -159,6 +164,7 @@ class TestRunReport:
             "final_mse",
             "final_accuracy",
             "wall_time_s",
+            "blas_threads",
             "history",
             "confusion",
         }
@@ -180,6 +186,20 @@ class TestRunExperiment:
         assert report.final_accuracy is None
         assert report.confusion is None
         assert report.wall_time_s > 0.0
+
+    def test_report_records_the_blas_thread_settings(self, monkeypatch, tmp_path):
+        # The MNIST MLP's bits change with the BLAS thread count, so a run's
+        # bits are only reproducible at the settings its report.json names.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        emit_metrics(run_experiment(xor_config()), tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "2",
+            "OMP_NUM_THREADS": "3",
+            "MKL_NUM_THREADS": None,
+        }
 
     def test_seed_changes_trajectory(self):
         a = run_experiment(xor_config(seed=0))
@@ -454,6 +474,7 @@ class TestEmitMetrics:
             wall_time_s=0.1,
             history=history,
             confusion=None,
+            blas_threads=BLAS_THREADS,
         )
         emit_metrics(report, tmp_path)
         assert (tmp_path / "metrics.csv").read_text() == "iteration,mse,accuracy\n1,0.5,0.125\n"

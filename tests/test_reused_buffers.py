@@ -77,11 +77,14 @@ def reference_evaluate(net, data, realize=None):
     run = net if realize is None else realize(net)
     sample_sq = np.empty(n)
     preds = np.empty(n, dtype=int)
-    for start in range(0, n, trainer.EVAL_BATCH):
-        rows = np.arange(start, min(start + trainer.EVAL_BATCH, n))
+    width = min(trainer.EVAL_BATCH, n)
+    for start in range(0, n, width):
+        # Every chunk is full: the last one ends at the last sample.
+        start = min(start, n - width)
+        rows = np.arange(start, start + width)
         output = forward(run, trainer._batch(data.inputs, rows)).output
         sq = output_error(output, data.targets[rows].T) ** 2
-        acc = sample_sq[start : start + len(rows)]
+        acc = sample_sq[start : start + width]
         acc[...] = sq[0]
         for row in sq[1:]:
             acc += row
@@ -136,11 +139,12 @@ def wide_hidden(seed):
 
 
 # (network, data, batch size, epochs, realize).  300 samples leave a last
-# training batch of 44 (and of 12 at batch 32) and a last evaluation chunk of
-# 44, which run through buffers built for their width.  A two-pass step keeps
-# its batch and its modulated first hidden activation in one array: the
-# inputs are wider than that activation in dense_784 and blocks_28, as wide
-# in colsplit_784 (the column-split shape) and narrower in wide_hidden.
+# training batch of 44 (and of 12 at batch 32), which runs through buffers
+# built for its width, and a last evaluation chunk that overlaps the first by
+# 212 samples.  A two-pass step keeps its batch and its modulated first
+# hidden activation in one array: the inputs are wider than that activation
+# in dense_784 and blocks_28, as wide in colsplit_784 (the column-split
+# shape) and narrower in wide_hidden.
 CASES = {
     "dense_784": lambda: (dense_784(1), byte_images(300, (784,), 2), 64, 2, None),
     "colsplit_784": lambda: (
@@ -496,8 +500,8 @@ print(per_step, per_mark(2))
 
 
 # 64·48 samples fill every batch and every evaluation chunk.  32 more leave
-# a short last batch in each of 3 epochs and a short last chunk, whose
-# buffers are built for their width when it changes, not on every step.
+# a short last batch in each of 3 epochs, whose buffers are built for its
+# width when it changes, not on every step, and an overlapping last chunk.
 @pytest.mark.parametrize(
     ("algorithm", "n", "epochs"),
     [

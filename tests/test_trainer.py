@@ -36,6 +36,7 @@ from twopass import (
     xor_dataset,
 )
 from twopass import trainer
+from twopass.colsplit import _columnized
 
 from conftest import block_diag, mean_outer, reference_updates, spy_on
 
@@ -707,6 +708,59 @@ class TestEvaluate:
         for chunk in (1, 2, 7):
             assert results[chunk].predictions.tobytes() == results[256].predictions.tobytes()
             assert results[chunk].accuracy == results[256].accuracy
+
+    @pytest.mark.parametrize("model", ["colsplit", "dense_784_24_10"])
+    def test_outputs_do_not_depend_on_where_the_test_set_ends(
+        self, model, monkeypatch, synthetic_mnist_dir
+    ):
+        # At 784-24-10 every pass width from 1 to 32 rounds some outputs
+        # differently from a 256-wide pass, and so does the column-split
+        # network's 16-wide pass over the last of 10,000 samples.  With every
+        # pass as wide as the first, each sample gets the same bits whether
+        # the set ends after its chunk (10,000), just inside it (9,990), or
+        # 5 samples past a chunk's start (9,733, which moves every later
+        # sample to another column of its pass).
+        _, test_data = load_mnist(synthetic_mnist_dir)
+        if model == "colsplit":
+            net = build_colsplit_net(seed=1).network
+            test_data = _columnized(test_data)
+        else:
+            net = build_network(
+                (LayerSpec(784, 24, Activation.RELU), LayerSpec(24, 10, Activation.SOFTMAX)),
+                seed=1,
+            )
+        batches = spy_on(monkeypatch, trainer, "_batch")
+        builds = spy_on(monkeypatch, trainer, "_trace_buffers")
+        passes = []
+        run_forward = trainer.forward
+
+        def recording_forward(*args, **kwargs):
+            trace = run_forward(*args, **kwargs)
+            passes.append(trace.output.copy())
+            return trace
+
+        monkeypatch.setattr(trainer, "forward", recording_forward)
+        outputs = {}
+        for n in (10_000, 9_990, 9_733):
+            for calls in (batches, builds, passes):
+                calls.clear()
+            data = Dataset(test_data.inputs[:n], test_data.targets[:n], test_data.labels[:n])
+            result = evaluate(net, data)
+            width = min(trainer.EVAL_BATCH, n)
+            assert len(builds) == 1 and builds[0]["x0"].shape == (784, width)
+            assert [p.shape for p in passes] == [(10, width)] * math.ceil(n / width)
+            out = np.full((10, n), np.nan)
+            for batch, output in zip(batches, passes):
+                rows = batch["idx"]
+                # A sample that an overlapping pass computes again keeps its bits.
+                seen = ~np.isnan(out[0, rows])
+                assert out[:, rows][:, seen].tobytes() == output[:, seen].tobytes()
+                out[:, rows] = output
+            assert not np.isnan(out).any()
+            np.testing.assert_array_equal(result.predictions, np.argmax(out, axis=0))
+            outputs[n] = out
+        for n in (9_990, 9_733):
+            assert outputs[n].tobytes() == outputs[10_000][:, :n].tobytes()
 
     @pytest.mark.parametrize(
         "net, data",
